@@ -1,7 +1,9 @@
 """Command-line interface for the experiment pipelines.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when a solver
-fails, 4 when a validation command finds its checks violated.
+Exit codes: 0 on success, 2 for configuration problems (an output
+directory that cannot be written included), 3 when a solver fails or a run
+meets operands of mismatched shape, 4 when a validation command finds its
+checks violated.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .errors import (
     CapacityError,
     CoefficientError,
     ConfigError,
+    DimensionError,
     NewtonError,
     NonconvergenceError,
     SolverError,
@@ -28,8 +31,9 @@ from .experiments import (
     run_sensitivity,
 )
 
-_SOLVER_ERRORS = (CapacityError, CoefficientError, NewtonError,
-                  NonconvergenceError, SolverError, StagnationError)
+_SOLVER_ERRORS = (CapacityError, CoefficientError, DimensionError,
+                  NewtonError, NonconvergenceError, SolverError,
+                  StagnationError)
 
 _COMMANDS = {
     "example1": (run_example1,
@@ -97,6 +101,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"configuration error: cannot write output: {exc}",
+              file=sys.stderr)
+        return 2
 
     for path in report.outputs:
         print(f"wrote {path}")

@@ -16,10 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .fem import ScalarField, StructuredMesh, _coefficient_at_quadrature
+from .fem import ScalarField, StructuredMesh
 from .linsolve import solve_spd
 
-# relative slack treating a projected eigenvalue as interior
+# relative residual target of the mass solves in every Riesz lift
 _MASS_TOL = 1e-13
 
 
@@ -161,8 +161,8 @@ def barrier(q: MatrixControlField, q_min: float, q_max: float,
     mesh = q.mesh
     if not check_admissible(q, q_min, q_max).admissible:
         return BarrierEval(np.inf, None, False)
-    shape, _, scale = mesh._reference
-    qg = _coefficient_at_quadrature(mesh, q.comps)
+    _, _, scale = mesh._reference
+    qg = mesh.at_quadrature(q.comps)
     a = qg[:, :, 0] - q_min
     b = qg[:, :, 1] - q_min
     c = qg[:, :, 2]
@@ -182,13 +182,20 @@ def barrier(q: MatrixControlField, q_min: float, q_max: float,
     g11 = bh / det_hi - b / det_lo
     g22 = ah / det_hi - a / det_lo
     g12 = c / det_hi + c / det_lo
-    grad_comps = np.empty((mesh.n_nodes, 3))
-    for k, dens in enumerate((g11, g22, g12)):
-        assembled = scale * np.einsum("cg,ga->ca", dens, shape)
-        vec = np.bincount(mesh.cells.ravel(), weights=assembled.ravel(),
-                          minlength=mesh.n_nodes)
-        grad_comps[:, k], _ = solve_spd(mesh.mass_matrix, vec, tol=_MASS_TOL)
+    grad_comps = riesz_lift(mesh, np.stack((g11, g22, g12), axis=-1))
     return BarrierEval(value, MatrixControlField(mesh, grad_comps), True)
+
+
+def riesz_lift(mesh: StructuredMesh, densities: np.ndarray) -> np.ndarray:
+    """Nodal L2 Riesz representatives of densities at the 2x2 Gauss points.
+
+    densities has shape (n_cells, 4, k); each of the k columns is tested
+    against the Q1 basis and lifted through the consistent mass matrix,
+    all in one exact mass solve. Returns shape (n_nodes, k).
+    """
+    loads = mesh.integrate(densities)
+    lifted, _ = solve_spd(mesh.mass_operator, loads, tol=_MASS_TOL)
+    return lifted
 
 
 def project_spectral(q: MatrixControlField, q_min: float, q_max: float,

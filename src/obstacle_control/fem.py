@@ -3,9 +3,13 @@
 Uniform quadrilateral meshes at dyadic refinement levels, bilinear shape
 functions with 2x2 Gauss quadrature, and assembly of the sparse operators
 used throughout the package: stiffness with a symmetric 2x2 matrix
-coefficient, consistent and lumped mass, and load vectors. Homogeneous
-Dirichlet conditions are imposed by symmetric row/column elimination with
-identity diagonal, so all operators stay usable by symmetric solvers.
+coefficient, consistent and lumped mass, and load vectors. Every operator
+on a mesh shares one cached CSR pattern of the nine-point stencil, and
+assembly writes its data by strided slice-adds. Homogeneous Dirichlet
+conditions are imposed by symmetric row/column elimination with identity
+diagonal (a mask on that data), so all operators stay usable by symmetric
+solvers. The consistent mass matrix is a Kronecker product of 1-D masses
+and is solved exactly along the grid axes.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import CapacityError, CoefficientError, DimensionError
 
@@ -27,6 +32,11 @@ MAX_LEVEL = 12
 # local node order on the reference square [-1,1]^2, counter-clockwise
 _XI = np.array([-1.0, 1.0, 1.0, -1.0])
 _ETA = np.array([-1.0, -1.0, 1.0, 1.0])
+# grid offset (di, dj) of each local node from its cell's first corner
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+# a node is corner 2, 3, 1, 0 of its cells in increasing cell number
+# (the cell down-left of it comes first, the one up-right last)
+_CELL_ORDER = (2, 3, 1, 0)
 
 
 def _shape_values(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -41,6 +51,11 @@ def _shape_gradients(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     grads[:, :, 0] = 0.25 * _XI * (1.0 + np.outer(eta, _ETA))
     grads[:, :, 1] = 0.25 * _ETA * (1.0 + np.outer(xi, _XI))
     return grads
+
+
+def _outer(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-point outer products s[g, a] * t[g, b] as a (4, 16) array."""
+    return (s[:, :, None] * t[:, None, :]).reshape(4, 16)
 
 
 def gauss_points_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,27 +131,52 @@ class StructuredMesh:
         scale = self.h * self.h / 4.0
         return shape, grads, scale
 
+    @cached_property
+    def stencil(self) -> "StencilPattern":
+        """Shared CSR pattern of every assembled operator on this mesh."""
+        return StencilPattern(self.cells_per_side)
+
     def quad_coords(self) -> np.ndarray:
         """Physical coordinates of the 2x2 Gauss points; (n_cells, 4, 2)."""
-        shape, _, _ = self._reference
-        return np.einsum("ga,cad->cgd", shape, self.nodes[self.cells])
+        return self.at_quadrature(self.nodes)
 
-    def _assemble_constant_local(self, local: np.ndarray) -> sp.csr_matrix:
-        """Assemble one 4x4 local matrix replicated over all cells."""
-        c = self.n_cells
-        data = np.broadcast_to(local, (c, 4, 4)).ravel()
-        rows = np.broadcast_to(self.cells[:, :, None], (c, 4, 4)).ravel()
-        cols = np.broadcast_to(self.cells[:, None, :], (c, 4, 4)).ravel()
-        mat = sp.coo_matrix((data, (rows, cols)),
-                            shape=(self.n_nodes, self.n_nodes))
-        return mat.tocsr()
+    def at_quadrature(self, values: np.ndarray) -> np.ndarray:
+        """Nodal values (n_nodes, ...) interpolated to the 2x2 Gauss points
+        of every cell; shape (n_cells, 4, ...)."""
+        shape, _, _ = self._reference
+        corners = values[self.cells]
+        flat = corners.reshape(self.n_cells, 4, -1)
+        return np.matmul(shape, flat).reshape(corners.shape)
+
+    def integrate(self, density: np.ndarray) -> np.ndarray:
+        """Load vector integral(f phi_i) of densities f given at the 2x2
+        Gauss points, (n_cells, 4, ...); shape (n_nodes, ...).
+
+        Cell contributions are summed by four strided slice-adds, one per
+        corner, in the order the cells are numbered.
+        """
+        shape, _, scale = self._reference
+        n = self.cells_per_side
+        extra = density.shape[2:]
+        flat = np.reshape(density, (self.n_cells, 4, -1))
+        local = (scale * np.matmul(shape.T, flat)).reshape(n, n, 4, -1)
+        grid = np.zeros((n + 1, n + 1, local.shape[-1]))
+        for a in _CELL_ORDER:
+            di, dj = _CORNERS[a]
+            grid[dj:dj + n, di:di + n] += local[:, :, a]
+        return grid.reshape((self.n_nodes,) + extra)
 
     @cached_property
     def mass_matrix(self) -> sp.csr_matrix:
         """Consistent mass matrix, no boundary elimination."""
         shape, _, scale = self._reference
-        local = scale * (shape.T @ shape)
-        return self._assemble_constant_local(local)
+        stencil = self.stencil
+        return stencil.matrix(stencil.assemble(scale * (shape.T @ shape)))
+
+    @cached_property
+    def mass_operator(self) -> "KroneckerMass":
+        """The consistent mass matrix with its exact tensor-product solve."""
+        return KroneckerMass(self)
 
     @cached_property
     def lumped_mass(self) -> np.ndarray:
@@ -148,10 +188,130 @@ class StructuredMesh:
         """Stiffness with unit coefficient, no boundary elimination."""
         _, grads, scale = self._reference
         local = scale * np.einsum("gad,gbd->ab", grads, grads)
-        return self._assemble_constant_local(local)
+        return self.stencil.matrix(self.stencil.assemble(local))
 
     def __repr__(self) -> str:
         return f"StructuredMesh(level={self.level})"
+
+
+class StencilPattern:
+    """CSR pattern of the Q1 nine-point stencil on a structured mesh.
+
+    Node (i, j) couples to (i+di, j+dj) for di, dj in {-1, 0, 1}. A matrix
+    on the mesh is held as an (n+1, n+1, 9) grid of stencil weights with
+    slot 3*(dj+1) + (di+1); gathering the slots whose neighbour exists, in
+    row-major order, gives the CSR data with sorted column indices. Every
+    operator assembled on one mesh shares `indptr` and `indices` (both
+    read-only), so sums and row pinning act on `.data` alone.
+    """
+
+    def __init__(self, cells_per_side: int):
+        n = cells_per_side
+        n1 = n + 1
+        jj, ii = np.divmod(np.arange(n1 * n1), n1)
+        dj, di = np.divmod(np.arange(9), 3)
+        nbr_i = ii[:, None] + di - 1
+        nbr_j = jj[:, None] + dj - 1
+        valid = (nbr_i >= 0) & (nbr_i <= n) & (nbr_j >= 0) & (nbr_j <= n)
+        counts = valid.sum(axis=1)
+        self.cells_per_side = n
+        self.shape = (n1 * n1, n1 * n1)
+        self.valid = valid.reshape(n1, n1, 9)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(
+            np.int32)
+        self.indices = (nbr_j * n1 + nbr_i)[valid].astype(np.int32)
+        self.rows = np.repeat(np.arange(n1 * n1, dtype=np.int32), counts)
+        # position in .data of each row's diagonal (slot 4, always present)
+        self.diagonal = (np.cumsum(valid, axis=1) - 1)[:, 4] \
+            + self.indptr[:-1]
+        for arr in (self.valid, self.indptr, self.indices, self.rows,
+                    self.diagonal):
+            arr.flags.writeable = False
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.shape[0]
+
+    def assemble(self, local: np.ndarray) -> np.ndarray:
+        """CSR data of per-cell 4x4 matrices (C, 4, 4), or one (4, 4).
+
+        Local entry (a, b) always lands in the same stencil slot, so each
+        is one strided slice-add over all cells.
+        """
+        n = self.cells_per_side
+        per_cell = np.broadcast_to(local, (n * n, 4, 4)).reshape(n, n, 4, 4)
+        grid = np.zeros((n + 1, n + 1, 9))
+        for a in _CELL_ORDER:
+            ai, aj = _CORNERS[a]
+            for b in range(4):
+                bi, bj = _CORNERS[b]
+                slot = 3 * (bj - aj + 1) + (bi - ai + 1)
+                grid[aj:aj + n, ai:ai + n, slot] += per_cell[:, :, a, b]
+        return grid[self.valid]
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """CSR matrix with the given data on this pattern."""
+        if data.shape != (self.nnz,):
+            raise DimensionError(
+                f"expected {self.nnz} stencil entries, got {data.shape}")
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    def compact(self, data: np.ndarray) -> sp.csr_matrix:
+        """CSR matrix of the nonzero entries of data, for a solver: pinned
+        rows and columns would otherwise cost matrix-vector work."""
+        keep = data != 0.0
+        counts = np.bincount(self.rows[keep], minlength=self.shape[0])
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        return sp.csr_matrix((data[keep], self.indices[keep], indptr),
+                             shape=self.shape)
+
+    def data_of(self, matrix: sp.csr_matrix) -> np.ndarray:
+        """The .data of a matrix assembled on this pattern."""
+        if not (sp.isspmatrix_csr(matrix) and matrix.nnz == self.nnz
+                and np.shares_memory(matrix.indices, self.indices)):
+            raise DimensionError("matrix is not on this mesh's stencil")
+        return matrix.data
+
+    def pin(self, data: np.ndarray, mask: np.ndarray,
+            diagonal: float = 1.0) -> np.ndarray:
+        """Data with the rows and columns flagged by mask zeroed and
+        `diagonal` on their diagonal entries."""
+        out = np.where(mask[self.rows] | mask[self.indices], 0.0, data)
+        out[self.diagonal[mask]] = diagonal
+        return out
+
+
+class KroneckerMass:
+    """Consistent Q1 mass matrix of a structured mesh, solved exactly.
+
+    With nodes numbered row by row, the mass matrix is kron(M1, M1) where
+    M1 is the 1-D Q1 mass, tridiagonal h/6 [1 4 1] with h/3 at both ends.
+    A solve is one banded Cholesky solve of M1 along each grid axis, for
+    any number of right-hand-side columns at once (Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964). `solve_spd` recognizes this operator.
+    """
+
+    def __init__(self, mesh: StructuredMesh):
+        n1 = mesh.cells_per_side + 1
+        h = mesh.h
+        bands = np.empty((2, n1))
+        bands[0] = h / 6.0
+        bands[1] = 4.0 * h / 6.0
+        bands[1, [0, -1]] = h / 3.0
+        self.matrix = mesh.mass_matrix
+        self._n1 = n1
+        self._factor = cholesky_banded(bands)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """M^{-1} b for b of shape (n_nodes,) or (n_nodes, k)."""
+        n1 = self._n1
+        factor = (self._factor, False)
+        # rows of the node grid are the j axis: solve along j, then along i
+        x = cho_solve_banded(factor, b.reshape(n1, -1), check_finite=False)
+        x = x.reshape(n1, n1, -1).transpose(1, 0, 2).reshape(n1, -1)
+        x = cho_solve_banded(factor, x, check_finite=False)
+        return x.reshape(n1, n1, -1).transpose(1, 0, 2).reshape(b.shape)
 
 
 def build_mesh(level: int) -> StructuredMesh:
@@ -226,22 +386,6 @@ class SparseOperator:
         return self.matrix.toarray()
 
 
-def eliminate_dirichlet(matrix: sp.csr_matrix,
-                        mask: np.ndarray) -> sp.csr_matrix:
-    """Zero rows/columns flagged by mask and put ones on their diagonal."""
-    keep = sp.diags((~mask).astype(float))
-    out = (keep @ matrix @ keep + sp.diags(mask.astype(float))).tocsr()
-    out.eliminate_zeros()
-    return out
-
-
-def _coefficient_at_quadrature(mesh: StructuredMesh,
-                               comps: np.ndarray) -> np.ndarray:
-    """Interpolate nodal (q11, q22, q12) to the 2x2 Gauss points; (C,4,3)."""
-    shape, _, _ = mesh._reference
-    return np.einsum("ga,cak->cgk", shape, comps[mesh.cells])
-
-
 def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
                        eliminate: bool = True,
                        check_coefficient: bool = True) -> SparseOperator:
@@ -268,32 +412,33 @@ def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
     """
     if q.mesh is not mesh:
         raise DimensionError("coefficient lives on a different mesh")
-    shape, grads, scale = mesh._reference
-    qg = _coefficient_at_quadrature(mesh, q.comps)
+    finite = np.isfinite(q.comps).all(axis=1)
+    if not finite.all():
+        raise CoefficientError(
+            "coefficient has a non-finite component at node "
+            f"{int(np.argmin(finite))}")
+    _, grads, scale = mesh._reference
+    qg = mesh.at_quadrature(q.comps)
     q11, q22, q12 = qg[:, :, 0], qg[:, :, 1], qg[:, :, 2]
     if check_coefficient:
-        det = q11 * q22 - q12 * q12
-        bad = (det <= 0.0) | (q11 + q22 <= 0.0)
-        if np.any(bad):
-            cell = int(np.nonzero(bad.any(axis=1))[0][0])
+        definite = (q11 * q22 - q12 * q12 > 0.0) & (q11 + q22 > 0.0)
+        if not definite.all():
+            cell = int(np.nonzero(~definite.all(axis=1))[0][0])
             raise CoefficientError(
                 "coefficient not positive definite at a quadrature point "
                 f"of cell {cell}")
     gx, gy = grads[:, :, 0], grads[:, :, 1]
-    # flux components (q grad phi_b) at each quadrature point
-    fx = q11[:, :, None] * gx[None, :, :] + q12[:, :, None] * gy[None, :, :]
-    fy = q12[:, :, None] * gx[None, :, :] + q22[:, :, None] * gy[None, :, :]
-    ke = scale * (np.einsum("ga,cgb->cab", gx, fx)
-                  + np.einsum("ga,cgb->cab", gy, fy))
-    c = mesh.n_cells
-    rows = np.broadcast_to(mesh.cells[:, :, None], (c, 4, 4)).ravel()
-    cols = np.broadcast_to(mesh.cells[:, None, :], (c, 4, 4)).ravel()
-    mat = sp.coo_matrix((ke.ravel(), (rows, cols)),
-                        shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    # ke[c, a, b] = scale * sum_g grad phi_a . q(g) grad phi_b: one product
+    # per component with the (g, a*b) outer products of the gradients
+    ke = scale * (q11 @ _outer(gx, gx) + q22 @ _outer(gy, gy)
+                  + q12 @ (_outer(gx, gy) + _outer(gy, gx)))
+    ke = ke.reshape(mesh.n_cells, 4, 4)
+    stencil = mesh.stencil
+    data = stencil.assemble(ke)
     if eliminate:
-        return SparseOperator(eliminate_dirichlet(mat, mesh.boundary_mask),
-                              mesh.boundary_mask)
-    return SparseOperator(mat, None)
+        mask = mesh.boundary_mask
+        return SparseOperator(stencil.matrix(stencil.pin(data, mask)), mask)
+    return SparseOperator(stencil.matrix(data), None)
 
 
 def assemble_mass(mesh: StructuredMesh, lumped: bool = False) -> SparseOperator:
@@ -305,14 +450,10 @@ def assemble_mass(mesh: StructuredMesh, lumped: bool = False) -> SparseOperator:
 
 def assemble_load(mesh: StructuredMesh, f: Callable) -> ScalarField:
     """Load vector with components integral(f * phi_i), 2x2 Gauss per cell."""
-    shape, _, scale = mesh._reference
     xg = mesh.quad_coords()
     fg = f(xg[:, :, 0], xg[:, :, 1])
     fg = np.broadcast_to(np.asarray(fg, dtype=float), xg.shape[:2])
-    local = scale * np.einsum("cg,ga->ca", fg, shape)
-    vec = np.bincount(mesh.cells.ravel(), weights=local.ravel(),
-                      minlength=mesh.n_nodes)
-    return ScalarField(mesh, vec)
+    return ScalarField(mesh, mesh.integrate(fg))
 
 
 def l2_inner(a: ScalarField, b: ScalarField) -> float:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .control import MatrixControlField
 from .errors import NonconvergenceError
-from .fem import ScalarField, SparseOperator, assemble_stiffness
+from .fem import ScalarField, SparseOperator, StructuredMesh, \
+    assemble_stiffness
 from .linsolve import solve_spd
 
 
@@ -48,17 +48,19 @@ class VISolution:
     f_norm: float
 
 
-def _pdas_bound_solve(K: SparseOperator, rhs: np.ndarray, upper: np.ndarray,
+def _pdas_bound_solve(mesh: StructuredMesh, K: SparseOperator,
+                      rhs: np.ndarray, upper: np.ndarray,
                       pinned: np.ndarray, pinned_values: np.ndarray,
-                      m_lump: np.ndarray, cfg: PDASConfig,
+                      cfg: PDASConfig,
                       active0: Optional[np.ndarray] = None):
     """Primal-dual active set loop for min 1/2 u'Ku - rhs'u, u <= upper.
 
     Nodes flagged by `pinned` are held at `pinned_values` throughout
     (Dirichlet nodes and, for cone problems, strongly-active nodes). The
     upper bound applies wherever `upper` is finite; +inf entries are
-    unconstrained. Returns (u, lam, active, iterations) with lam the
-    lumped nodal multiplier, supported on the final active set.
+    unconstrained. K must be assembled on `mesh`. Returns (u, lam, active,
+    iterations) with lam the lumped nodal multiplier, supported on the
+    final active set.
     """
     n = rhs.shape[0]
     constrained = np.isfinite(upper) & ~pinned
@@ -68,12 +70,14 @@ def _pdas_bound_solve(K: SparseOperator, rhs: np.ndarray, upper: np.ndarray,
     seen = {active.tobytes()}
     u = np.zeros(n)
     mat = K.matrix
+    stencil = mesh.stencil
+    k_data = stencil.data_of(mat)
+    m_lump = mesh.lumped_mass
     for it in range(1, cfg.max_iters + 1):
         fixed = pinned | active
         u_fix = np.where(pinned, pinned_values, 0.0)
         u_fix[active] = upper[active]
-        keep = sp.diags((~fixed).astype(float))
-        system = (keep @ mat @ keep + sp.diags(fixed.astype(float))).tocsr()
+        system = stencil.compact(stencil.pin(k_data, fixed))
         rhs_mod = np.where(fixed, u_fix, rhs - mat @ u_fix)
         x0 = np.where(fixed, u_fix, u)
         u, _ = solve_spd(system, rhs_mod, tol=cfg.lin_tol, x0=x0)
@@ -139,8 +143,8 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     upper = np.full(mesh.n_nodes, psi)
     m_lump = mesh.lumped_mass
     u, lam, active, its = _pdas_bound_solve(
-        K, rhs, upper, mesh.boundary_mask,
-        np.zeros(mesh.n_nodes), m_lump, cfg, active0)
+        mesh, K, rhs, upper, mesh.boundary_mask,
+        np.zeros(mesh.n_nodes), cfg, active0)
     f_norm = _load_density_norm(f_load, m_lump)
     strong = active & (lam > cfg.active_tol * max(f_norm, 1e-300))
     return VISolution(ScalarField(mesh, u), ScalarField(mesh, lam),

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .control import (
     BarrierEval,
@@ -29,6 +28,7 @@ from .control import (
     check_admissible,
     control_norm,
     project_spectral,
+    riesz_lift,
 )
 from .errors import CoefficientError, StagnationError
 from .fem import ScalarField, SparseOperator, assemble_stiffness, l2_norm
@@ -40,10 +40,6 @@ from .penalty import (
     solve_adjoint,
     solve_penalized,
 )
-
-# tolerance for the Riesz mass solves inside the gradient
-_MASS_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
@@ -152,18 +148,14 @@ def _tracking_gradient(mesh, u_vals: np.ndarray,
     The off-diagonal component carries half the assembled moment because
     the control inner product counts it twice.
     """
-    shape, grads, scale = mesh._reference
-    gu = np.einsum("gad,ca->cgd", grads, u_vals[mesh.cells])
-    gp = np.einsum("gad,ca->cgd", grads, p_vals[mesh.cells])
+    _, grads, _ = mesh._reference
+    # physical gradients at the Gauss points, (n_cells, 4, 2)
+    gu = np.tensordot(u_vals[mesh.cells], grads, axes=(1, 1))
+    gp = np.tensordot(p_vals[mesh.cells], grads, axes=(1, 1))
     d11 = gu[:, :, 0] * gp[:, :, 0]
     d22 = gu[:, :, 1] * gp[:, :, 1]
     d12 = gu[:, :, 0] * gp[:, :, 1] + gu[:, :, 1] * gp[:, :, 0]
-    out = np.empty((mesh.n_nodes, 3))
-    for k, dens in enumerate((d11, d22, d12)):
-        assembled = -scale * np.einsum("cg,ga->ca", dens, shape)
-        vec = np.bincount(mesh.cells.ravel(), weights=assembled.ravel(),
-                          minlength=mesh.n_nodes)
-        out[:, k], _ = solve_spd(mesh.mass_matrix, vec, tol=_MASS_TOL)
+    out = riesz_lift(mesh, -np.stack((d11, d22, d12), axis=-1))
     out[:, 2] *= 0.5
     return out
 
@@ -250,8 +242,8 @@ def solve_vi_adjoint(q: MatrixControlField, sol: VISolution, u_d: ScalarField,
     if K is None:
         K = assemble_stiffness(mesh, q)
     pinned = mesh.boundary_mask | sol.strongly_active
-    keep = sp.diags((~pinned).astype(float))
-    system = (keep @ K.matrix @ keep + sp.diags(pinned.astype(float))).tocsr()
+    stencil = mesh.stencil
+    system = stencil.compact(stencil.pin(stencil.data_of(K.matrix), pinned))
     rhs = mesh.mass_matrix @ (sol.u.values - u_d.values)
     rhs[pinned] = 0.0
     vals, _ = solve_spd(system, rhs, tol=lin_tol)

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .control import MatrixControlField
 from .errors import NewtonError
-from .fem import ScalarField, SparseOperator, assemble_stiffness
+from .fem import ScalarField, SparseOperator, _outer, assemble_stiffness
 from .linsolve import solve_spd
 
 # cold starts at gamma above this run an internal continuation first
@@ -41,17 +41,12 @@ class PenaltyConfig:
 
 def _gap_at_quadrature(mesh, u_vals: np.ndarray, psi: float) -> np.ndarray:
     """max(u - psi, 0) at the 2x2 Gauss points of every cell; (C, 4)."""
-    shape, _, _ = mesh._reference
-    uq = np.einsum("ga,ca->cg", shape, u_vals[mesh.cells])
-    return np.maximum(uq - psi, 0.0)
+    return np.maximum(mesh.at_quadrature(u_vals) - psi, 0.0)
 
 
 def _penalty_vector(mesh, gap: np.ndarray, gamma: float) -> np.ndarray:
     """Assembled gamma*max(u-psi,0)^3 against test functions, boundary rows zero."""
-    shape, _, scale = mesh._reference
-    local = scale * gamma * np.einsum("cg,ga->ca", gap ** 3, shape)
-    vec = np.bincount(mesh.cells.ravel(), weights=local.ravel(),
-                      minlength=mesh.n_nodes)
+    vec = mesh.integrate(gamma * gap ** 3)
     vec[mesh.boundary_mask] = 0.0
     return vec
 
@@ -60,14 +55,18 @@ def _penalty_jacobian(mesh, gap: np.ndarray, gamma: float) -> sp.csr_matrix:
     """Weighted mass from 3*gamma*max(u-psi,0)^2, boundary rows/cols zero."""
     shape, _, scale = mesh._reference
     w = scale * 3.0 * gamma * gap ** 2
-    local = np.einsum("cg,ga,gb->cab", w, shape, shape)
-    c = mesh.n_cells
-    rows = np.broadcast_to(mesh.cells[:, :, None], (c, 4, 4)).ravel()
-    cols = np.broadcast_to(mesh.cells[:, None, :], (c, 4, 4)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    keep = sp.diags((~mesh.boundary_mask).astype(float))
-    return (keep @ mat @ keep).tocsr()
+    local = (w @ _outer(shape, shape)).reshape(mesh.n_cells, 4, 4)
+    stencil = mesh.stencil
+    data = stencil.pin(stencil.assemble(local), mesh.boundary_mask, 0.0)
+    return stencil.matrix(data)
+
+
+def _penalized_system(mesh, K: SparseOperator, gap: np.ndarray,
+                      gamma: float) -> sp.csr_matrix:
+    """Newton and adjoint matrix K + D(u), summed on the shared pattern."""
+    stencil = mesh.stencil
+    return stencil.compact(stencil.data_of(K.matrix)
+                          + _penalty_jacobian(mesh, gap, gamma).data)
 
 
 def _newton(mesh, K: SparseOperator, rhs: np.ndarray, cfg: PenaltyConfig,
@@ -81,7 +80,7 @@ def _newton(mesh, K: SparseOperator, rhs: np.ndarray, cfg: PenaltyConfig,
     for _ in range(cfg.newton_max):
         if res_norm <= cfg.newton_tol * f_scale:
             return u
-        system = (K.matrix + _penalty_jacobian(mesh, gap, cfg.gamma)).tocsr()
+        system = _penalized_system(mesh, K, gap, cfg.gamma)
         delta, _ = solve_spd(system, -res, tol=cfg.lin_tol)
         step = 1.0
         while True:
@@ -158,7 +157,7 @@ def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,
     if K is None:
         K = assemble_stiffness(mesh, q)
     gap = _gap_at_quadrature(mesh, u.values, cfg.psi)
-    system = (K.matrix + _penalty_jacobian(mesh, gap, cfg.gamma)).tocsr()
+    system = _penalized_system(mesh, K, gap, cfg.gamma)
     rhs = mesh.mass_matrix @ (u.values - u_d.values)
     rhs[mesh.boundary_mask] = 0.0
     p, _ = solve_spd(system, rhs, tol=cfg.lin_tol)

@@ -85,8 +85,8 @@ def directional_derivative(q: MatrixControlField, d: MatrixControlField,
     upper = np.full(n, np.inf)
     upper[cone.nonpositive_nodes] = 0.0
     pinned = mesh.boundary_mask | cone.zero_nodes
-    v, _, _, _ = _pdas_bound_solve(K, rhs, upper, pinned, np.zeros(n),
-                                   mesh.lumped_mass, pdas)
+    v, _, _, _ = _pdas_bound_solve(mesh, K, rhs, upper, pinned,
+                                   np.zeros(n), pdas)
     return ScalarField(mesh, v)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from obstacle_control import (
     ConfigError,
+    DimensionError,
     ExperimentConfig,
     ResultTable,
     build_mesh,
@@ -297,6 +298,27 @@ def test_cli_solver_failure_exit_three(tmp_path, capsys):
                      "q_init=0.1,0,0.1"])
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_cli_dimension_error_in_runner_exit_three(monkeypatch, capsys):
+    def mismatched(cfg):
+        raise DimensionError("fields live on different meshes")
+
+    monkeypatch.setitem(cli._COMMANDS, "example1", (mismatched, "stub"))
+    assert cli.main(["example1"]) == 3
+    assert "solver failure: fields live on different meshes" \
+        in capsys.readouterr().err
+
+
+def test_cli_unwritable_output_dir_exit_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code = cli.main(["convergence", "--out", str(blocker / "out"),
+                     "--level", "1", "levels=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: cannot write output" in err
+    assert "Traceback" not in err
 
 
 def test_cli_check_failure_exit_four(tmp_path, monkeypatch, capsys):

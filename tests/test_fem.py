@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 
 from obstacle_control import (
     CapacityError,
     CoefficientError,
+    DimensionError,
     MatrixControlField,
     ScalarField,
     assemble_load,
@@ -335,3 +337,127 @@ def test_l2_error_interpolant_second_order():
         errs.append(l2_error_vs_function(v, desired_state))
     rate = np.log2(errs[0] / errs[1])
     assert rate >= 1.9
+
+
+def test_stiffness_rejects_non_finite_coefficient():
+    mesh = build_mesh(4)
+    comps = np.tile([1.0, 1.0, 0.0], (mesh.n_nodes, 1))
+    for bad in (np.nan, np.inf):
+        comps[40, 2] = bad
+        q = MatrixControlField(mesh, comps)
+        with pytest.raises(CoefficientError, match="non-finite.*node 40"):
+            assemble_stiffness(mesh, q)
+        with pytest.raises(CoefficientError, match="non-finite"):
+            assemble_stiffness(mesh, q, eliminate=False,
+                               check_coefficient=False)
+
+
+# ------------------------------------------- stencil pattern assembly
+
+def coo_reference(mesh, local):
+    """Per-cell 4x4 matrices scattered through COO, duplicates summed."""
+    c = mesh.n_cells
+    local = np.broadcast_to(local, (c, 4, 4))
+    rows = np.broadcast_to(mesh.cells[:, :, None], (c, 4, 4)).ravel()
+    cols = np.broadcast_to(mesh.cells[:, None, :], (c, 4, 4)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes)).toarray()
+
+
+def pin_reference(matrix, mask, diagonal=1.0):
+    keep = sp.diags((~mask).astype(float))
+    return (keep @ matrix @ keep
+            + diagonal * sp.diags(mask.astype(float))).toarray()
+
+
+def assert_close_relative(got, want, rel=1e-14):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("level", [0, 1, 3, 5])
+def test_stiffness_matches_coo_reference(level):
+    mesh = build_mesh(level)
+    q = random_admissible(mesh, np.random.default_rng(SEED + level))
+    shape, grads, scale = mesh._reference
+    qg = np.einsum("ga,cak->cgk", shape, q.comps[mesh.cells])
+    qmat = np.stack([np.stack([qg[..., 0], qg[..., 2]], -1),
+                     np.stack([qg[..., 2], qg[..., 1]], -1)], -2)
+    local = scale * np.einsum("gad,cgde,gbe->cab", grads, qmat, grads)
+    want = coo_reference(mesh, local)
+    raw = assemble_stiffness(mesh, q, eliminate=False)
+    assert raw.dirichlet_mask is None
+    assert_close_relative(raw.toarray(), want)
+    pinned = assemble_stiffness(mesh, q)
+    assert_close_relative(
+        pinned.toarray(),
+        pin_reference(sp.csr_matrix(want), mesh.boundary_mask))
+
+
+@pytest.mark.parametrize("level", [0, 2, 5])
+def test_constant_operators_match_coo_reference(level):
+    mesh = build_mesh(level)
+    shape, grads, scale = mesh._reference
+    assert_close_relative(mesh.mass_matrix.toarray(),
+                          coo_reference(mesh, scale * shape.T @ shape))
+    assert_close_relative(
+        mesh.stiffness_identity.toarray(),
+        coo_reference(mesh,
+                      scale * np.einsum("gad,gbd->ab", grads, grads)))
+
+
+def test_penalty_jacobian_matches_coo_reference():
+    from obstacle_control.penalty import _penalty_jacobian
+    mesh = build_mesh(4)
+    rng = np.random.default_rng(SEED + 5)
+    gap = np.maximum(rng.standard_normal((mesh.n_cells, 4)), 0.0)
+    shape, _, scale = mesh._reference
+    w = scale * 3.0 * 1e6 * gap ** 2
+    local = np.einsum("cg,ga,gb->cab", w, shape, shape)
+    want = pin_reference(sp.csr_matrix(coo_reference(mesh, local)),
+                         mesh.boundary_mask, diagonal=0.0)
+    assert_close_relative(_penalty_jacobian(mesh, gap, 1e6).toarray(), want)
+
+
+def test_operators_share_the_mesh_pattern():
+    mesh = build_mesh(3)
+    q = random_admissible(mesh, np.random.default_rng(SEED + 6))
+    stencil = mesh.stencil
+    for mat in (mesh.mass_matrix, mesh.stiffness_identity,
+                assemble_stiffness(mesh, q).matrix):
+        assert mat.has_sorted_indices
+        assert stencil.data_of(mat) is mat.data
+    other = build_mesh(3).mass_matrix
+    with pytest.raises(DimensionError):
+        stencil.data_of(other)
+    with pytest.raises(ValueError):
+        mesh.mass_matrix.indices[0] = 1
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_pin_matches_keep_product(level):
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(SEED + 7)
+    q = random_admissible(mesh, rng)
+    stencil = mesh.stencil
+    raw = assemble_stiffness(mesh, q, eliminate=False).matrix
+    for _ in range(3):
+        mask = rng.random(mesh.n_nodes) < 0.3
+        for diagonal in (1.0, 0.0):
+            pinned = stencil.pin(raw.data, mask, diagonal)
+            want = pin_reference(raw, mask, diagonal)
+            assert np.array_equal(stencil.matrix(pinned).toarray(), want)
+            compact = stencil.compact(pinned)
+            assert np.array_equal(compact.toarray(), want)
+            assert np.count_nonzero(compact.data) == compact.nnz
+
+
+@pytest.mark.parametrize("level", [1, 4, 7])
+def test_mass_is_kronecker_of_1d_masses(level):
+    mesh = build_mesh(level)
+    n1 = mesh.cells_per_side + 1
+    h = mesh.h
+    m1 = sp.diags([h / 6.0, 4.0 * h / 6.0, h / 6.0], [-1, 0, 1],
+                  shape=(n1, n1)).tolil()
+    m1[0, 0] = m1[-1, -1] = h / 3.0
+    diff = abs(sp.kron(m1, m1) - mesh.mass_matrix).max()
+    assert diff <= 1e-15 * abs(mesh.mass_matrix).max()
