@@ -13,10 +13,12 @@ from .errors import (
     DimensionError,
     NewtonError,
     NonconvergenceError,
+    NonFiniteError,
     SolverError,
     StagnationError,
 )
 from .fem import (
+    GridSystem,
     ScalarField,
     SparseOperator,
     StructuredMesh,

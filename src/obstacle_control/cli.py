@@ -19,6 +19,7 @@ from .errors import (
     DimensionError,
     NewtonError,
     NonconvergenceError,
+    NonFiniteError,
     SolverError,
     StagnationError,
 )
@@ -32,8 +33,8 @@ from .experiments import (
 )
 
 _SOLVER_ERRORS = (CapacityError, CoefficientError, DimensionError,
-                  NewtonError, NonconvergenceError, SolverError,
-                  StagnationError)
+                  NewtonError, NonconvergenceError, NonFiniteError,
+                  SolverError, StagnationError)
 
 _COMMANDS = {
     "example1": (run_example1,

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import CoefficientError, DimensionError
 from .fem import ScalarField, StructuredMesh
 from .linsolve import solve_spd
 
@@ -36,6 +36,11 @@ class MatrixControlField:
             raise DimensionError(
                 f"expected ({self.mesh.n_nodes}, 3) components, "
                 f"got {arr.shape}")
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            raise CoefficientError(
+                "coefficient has a non-finite component at node "
+                f"{int(np.argmin(finite))}")
         arr.flags.writeable = False
         object.__setattr__(self, "comps", arr)
 
@@ -144,7 +149,9 @@ def check_admissible(q: MatrixControlField, q_min: float,
 
 
 def barrier(q: MatrixControlField, q_min: float, q_max: float,
-            with_gradient: bool = True) -> BarrierEval:
+            with_gradient: bool = True,
+            admissibility: Optional[AdmissibilityReport] = None
+            ) -> BarrierEval:
     """Logarithmic barrier of the spectral bounds and its L2 gradient.
 
     value = -integral[ log det(q - q_min I) + log det(q_max I - q) ],
@@ -156,10 +163,13 @@ def barrier(q: MatrixControlField, q_min: float, q_max: float,
 
     Infeasible q (nodal determinant/trace test, which is authoritative even
     where the log arguments happen to be positive) yields value = +inf,
-    gradient = None, feasible = False.
+    gradient = None, feasible = False. A caller that already ran
+    check_admissible(q, q_min, q_max) passes its report as `admissibility`.
     """
     mesh = q.mesh
-    if not check_admissible(q, q_min, q_max).admissible:
+    if admissibility is None:
+        admissibility = check_admissible(q, q_min, q_max)
+    if not admissibility.admissible:
         return BarrierEval(np.inf, None, False)
     _, _, scale = mesh._reference
     qg = mesh.at_quadrature(q.comps)

@@ -13,6 +13,10 @@ class DimensionError(ValueError):
     """Operands live on different meshes or have incompatible shapes."""
 
 
+class NonFiniteError(ValueError):
+    """Field data holds NaN or infinite values."""
+
+
 class SolverError(RuntimeError):
     """Iterative linear solver failed to converge within its iteration cap."""
 

@@ -6,15 +6,18 @@ used throughout the package: stiffness with a symmetric 2x2 matrix
 coefficient, consistent and lumped mass, and load vectors. Every operator
 on a mesh shares one cached CSR pattern of the nine-point stencil, and
 assembly writes its data by strided slice-adds. Homogeneous Dirichlet
-conditions are imposed by symmetric row/column elimination with identity
-diagonal (a mask on that data), so all operators stay usable by symmetric
-solvers. The consistent mass matrix is a Kronecker product of 1-D masses
-and is solved exactly along the grid axes.
+conditions, and every other pinned node, are imposed by symmetric
+row/column elimination with identity diagonal (a mask on that data), so
+all operators stay usable by symmetric solvers. An eliminated operator is
+a `GridSystem`, which knows its level and its pinned nodes and builds the
+geometric multigrid preconditioner its solves use. The consistent mass
+matrix is a Kronecker product of 1-D masses and is solved exactly along
+the grid axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, TYPE_CHECKING
 
@@ -22,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import CapacityError, CoefficientError, DimensionError
+from .errors import CapacityError, CoefficientError, DimensionError, \
+    NonFiniteError
 
 if TYPE_CHECKING:
     from .control import MatrixControlField
@@ -281,6 +285,12 @@ class StencilPattern:
         out[self.diagonal[mask]] = diagonal
         return out
 
+    def system(self, data: np.ndarray, pinned: np.ndarray) -> "GridSystem":
+        """The grid system of data with the pinned rows and columns set to
+        identity, without its zero entries."""
+        return GridSystem(self.compact(self.pin(data, pinned)), pinned,
+                          level=self.cells_per_side.bit_length() - 1)
+
 
 class KroneckerMass:
     """Consistent Q1 mass matrix of a structured mesh, solved exactly.
@@ -331,6 +341,10 @@ class ScalarField:
         if vals.shape != (self.mesh.n_nodes,):
             raise DimensionError(
                 f"expected {self.mesh.n_nodes} nodal values, got {vals.shape}")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise NonFiniteError("field has a non-finite value at node "
+                                 f"{int(np.argmin(finite))}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -386,6 +400,123 @@ class SparseOperator:
         return self.matrix.toarray()
 
 
+# the multigrid hierarchy ends in an exact banded Cholesky solve on the
+# first grid with at most 2**_COARSEST cells per side
+_COARSEST = 5
+# Jacobi damping of the smoother, capped per row below 2 / (row l1-norm)
+_OMEGA = 0.8
+_L1_CAP = 1.8
+
+
+@dataclass(frozen=True)
+class GridSystem(SparseOperator):
+    """SPD system on the nine-point stencil of the mesh at `level`.
+
+    The rows and columns of the nodes in `dirichlet_mask` (boundary nodes,
+    and whatever else a solver pins) are identity; `solve_spd` zeroes the
+    right-hand side there, so the solution is exactly zero on them, and
+    solves the rest by conjugate gradients preconditioned with the
+    geometric multigrid V-cycle of `multigrid`.
+    """
+
+    level: int = field(kw_only=True)
+
+    def __post_init__(self):
+        n_nodes = (2 ** self.level + 1) ** 2
+        if not sp.isspmatrix_csr(self.matrix) \
+                or self.matrix.shape != (n_nodes, n_nodes) \
+                or self.dirichlet_mask.shape != (n_nodes,):
+            raise DimensionError(
+                f"a level-{self.level} grid system is a CSR matrix on "
+                f"{n_nodes} nodes with a mask of them")
+
+    def multigrid(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Symmetric V-cycle r -> z approximating the inverse of the matrix.
+
+        Each grid above the coarsest is smoothed by two damped-Jacobi
+        sweeps before and after its coarse correction. The coarse operator
+        is Galerkin, P'AP, with P the bilinear prolongation kron(P1, P1)
+        restricted to free nodes: a coarse node is pinned where its fine
+        node is, so every free coarse node keeps its own free fine node and
+        P'AP stays positive definite; pinned coarse nodes get identity rows.
+        The coarsest grid (at most 32 cells per side) is solved exactly by
+        banded Cholesky, so below level 6 the V-cycle is a direct solve.
+        Raises numpy.linalg.LinAlgError when that factorization fails.
+        """
+        mat, pinned, level = self.matrix, self.dirichlet_mask, self.level
+        grids = []
+        while level > _COARSEST:
+            n1 = 2 ** level + 1
+            coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
+            p = _prolongation(level, pinned, coarse)
+            # every row holds its positive diagonal, so none is empty
+            l1 = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
+            weights = np.minimum(_OMEGA / mat.diagonal(), _L1_CAP / l1)
+            grids.append((mat, weights, p))
+            mat = (p.T.tocsr() @ (mat @ p)
+                   + sp.diags(coarse.astype(float))).tocsr()
+            pinned = coarse
+            level -= 1
+        factor = (_banded_cholesky(mat, 2 ** level + 2), False)
+
+        def vcycle(r: np.ndarray) -> np.ndarray:
+            # down: smooth from zero, restrict the residual; up: correct
+            # from the coarser grid, smooth again
+            down = []
+            for a, s, p in grids:
+                x = s * r
+                x += s * (r - a @ x)
+                down.append((x, r))
+                r = p.T @ (r - a @ x)
+            e = cho_solve_banded(factor, r, check_finite=False)
+            for (a, s, p), (x, r) in zip(reversed(grids), reversed(down)):
+                x += p @ e
+                x += s * (r - a @ x)
+                x += s * (r - a @ x)
+                e = x
+            return e
+
+        return vcycle
+
+
+def _prolongation(level: int, pinned: np.ndarray,
+                  coarse: np.ndarray) -> sp.csr_matrix:
+    """Bilinear prolongation kron(P1, P1) from level - 1 to level, with
+    the rows of pinned fine nodes and the columns of pinned coarse nodes
+    zeroed.
+
+    Built on every call: a cached copy would outlive the solve, and at
+    level 8 it kept 10 MB more of the heap resident.
+    """
+    n = 2 ** level
+    fine = np.arange(n + 1)
+    odd = fine[1::2]
+    # an even fine node is a coarse node; an odd one averages two
+    p1 = sp.csr_matrix(
+        (np.r_[np.where(fine % 2, 0.5, 1.0), np.full(odd.size, 0.5)],
+         (np.r_[fine, odd], np.r_[fine // 2, odd // 2 + 1])),
+        shape=(n + 1, n // 2 + 1))
+    prolong = sp.kron(p1, p1, format="csr")
+    rows = np.repeat(pinned, np.diff(prolong.indptr))
+    prolong.data[rows | coarse[prolong.indices]] = 0.0
+    return prolong
+
+
+def _banded_cholesky(mat: sp.csr_matrix, bandwidth: int) -> np.ndarray:
+    """Upper banded Cholesky factor of a symmetric CSR matrix whose entries
+    lie within `bandwidth` of the diagonal."""
+    n = mat.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    offset = mat.indices - rows
+    upper = offset >= 0
+    band = bandwidth - offset[upper]
+    if band.size and band.min() < 0:
+        raise DimensionError("matrix entries lie outside the band")
+    bands = np.zeros((bandwidth + 1, n))
+    bands[band, mat.indices[upper]] = mat.data[upper]
+    return cholesky_banded(bands, overwrite_ab=True, check_finite=False)
+
+
 def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
                        eliminate: bool = True,
                        check_coefficient: bool = True) -> SparseOperator:
@@ -408,15 +539,11 @@ def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
 
     Returns
     -------
-    SparseOperator
+    GridSystem with the boundary pinned when eliminating, otherwise a
+    SparseOperator without a mask.
     """
     if q.mesh is not mesh:
         raise DimensionError("coefficient lives on a different mesh")
-    finite = np.isfinite(q.comps).all(axis=1)
-    if not finite.all():
-        raise CoefficientError(
-            "coefficient has a non-finite component at node "
-            f"{int(np.argmin(finite))}")
     _, grads, scale = mesh._reference
     qg = mesh.at_quadrature(q.comps)
     q11, q22, q12 = qg[:, :, 0], qg[:, :, 1], qg[:, :, 2]
@@ -437,7 +564,8 @@ def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
     data = stencil.assemble(ke)
     if eliminate:
         mask = mesh.boundary_mask
-        return SparseOperator(stencil.matrix(stencil.pin(data, mask)), mask)
+        return GridSystem(stencil.matrix(stencil.pin(data, mask)), mask,
+                          level=mesh.level)
     return SparseOperator(stencil.matrix(data), None)
 
 

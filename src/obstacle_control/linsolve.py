@@ -1,13 +1,20 @@
 """Symmetric positive definite solves for assembly and Newton systems.
 
-Stiffness and Newton systems use conjugate gradients with a Jacobi
-(diagonal) preconditioner, which handles the badly scaled diagonals produced
-by large penalty parameters. The consistent mass matrix of a structured mesh
-(`KroneckerMass`) is solved exactly by banded Cholesky along each grid axis,
-for several right-hand sides at once, and each result is checked against
-the same residual contract ||Ax - b|| <= tol * ||b|| that CG iterates to.
-An optional sparse direct path exists for cross-checking either.
-Non-finite input is refused before any work.
+Every system assembled on a mesh's nine-point stencil is a `GridSystem`:
+the Dirichlet stiffness, the active-set, VI-adjoint and cone systems with
+their pinned rows, and the Newton/adjoint matrices K + D. Conjugate
+gradients solve it with a geometric multigrid V-cycle as preconditioner,
+whose coarsest grid (at most 32 cells per side) is an exact banded
+Cholesky solve, so the iteration count does not grow with the level and a
+system on at most 32 cells per side converges in one iteration. Any other
+sparse or dense matrix gets Jacobi (diagonal) preconditioned CG, the
+generic path the multigrid one is tested against. The consistent mass
+matrix of a structured mesh (`KroneckerMass`) is solved exactly by banded
+Cholesky along each grid axis, for several right-hand sides at once, and
+each result is checked against the same residual contract
+||Ax - b|| <= tol * ||b|| that CG iterates to. An optional sparse direct
+path exists for cross-checking all of them. Non-finite input is refused
+before any work.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
-from .fem import KroneckerMass, ScalarField, SparseOperator
+from .fem import GridSystem, KroneckerMass, ScalarField, SparseOperator
 
 
 @dataclass(frozen=True)
@@ -41,12 +48,15 @@ def _as_csr_and_mask(A) -> tuple[sp.csr_matrix, Optional[np.ndarray]]:
 
 def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
          x0: Optional[np.ndarray], max_iters: int,
-         callback: Optional[Callable]) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned conjugate gradients to ||Ax-b|| <= tol*||b||."""
-    diag = mat.diagonal()
-    if np.any(diag <= 0.0):
-        raise SolverError("matrix has a nonpositive diagonal entry")
-    inv_diag = 1.0 / diag
+         callback: Optional[Callable],
+         precondition: Callable[[np.ndarray], np.ndarray]
+         ) -> tuple[np.ndarray, int, float]:
+    """Preconditioned conjugate gradients to ||Ax-b|| <= tol*||b||.
+
+    `precondition` maps a residual to the preconditioned one; it must be
+    symmetric positive definite. The comparisons are written so that NaN
+    fails them.
+    """
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), 0, 0.0
@@ -56,16 +66,16 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
     res = math.sqrt(r @ r)
     if res <= target:
         return x, 0, res
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     for k in range(1, max_iters + 1):
         ap = mat @ p
         pap = float(p @ ap)
-        if pap <= 0.0:
+        if not pap > 0.0:
             raise SolverError(
-                "matrix is not positive definite on the search space",
-                LinearSolveReport(k, res, "pcg"))
+                "matrix or preconditioner is not positive definite on the "
+                "search space", LinearSolveReport(k, res, "pcg"))
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -74,7 +84,7 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
             callback(x.copy())
         if res <= target:
             return x, k, res
-        z = inv_diag * r
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -84,8 +94,8 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
         LinearSolveReport(max_iters, res, "pcg"))
 
 
-def solve_spd(A: Union[KroneckerMass, SparseOperator, sp.spmatrix,
-                       np.ndarray],
+def solve_spd(A: Union[KroneckerMass, GridSystem, SparseOperator,
+                       sp.spmatrix, np.ndarray],
               b: Union[ScalarField, np.ndarray],
               tol: float = 1e-12,
               x0: Optional[np.ndarray] = None,
@@ -94,9 +104,11 @@ def solve_spd(A: Union[KroneckerMass, SparseOperator, sp.spmatrix,
               callback: Optional[Callable] = None):
     """Solve the SPD system A x = b.
 
-    When A carries a Dirichlet mask, the right-hand side is zeroed on the
-    eliminated rows so the solution carries the prescribed boundary values
-    (zero). The returned solution mirrors the type of b.
+    When A carries a Dirichlet mask (every `GridSystem` does), the
+    right-hand side and the initial guess are zeroed on the eliminated
+    rows, so the solution is exactly zero there. A `GridSystem` is solved
+    by multigrid-preconditioned CG, any other matrix by Jacobi-PCG. The
+    returned solution mirrors the type of b.
 
     A `KroneckerMass` is solved exactly (banded Cholesky along each grid
     axis) and b may then hold several columns, shape (n, k); `method`
@@ -105,7 +117,8 @@ def solve_spd(A: Union[KroneckerMass, SparseOperator, sp.spmatrix,
 
     Parameters
     ----------
-    A : KroneckerMass, SparseOperator, sparse matrix, or dense array
+    A : KroneckerMass, GridSystem, SparseOperator, sparse matrix, or
+        dense array
     b : ScalarField or ndarray
     tol : float
         Relative residual target ||Ax - b|| <= tol * ||b||.
@@ -114,8 +127,8 @@ def solve_spd(A: Union[KroneckerMass, SparseOperator, sp.spmatrix,
     max_iters : int, optional
         Iteration cap; defaults to max(1000, 4 * n).
     method : str
-        "pcg" (baseline; the exact solve for a KroneckerMass) or "direct"
-        (sparse LU cross-check path).
+        "pcg" (preconditioned CG; the exact solve for a KroneckerMass) or
+        "direct" (sparse LU cross-check path).
     callback : callable, optional
         Called with a copy of the iterate after each pcg step.
 
@@ -126,8 +139,11 @@ def solve_spd(A: Union[KroneckerMass, SparseOperator, sp.spmatrix,
     Raises
     ------
     SolverError
-        On a non-finite b or x0 (before any iteration), when pcg hits its
-        iteration cap, or when a mass solve misses the residual target.
+        On a non-finite b or x0 (before any iteration), on a nonpositive
+        diagonal, when the coarsest multigrid grid has no Cholesky factor,
+        when CG meets a direction of nonpositive (or NaN) curvature, when
+        pcg hits its iteration cap, or when a mass solve misses the
+        residual target.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -152,15 +168,33 @@ def _solve_sparse(A, rhs, tol, x0, max_iters, method, callback):
         raise ValueError("dimension mismatch between operator and rhs")
     if mask is not None:
         rhs = np.where(mask, 0.0, rhs)
+        if x0 is not None:
+            x0 = np.where(mask, 0.0, x0)
     if method == "direct":
         x = spla.splu(mat.tocsc()).solve(rhs)
         res = float(np.linalg.norm(mat @ x - rhs))
         return x, LinearSolveReport(0, res, "direct")
-    if method == "pcg":
-        cap = max_iters if max_iters is not None else max(1000, 4 * mat.shape[0])
-        x, its, res = _pcg(mat, rhs, tol, x0, cap, callback)
-        return x, LinearSolveReport(its, res, "pcg")
-    raise ValueError(f"unknown method {method!r}")
+    if method != "pcg":
+        raise ValueError(f"unknown method {method!r}")
+    cap = max_iters if max_iters is not None else max(1000, 4 * mat.shape[0])
+    diag = mat.diagonal()
+    if not np.all(diag > 0.0):
+        raise SolverError("matrix has a nonpositive diagonal entry")
+    if isinstance(A, GridSystem):
+        try:
+            precondition = A.multigrid()
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                "banded Cholesky factorization of the coarsest grid "
+                f"failed: {exc}", LinearSolveReport(0, math.nan, "pcg")
+            ) from exc
+    else:
+        inv_diag = 1.0 / diag
+
+        def precondition(r):
+            return inv_diag * r
+    x, its, res = _pcg(mat, rhs, tol, x0, cap, callback, precondition)
+    return x, LinearSolveReport(its, res, "pcg")
 
 
 def _solve_mass(A: KroneckerMass, rhs, tol, method):

@@ -77,10 +77,11 @@ def _pdas_bound_solve(mesh: StructuredMesh, K: SparseOperator,
         fixed = pinned | active
         u_fix = np.where(pinned, pinned_values, 0.0)
         u_fix[active] = upper[active]
-        system = stencil.compact(stencil.pin(k_data, fixed))
-        rhs_mod = np.where(fixed, u_fix, rhs - mat @ u_fix)
-        x0 = np.where(fixed, u_fix, u)
-        u, _ = solve_spd(system, rhs_mod, tol=cfg.lin_tol, x0=x0)
+        # the free part solves the system pinned at the fixed nodes, where
+        # it is zero and u_fix (zero elsewhere) holds the values
+        system = stencil.system(k_data, fixed)
+        v, _ = solve_spd(system, rhs - mat @ u_fix, tol=cfg.lin_tol, x0=u)
+        u = v + u_fix
         lam = np.zeros(n)
         resid = rhs - mat @ u
         lam[active] = resid[active] / m_lump[active]

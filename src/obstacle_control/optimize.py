@@ -243,9 +243,8 @@ def solve_vi_adjoint(q: MatrixControlField, sol: VISolution, u_d: ScalarField,
         K = assemble_stiffness(mesh, q)
     pinned = mesh.boundary_mask | sol.strongly_active
     stencil = mesh.stencil
-    system = stencil.compact(stencil.pin(stencil.data_of(K.matrix), pinned))
+    system = stencil.system(stencil.data_of(K.matrix), pinned)
     rhs = mesh.mass_matrix @ (sol.u.values - u_d.values)
-    rhs[pinned] = 0.0
     vals, _ = solve_spd(system, rhs, tol=lin_tol)
     return ScalarField(mesh, vals)
 
@@ -308,21 +307,23 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     q = q0
     u, aux, K = path.state(q, None)
 
-    def diagnostics(q, u, aux, K):
+    def diagnostics(q, u, aux, K, report):
+        """Adjoint, gradient and objective terms at an admissible q, whose
+        check_admissible report is given."""
         p = path.adjoint(q, u, aux, K)
         be = None
         bar_term = 0.0
         if cfg.beta > 0.0:
-            be = barrier(q, cfg.q_min, cfg.q_max)
+            be = barrier(q, cfg.q_min, cfg.q_max, admissibility=report)
             bar_term = cfg.beta * be.value
         g = reduced_gradient(q, u, p, cfg, barrier_eval=be)
         track = 0.5 * l2_norm(u - cfg.u_d) ** 2
         tik = 0.5 * cfg.alpha * control_norm(q - cfg.q_d) ** 2
         resid = stationarity_residual(q, g, cfg.q_min, cfg.q_max, opt.pg_step)
-        margin = check_admissible(q, cfg.q_min, cfg.q_max).worst_value
-        return p, g, track, tik, bar_term, resid, margin
+        return p, g, track, tik, bar_term, resid, report.worst_value
 
-    p, g, track, tik, bar_term, resid, margin = diagnostics(q, u, aux, K)
+    p, g, track, tik, bar_term, resid, margin = diagnostics(q, u, aux, K,
+                                                            report)
     value = track + tik + bar_term
     tol = opt.grad_tol_abs + opt.grad_tol_rel * (1.0 + resid)
     history = []
@@ -330,27 +331,30 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     stagnated = False
     it = 0
     while True:
+        gnorm = control_norm(g)
         entry = OptIterate(iteration=it, tracking=track, tikhonov=tik,
                            barrier_term=bar_term, objective=value,
-                           grad_norm=control_norm(g), pg_residual=resid,
+                           grad_norm=gnorm, pg_residual=resid,
                            step=0.0, backtracks=0, feasibility_margin=margin)
         if resid <= tol or it >= opt.max_iters:
             converged = resid <= tol
             history.append(entry)
             break
-        gnorm2 = control_norm(g) ** 2
+        gnorm2 = gnorm ** 2
         step = opt.step_init
         accepted = None
         bt = 0
         for bt in range(opt.max_backtracks + 1):
             trial_q = project_spectral(q - step * g, cfg.q_min, cfg.q_max,
                                        opt.margin)
-            if check_admissible(trial_q, cfg.q_min, cfg.q_max).admissible:
+            trial_report = check_admissible(trial_q, cfg.q_min, cfg.q_max)
+            if trial_report.admissible:
                 trial_bar = 0.0
                 feasible = True
                 if cfg.beta > 0.0:
                     tb = barrier(trial_q, cfg.q_min, cfg.q_max,
-                                 with_gradient=False)
+                                 with_gradient=False,
+                                 admissibility=trial_report)
                     feasible = tb.feasible
                     trial_bar = cfg.beta * tb.value if feasible else np.inf
                 if feasible:
@@ -361,7 +365,8 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
                         trial_q - cfg.q_d) ** 2
                     trial_value = trial_track + trial_tik + trial_bar
                     if trial_value <= value - opt.sigma * step * gnorm2:
-                        accepted = (trial_q, trial_u, trial_aux, trial_K)
+                        accepted = (trial_q, trial_u, trial_aux, trial_K,
+                                    trial_report)
                         break
             step *= opt.backtrack
         if accepted is None:
@@ -373,9 +378,10 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
             stagnated = True
             break
         history.append(replace(entry, step=step, backtracks=bt))
-        q, u, aux, K = accepted
+        q, u, aux, K, report = accepted
         it += 1
-        p, g, track, tik, bar_term, resid, margin = diagnostics(q, u, aux, K)
+        p, g, track, tik, bar_term, resid, margin = diagnostics(q, u, aux, K,
+                                                                report)
         value = track + tik + bar_term
     return OptResult(q=q, u=u, p=p, multiplier=path.multiplier(u, aux),
                      gradient=g, value=value, pg_residual=resid,

@@ -17,7 +17,8 @@ import scipy.sparse as sp
 
 from .control import MatrixControlField
 from .errors import NewtonError
-from .fem import ScalarField, SparseOperator, _outer, assemble_stiffness
+from .fem import GridSystem, ScalarField, SparseOperator, _outer, \
+    assemble_stiffness
 from .linsolve import solve_spd
 
 # cold starts at gamma above this run an internal continuation first
@@ -62,11 +63,13 @@ def _penalty_jacobian(mesh, gap: np.ndarray, gamma: float) -> sp.csr_matrix:
 
 
 def _penalized_system(mesh, K: SparseOperator, gap: np.ndarray,
-                      gamma: float) -> sp.csr_matrix:
-    """Newton and adjoint matrix K + D(u), summed on the shared pattern."""
+                      gamma: float) -> GridSystem:
+    """Newton and adjoint matrix K + D(u), summed on the shared pattern;
+    both terms are pinned on the boundary already."""
     stencil = mesh.stencil
-    return stencil.compact(stencil.data_of(K.matrix)
-                          + _penalty_jacobian(mesh, gap, gamma).data)
+    data = stencil.data_of(K.matrix) + _penalty_jacobian(mesh, gap, gamma).data
+    return GridSystem(stencil.compact(data), mesh.boundary_mask,
+                      level=mesh.level)
 
 
 def _newton(mesh, K: SparseOperator, rhs: np.ndarray, cfg: PenaltyConfig,
@@ -159,7 +162,6 @@ def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,
     gap = _gap_at_quadrature(mesh, u.values, cfg.psi)
     system = _penalized_system(mesh, K, gap, cfg.gamma)
     rhs = mesh.mass_matrix @ (u.values - u_d.values)
-    rhs[mesh.boundary_mask] = 0.0
     p, _ = solve_spd(system, rhs, tol=cfg.lin_tol)
     return ScalarField(mesh, p)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from obstacle_control import (
+    CoefficientError,
     DimensionError,
     MatrixControlField,
     barrier,
@@ -21,6 +22,20 @@ Q_MIN, Q_MAX = 0.5, 10.0
 
 
 # --------------------------------------------------------- admissibility
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_control_field_rejects_non_finite_components(bad):
+    mesh = build_mesh(2)
+    q = MatrixControlField.constant(mesh, np.eye(2))
+    comps = q.comps.copy()
+    comps[7, 1] = bad
+    with pytest.raises(CoefficientError, match="non-finite.*node 7"):
+        MatrixControlField(mesh, comps)
+    # arithmetic that overflows or meets 0 * inf fails the same way
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(CoefficientError, match="non-finite"):
+        q * bad
+
 
 def test_identity_admissible():
     mesh = build_mesh(2)

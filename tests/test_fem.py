@@ -10,6 +10,7 @@ from obstacle_control import (
     CoefficientError,
     DimensionError,
     MatrixControlField,
+    NonFiniteError,
     ScalarField,
     assemble_load,
     assemble_mass,
@@ -340,16 +341,28 @@ def test_l2_error_interpolant_second_order():
 
 
 def test_stiffness_rejects_non_finite_coefficient():
+    """The coefficient field itself refuses NaN and inf, so no stiffness
+    is assembled from one, checked or not."""
     mesh = build_mesh(4)
     comps = np.tile([1.0, 1.0, 0.0], (mesh.n_nodes, 1))
     for bad in (np.nan, np.inf):
         comps[40, 2] = bad
-        q = MatrixControlField(mesh, comps)
         with pytest.raises(CoefficientError, match="non-finite.*node 40"):
-            assemble_stiffness(mesh, q)
+            assemble_stiffness(mesh, MatrixControlField(mesh, comps))
         with pytest.raises(CoefficientError, match="non-finite"):
-            assemble_stiffness(mesh, q, eliminate=False,
-                               check_coefficient=False)
+            assemble_stiffness(mesh, MatrixControlField(mesh, comps),
+                               eliminate=False, check_coefficient=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scalar_field_rejects_non_finite_values(bad):
+    mesh = build_mesh(3)
+    values = np.ones(mesh.n_nodes)
+    values[17] = bad
+    with pytest.raises(NonFiniteError, match="node 17"):
+        ScalarField(mesh, values)
+    with pytest.raises(NonFiniteError):
+        interpolate(mesh, lambda x, y: np.where(x > 0.9, bad, 1.0))
 
 
 # ------------------------------------------- stencil pattern assembly

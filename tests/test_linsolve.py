@@ -5,15 +5,19 @@ import pytest
 import scipy.sparse as sp
 
 from obstacle_control import (
+    DimensionError,
     MatrixControlField,
     ScalarField,
     SolverError,
     assemble_load,
     assemble_stiffness,
     build_mesh,
+    initial_control,
     solve_spd,
 )
 from obstacle_control.control import riesz_lift
+from obstacle_control.fem import GridSystem
+from obstacle_control.penalty import _gap_at_quadrature, _penalized_system
 
 SEED = 5150
 
@@ -92,14 +96,19 @@ def test_boundary_values_zeroed():
 
 
 def test_nonconvergence_raises_with_report():
-    mesh = build_mesh(3)
-    q = MatrixControlField.constant(mesh, np.eye(2))
-    K = assemble_stiffness(mesh, q)
-    b = assemble_load(mesh, lambda x, y: np.ones_like(x))
-    with pytest.raises(SolverError) as err:
-        solve_spd(K, b, tol=1e-12, max_iters=2)
-    assert err.value.report is not None
-    assert err.value.report.iterations == 2
+    """Both preconditioners stop at the cap: Jacobi on the plain matrix at
+    level 3, multigrid on the grid system at level 7 (at level 3 it is an
+    exact solve and converges in one iteration)."""
+    for level, grid in ((3, False), (7, True)):
+        mesh = build_mesh(level)
+        q = MatrixControlField.constant(mesh, np.eye(2))
+        K = assemble_stiffness(mesh, q)
+        b = assemble_load(mesh, lambda x, y: np.ones_like(x)).values
+        b = np.where(mesh.boundary_mask, 0.0, b)
+        with pytest.raises(SolverError) as err:
+            solve_spd(K if grid else K.matrix, b, tol=1e-12, max_iters=2)
+        assert err.value.report is not None
+        assert err.value.report.iterations == 2
 
 
 def test_direct_path_matches_pcg():
@@ -213,3 +222,163 @@ def test_kronecker_mass_solve_of_a_field_and_zero_columns():
     x3, _ = solve_spd(mesh.mass_operator, b3, tol=MASS_TOL)
     assert np.array_equal(x3[:, 1:], np.zeros((mesh.n_nodes, 2)))
     assert np.array_equal(x3[:, 0], x.values)
+
+
+# ------------------------------------- multigrid PCG on grid systems
+
+GRID_TOL = 1e-12
+# peak of the state behind the penalty Jacobian, 1e-3 above the obstacle
+# psi = 0.5: a state at gamma = 1e12 overshoots by about (f / gamma)^(1/3)
+PENALTY_PEAK = 0.501
+
+
+def _grid_case(kind, level, seed):
+    """A grid system of one of the four kinds the solvers build, a
+    right-hand side (nonzero on pinned rows too) and the pinned values the
+    caller adds back."""
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(seed)
+    x, y = mesh.nodes.T
+    stencil = mesh.stencil
+    b = rng.standard_normal(mesh.n_nodes)
+    lifted = np.zeros(mesh.n_nodes)
+    if kind == "dirichlet":
+        q = MatrixControlField.constant(mesh, [[4.0, 1.5], [1.5, 1.0]])
+        return assemble_stiffness(mesh, q), b, lifted
+    K = assemble_stiffness(mesh, initial_control(mesh))
+    data = stencil.data_of(K.matrix)
+    if kind == "pdas":
+        # a random active set pinned to psi, moved to the right-hand side
+        # the way the active-set solver does it
+        active = mesh.interior_mask & (rng.random(mesh.n_nodes) < 0.3)
+        lifted = np.where(active, 0.5, 0.0)
+        system = stencil.system(data, mesh.boundary_mask | active)
+        return system, b - K.matrix @ lifted, lifted
+    if kind == "vi_adjoint":
+        contact = (x - 0.4) ** 2 + y ** 2 < 0.1
+        return stencil.system(data, mesh.boundary_mask | contact), b, lifted
+    return _penalty_system(mesh, K), b, lifted
+
+
+def _penalty_system(mesh, K):
+    """K + D with the gamma = 1e12 penalty Jacobian of a bump state."""
+    x, y = mesh.nodes.T
+    u = PENALTY_PEAK * (1.0 - x ** 2) * (1.0 - y ** 2)
+    return _penalized_system(mesh, K, _gap_at_quadrature(mesh, u, 0.5),
+                             1e12)
+
+
+def _true_residual(system, x, b):
+    rhs = np.where(system.dirichlet_mask, 0.0, b)
+    return np.linalg.norm(system.matrix @ x - rhs) / np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+@pytest.mark.parametrize("kind", ["dirichlet", "pdas", "vi_adjoint",
+                                  "penalty"])
+def test_multigrid_matches_jacobi_and_direct(kind, level):
+    system, b, lifted = _grid_case(kind, level, SEED + level)
+    pinned = system.dirichlet_mask
+    x0 = np.random.default_rng(SEED).standard_normal(b.shape)
+    x, report = solve_spd(system, b, tol=GRID_TOL, x0=x0)
+    assert report.method == "pcg"
+    # pinned entries are exactly their prescribed values, whatever b and
+    # x0 hold there
+    assert np.array_equal(x[pinned], np.zeros(pinned.sum()))
+    u = x + lifted
+    assert np.array_equal(u[lifted != 0.0], lifted[lifted != 0.0])
+    rhs = np.where(pinned, 0.0, b)
+    x_jac, report_jac = solve_spd(system.matrix, rhs, tol=GRID_TOL)
+    x_dir, _ = solve_spd(system, b, method="direct")
+    for sol in (x, x_dir):
+        assert _true_residual(system, sol, b) <= GRID_TOL
+    # Jacobi-PCG stops on its updated residual, whose drift from the true
+    # one reaches 0.2% of the target at level 8
+    assert report_jac.residual_norm <= GRID_TOL * np.linalg.norm(rhs)
+    scale = np.abs(x_dir).max()
+    assert np.abs(x - x_dir).max() <= 1e-7 * scale
+    assert np.abs(x - x_jac).max() <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("kind, cap", [("unit", 12), ("penalty", 30)])
+def test_multigrid_iterations_do_not_grow_with_level(kind, cap):
+    for level in (6, 7, 8):
+        mesh = build_mesh(level)
+        K = assemble_stiffness(mesh, MatrixControlField.constant(
+            mesh, np.eye(2)))
+        system = _penalty_system(mesh, K) if kind == "penalty" else K
+        b = assemble_load(mesh, lambda x, y: np.ones_like(x))
+        x, report = solve_spd(system, b, tol=1e-12)
+        assert report.iterations <= cap, (level, report.iterations)
+        assert _true_residual(system, x.values, b.values) <= 1e-11
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+@pytest.mark.parametrize("kind", ["dirichlet", "pdas", "vi_adjoint",
+                                  "penalty"])
+def test_multigrid_is_a_direct_solve_up_to_level_5(kind, level):
+    system, b, _ = _grid_case(kind, level, SEED)
+    x, report = solve_spd(system, b, tol=1e-12)
+    assert report.iterations <= 1
+    assert _true_residual(system, x, b) <= 1e-12
+
+
+def test_plain_matrix_is_not_taken_for_a_grid(monkeypatch):
+    """A level-1 stiffness matrix without its grid type is 9x9 like the
+    mesh, and still gets Jacobi-PCG."""
+    mesh = build_mesh(1)
+    K = assemble_stiffness(mesh, initial_control(mesh))
+
+    def refuse(self):
+        raise AssertionError("multigrid on a plain matrix")
+
+    monkeypatch.setattr(GridSystem, "multigrid", refuse)
+    b = np.where(mesh.boundary_mask, 0.0, 1.0)
+    x, _ = solve_spd(K.matrix, b, tol=1e-12)
+    assert _true_residual(K, x, b) <= 1e-12
+    with pytest.raises(AssertionError, match="plain matrix"):
+        solve_spd(K, b)
+
+
+@pytest.mark.parametrize("level", [3, 7])
+def test_nan_on_the_multigrid_path_raises(level, monkeypatch):
+    mesh = build_mesh(level)
+    K = assemble_stiffness(mesh, initial_control(mesh))
+    data = mesh.stencil.data_of(K.matrix).copy()
+    off_diagonal = np.setdiff1d(np.arange(data.size),
+                                mesh.stencil.diagonal)
+    data[off_diagonal[data.size // 3]] = np.nan
+    system = mesh.stencil.system(data, mesh.boundary_mask)
+    b = np.where(mesh.boundary_mask, 0.0, 1.0)
+    iterates = []
+    with pytest.raises(SolverError):
+        solve_spd(system, b, callback=iterates.append)
+    assert iterates == []
+    monkeypatch.setattr(GridSystem, "multigrid",
+                        lambda self: lambda r: np.full_like(r, np.nan))
+    with pytest.raises(SolverError, match="not positive definite"):
+        solve_spd(K, b, callback=iterates.append)
+    assert iterates == []
+
+
+@pytest.mark.parametrize("level", [4, 7])
+def test_failed_banded_factor_raises(level):
+    """K - 10 M has a positive diagonal but is indefinite (the first
+    Dirichlet eigenvalue of the square is about 4.93)."""
+    mesh = build_mesh(level)
+    K = assemble_stiffness(mesh, MatrixControlField.constant(
+        mesh, np.eye(2)), eliminate=False)
+    stencil = mesh.stencil
+    data = stencil.data_of(K.matrix) - 10.0 * mesh.mass_matrix.data
+    system = stencil.system(data, mesh.boundary_mask)
+    assert np.all(system.diagonal() > 0.0)
+    b = np.where(mesh.boundary_mask, 0.0, 1.0)
+    with pytest.raises(SolverError, match="banded Cholesky"):
+        solve_spd(system, b)
+
+
+def test_grid_system_checks_its_level():
+    mesh = build_mesh(3)
+    K = assemble_stiffness(mesh, initial_control(mesh))
+    with pytest.raises(DimensionError, match="level-4"):
+        GridSystem(K.matrix, K.dirichlet_mask, level=4)
