@@ -20,10 +20,8 @@ from .errors import (
 from .fem import (
     GridSystem,
     ScalarField,
-    SparseOperator,
     StructuredMesh,
     assemble_load,
-    assemble_mass,
     assemble_stiffness,
     build_mesh,
     h1_seminorm,

@@ -13,7 +13,8 @@ import datetime
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, \
+    get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -110,32 +111,21 @@ def _parse_float(text: str) -> float:
         raise ConfigError(f"not a number: {text!r}") from exc
 
 
-def _parse_floats(text: str) -> Tuple[float, ...]:
-    return tuple(_parse_float(p) for p in text.split(",") if p.strip())
+_SCALAR_PARSERS = {int: _parse_int, float: _parse_float, str: str}
 
 
-def _parse_ints(text: str) -> Tuple[int, ...]:
-    return tuple(_parse_int(p) for p in text.split(",") if p.strip())
+def _field_parser(kind) -> Callable[[str], object]:
+    """Parser of a config value of the given field type: a scalar, or a
+    tuple of scalars written comma-separated."""
+    if get_origin(kind) is tuple:
+        item = _SCALAR_PARSERS[get_args(kind)[0]]
+        return lambda text: tuple(item(p) for p in text.split(",")
+                                  if p.strip())
+    return _SCALAR_PARSERS[kind]
 
 
-_PARSERS = {
-    "level": _parse_int,
-    "levels": _parse_ints,
-    "alpha": _parse_float,
-    "beta": _parse_float,
-    "gamma": _parse_float,
-    "gamma_list": _parse_floats,
-    "psi": _parse_float,
-    "q_min": _parse_float,
-    "q_max": _parse_float,
-    "c": _parse_float,
-    "q_init": _parse_floats,
-    "grad_tol": _parse_float,
-    "max_iters": _parse_int,
-    "newton_tol": _parse_float,
-    "seed": _parse_int,
-    "output_dir": str,
-}
+_PARSERS = {name: _field_parser(kind)
+            for name, kind in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_text(text: str) -> Dict:

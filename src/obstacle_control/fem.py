@@ -17,7 +17,7 @@ the grid axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, TYPE_CHECKING
 
@@ -32,6 +32,8 @@ if TYPE_CHECKING:
     from .control import MatrixControlField
 
 MAX_LEVEL = 12
+# Gauss points per axis and cell of l2_error_vs_function
+_ERROR_ORDER = 4
 
 # local node order on the reference square [-1,1]^2, counter-clockwise
 _XI = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -375,31 +377,6 @@ def interpolate(mesh: StructuredMesh, f: Callable) -> ScalarField:
     return ScalarField(mesh, f(mesh.nodes[:, 0], mesh.nodes[:, 1]))
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """CSR matrix with an optional record of eliminated Dirichlet rows.
-
-    Eliminated rows/columns are identity; `dirichlet_mask` is None for raw
-    (uneliminated) operators.
-    """
-
-    matrix: sp.csr_matrix
-    dirichlet_mask: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
 # the multigrid hierarchy ends in an exact banded Cholesky solve on the
 # first grid with at most 2**_COARSEST cells per side
 _COARSEST = 5
@@ -409,7 +386,7 @@ _L1_CAP = 1.8
 
 
 @dataclass(frozen=True)
-class GridSystem(SparseOperator):
+class GridSystem:
     """SPD system on the nine-point stencil of the mesh at `level`.
 
     The rows and columns of the nodes in `dirichlet_mask` (boundary nodes,
@@ -419,7 +396,9 @@ class GridSystem(SparseOperator):
     geometric multigrid V-cycle of `multigrid`.
     """
 
-    level: int = field(kw_only=True)
+    matrix: sp.csr_matrix
+    dirichlet_mask: np.ndarray
+    level: int
 
     def __post_init__(self):
         n_nodes = (2 ** self.level + 1) ** 2
@@ -429,6 +408,9 @@ class GridSystem(SparseOperator):
             raise DimensionError(
                 f"a level-{self.level} grid system is a CSR matrix on "
                 f"{n_nodes} nodes with a mask of them")
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix @ v
 
     def multigrid(self) -> Callable[[np.ndarray], np.ndarray]:
         """Symmetric V-cycle r -> z approximating the inverse of the matrix.
@@ -518,13 +500,12 @@ def _banded_cholesky(mat: sp.csr_matrix, bandwidth: int) -> np.ndarray:
 
 
 def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
-                       eliminate: bool = True,
-                       check_coefficient: bool = True) -> SparseOperator:
+                       eliminate: bool = True
+                       ) -> GridSystem | sp.csr_matrix:
     """Assemble the stiffness operator of the form (q grad u, grad v).
 
     The nodal matrix coefficient q is interpolated bilinearly to the 2x2
-    Gauss points of every cell. With `check_coefficient`, positive
-    definiteness of q is verified at every quadrature point.
+    Gauss points of every cell.
 
     Parameters
     ----------
@@ -532,22 +513,22 @@ def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
     q : MatrixControlField
         Nodal symmetric coefficient, components (q11, q22, q12).
     eliminate : bool
-        Apply homogeneous Dirichlet elimination on the boundary.
-    check_coefficient : bool
-        Raise CoefficientError if q is not positive definite at some
-        quadrature point (disable for sign-indefinite direction fields).
+        Assemble the state operator: raise CoefficientError if q is not
+        positive definite at some quadrature point, and apply homogeneous
+        Dirichlet elimination on the boundary. Without it, q may be any
+        symmetric field, such as a sign-indefinite control direction.
 
     Returns
     -------
-    GridSystem with the boundary pinned when eliminating, otherwise a
-    SparseOperator without a mask.
+    GridSystem with the boundary pinned when eliminating, otherwise the
+    raw CSR matrix.
     """
     if q.mesh is not mesh:
         raise DimensionError("coefficient lives on a different mesh")
     _, grads, scale = mesh._reference
     qg = mesh.at_quadrature(q.comps)
     q11, q22, q12 = qg[:, :, 0], qg[:, :, 1], qg[:, :, 2]
-    if check_coefficient:
+    if eliminate:
         definite = (q11 * q22 - q12 * q12 > 0.0) & (q11 + q22 > 0.0)
         if not definite.all():
             cell = int(np.nonzero(~definite.all(axis=1))[0][0])
@@ -566,14 +547,7 @@ def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
         mask = mesh.boundary_mask
         return GridSystem(stencil.matrix(stencil.pin(data, mask)), mask,
                           level=mesh.level)
-    return SparseOperator(stencil.matrix(data), None)
-
-
-def assemble_mass(mesh: StructuredMesh, lumped: bool = False) -> SparseOperator:
-    """Consistent (or lumped diagonal) mass matrix, no elimination."""
-    if lumped:
-        return SparseOperator(sp.diags(mesh.lumped_mass).tocsr(), None)
-    return SparseOperator(mesh.mass_matrix, None)
+    return stencil.matrix(data)
 
 
 def assemble_load(mesh: StructuredMesh, f: Callable) -> ScalarField:
@@ -602,16 +576,15 @@ def h1_seminorm(v: ScalarField) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def l2_error_vs_function(field: ScalarField, exact: Callable,
-                         order: int = 4) -> float:
+def l2_error_vs_function(field: ScalarField, exact: Callable) -> float:
     """L2 distance between a nodal field and a pointwise function.
 
-    Evaluates the bilinear interpolant and the exact function on a tensor
-    Gauss rule of the given order per cell, so the discretization error of
-    the field itself dominates the result.
+    Evaluates the bilinear interpolant and the exact function on a 4x4
+    tensor Gauss rule per cell, so the discretization error of the field
+    itself dominates the result.
     """
     mesh = field.mesh
-    pts, wts = gauss_points_1d(order)
+    pts, wts = gauss_points_1d(_ERROR_ORDER)
     xi, eta = np.meshgrid(pts, pts)
     xi, eta = xi.ravel(), eta.ravel()
     w2 = np.outer(wts, wts).ravel() * mesh.h * mesh.h / 4.0

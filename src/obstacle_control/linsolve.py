@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
-from .fem import GridSystem, KroneckerMass, ScalarField, SparseOperator
+from .fem import GridSystem, KroneckerMass, ScalarField
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class LinearSolveReport:
 
 
 def _as_csr_and_mask(A) -> tuple[sp.csr_matrix, Optional[np.ndarray]]:
-    if isinstance(A, SparseOperator):
+    if isinstance(A, GridSystem):
         return A.matrix, A.dirichlet_mask
     if sp.issparse(A):
         return A.tocsr(), None
@@ -94,8 +94,7 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
         LinearSolveReport(max_iters, res, "pcg"))
 
 
-def solve_spd(A: Union[KroneckerMass, GridSystem, SparseOperator,
-                       sp.spmatrix, np.ndarray],
+def solve_spd(A: Union[KroneckerMass, GridSystem, sp.spmatrix, np.ndarray],
               b: Union[ScalarField, np.ndarray],
               tol: float = 1e-12,
               x0: Optional[np.ndarray] = None,
@@ -104,11 +103,11 @@ def solve_spd(A: Union[KroneckerMass, GridSystem, SparseOperator,
               callback: Optional[Callable] = None):
     """Solve the SPD system A x = b.
 
-    When A carries a Dirichlet mask (every `GridSystem` does), the
-    right-hand side and the initial guess are zeroed on the eliminated
-    rows, so the solution is exactly zero there. A `GridSystem` is solved
-    by multigrid-preconditioned CG, any other matrix by Jacobi-PCG. The
-    returned solution mirrors the type of b.
+    When A is a `GridSystem`, the right-hand side and the initial guess
+    are zeroed on the rows of its Dirichlet mask, so the solution is
+    exactly zero there, and the system is solved by multigrid-
+    preconditioned CG; any other matrix by Jacobi-PCG. The returned
+    solution mirrors the type of b.
 
     A `KroneckerMass` is solved exactly (banded Cholesky along each grid
     axis) and b may then hold several columns, shape (n, k); `method`
@@ -117,11 +116,12 @@ def solve_spd(A: Union[KroneckerMass, GridSystem, SparseOperator,
 
     Parameters
     ----------
-    A : KroneckerMass, GridSystem, SparseOperator, sparse matrix, or
-        dense array
+    A : KroneckerMass, GridSystem, sparse matrix, or dense array
     b : ScalarField or ndarray
     tol : float
-        Relative residual target ||Ax - b|| <= tol * ||b||.
+        Relative residual target ||Ax - b|| <= tol * ||b||. Every
+        stiffness, active-set and Newton solve of the package uses the
+        default.
     x0 : ndarray, optional
         Warm-start vector (pcg only).
     max_iters : int, optional

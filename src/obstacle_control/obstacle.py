@@ -17,19 +17,19 @@ import numpy as np
 
 from .control import MatrixControlField
 from .errors import NonconvergenceError
-from .fem import ScalarField, SparseOperator, StructuredMesh, \
+from .fem import GridSystem, ScalarField, StructuredMesh, \
     assemble_stiffness
 from .linsolve import solve_spd
+
+# an active node is strongly active when its multiplier exceeds this
+# fraction of the load's lumped L2 norm
+_ACTIVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class PDASConfig:
     c: float = 1.0
     max_iters: int = 100
-    tol_feas: float = 1e-10
-    tol_comp: float = 1e-10
-    active_tol: float = 1e-8
-    lin_tol: float = 1e-12
 
     def __post_init__(self):
         if self.c <= 0.0:
@@ -38,7 +38,12 @@ class PDASConfig:
 
 @dataclass(frozen=True)
 class VISolution:
-    """Converged state, nodal multiplier, and active-set partition."""
+    """Converged state, nodal multiplier, and active-set partition.
+
+    strongly_active holds the active nodes whose multiplier exceeds
+    _ACTIVE_TOL times f_norm, the lumped L2 norm of the load density; the
+    VI adjoint pins them and the critical cone fixes the derivative there.
+    """
 
     u: ScalarField
     lam: ScalarField
@@ -48,7 +53,7 @@ class VISolution:
     f_norm: float
 
 
-def _pdas_bound_solve(mesh: StructuredMesh, K: SparseOperator,
+def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
                       rhs: np.ndarray, upper: np.ndarray,
                       pinned: np.ndarray, pinned_values: np.ndarray,
                       cfg: PDASConfig,
@@ -80,7 +85,7 @@ def _pdas_bound_solve(mesh: StructuredMesh, K: SparseOperator,
         # the free part solves the system pinned at the fixed nodes, where
         # it is zero and u_fix (zero elsewhere) holds the values
         system = stencil.system(k_data, fixed)
-        v, _ = solve_spd(system, rhs - mat @ u_fix, tol=cfg.lin_tol, x0=u)
+        v, _ = solve_spd(system, rhs - mat @ u_fix, x0=u)
         u = v + u_fix
         lam = np.zeros(n)
         resid = rhs - mat @ u
@@ -112,7 +117,7 @@ def _load_density_norm(f_load: ScalarField, m_lump: np.ndarray) -> float:
 def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
              cfg: Optional[PDASConfig] = None,
              active0: Optional[np.ndarray] = None,
-             K: Optional[SparseOperator] = None) -> VISolution:
+             K: Optional[GridSystem] = None) -> VISolution:
     """Solve the obstacle problem (q grad u, grad(v-u)) >= (f, v-u).
 
     Parameters
@@ -127,7 +132,7 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     cfg : PDASConfig, optional
     active0 : ndarray of bool, optional
         Warm-start active set.
-    K : SparseOperator, optional
+    K : GridSystem, optional
         Pre-assembled eliminated stiffness for q, to avoid re-assembly.
 
     Returns
@@ -147,7 +152,7 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
         mesh, K, rhs, upper, mesh.boundary_mask,
         np.zeros(mesh.n_nodes), cfg, active0)
     f_norm = _load_density_norm(f_load, m_lump)
-    strong = active & (lam > cfg.active_tol * max(f_norm, 1e-300))
+    strong = active & (lam > _ACTIVE_TOL * max(f_norm, 1e-300))
     return VISolution(ScalarField(mesh, u), ScalarField(mesh, lam),
                       active, strong, its, f_norm)
 

@@ -31,7 +31,7 @@ from .control import (
     riesz_lift,
 )
 from .errors import CoefficientError, StagnationError
-from .fem import ScalarField, SparseOperator, assemble_stiffness, l2_norm
+from .fem import GridSystem, ScalarField, assemble_stiffness, l2_norm
 from .linsolve import solve_spd
 from .obstacle import PDASConfig, VISolution, solve_vi
 from .penalty import (
@@ -40,6 +40,16 @@ from .penalty import (
     solve_adjoint,
     solve_penalized,
 )
+
+# Armijo rule: accept J(q+) <= J(q) - _SIGMA step ||g||^2, else multiply
+# the step by _BACKTRACK
+_SIGMA = 1e-4
+_BACKTRACK = 0.5
+# spectral margin of every projected trial control
+_MARGIN = 1e-9
+# step s of the projected-gradient residual ||q - P(q - s g)|| / s
+_PG_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
@@ -70,25 +80,13 @@ class ObjectiveConfig:
 @dataclass(frozen=True)
 class LoopConfig:
     grad_tol_rel: float = 1e-8
-    grad_tol_abs: float = 0.0
     max_iters: int = 2000
     step_init: float = 1.0
-    backtrack: float = 0.5
     max_backtracks: int = 40
-    sigma: float = 1e-4
-    margin: float = 1e-9
-    pg_step: float = 1e-4
-    on_stagnation: str = "raise"
 
     def __post_init__(self):
         if self.step_init <= 0.0:
             raise ValueError("step_init must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must lie in (0, 1)")
-        if self.on_stagnation not in ("raise", "return"):
-            raise ValueError("on_stagnation must be 'raise' or 'return'")
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,6 @@ class OptResult:
     pg_residual: float
     history: tuple
     converged: bool
-    stagnated: bool
     iterations: int
 
 
@@ -204,20 +201,18 @@ def objective_value(q: MatrixControlField, cfg: ObjectiveConfig,
 
 
 def stationarity_residual(q: MatrixControlField, grad: MatrixControlField,
-                          q_min: float, q_max: float,
-                          s: float = 1e-4) -> float:
-    """Projected-gradient residual ||q - P(q - s grad)|| / s.
+                          q_min: float, q_max: float) -> float:
+    """Projected-gradient residual ||q - P(q - s grad)|| / s, s = _PG_STEP.
 
     Zero exactly at first-order stationary points of the bound-constrained
     problem; reduces to ||grad|| when the spectral bounds are inactive.
     """
-    trial = project_spectral(q - s * grad, q_min, q_max)
-    return control_norm(q - trial) / s
+    trial = project_spectral(q - _PG_STEP * grad, q_min, q_max)
+    return control_norm(q - trial) / _PG_STEP
 
 
 def stationarity_residual_vi(q: MatrixControlField, u: ScalarField,
-                             p: ScalarField, cfg: ObjectiveConfig,
-                             s: float = 1e-4) -> float:
+                             p: ScalarField, cfg: ObjectiveConfig) -> float:
     """Stationarity measure of the gradient variational inequality.
 
     Evaluates the reduced gradient at the triple (q, u, p) and measures the
@@ -225,12 +220,11 @@ def stationarity_residual_vi(q: MatrixControlField, u: ScalarField,
     values certify the first-order condition over the admissible set.
     """
     grad = reduced_gradient(q, u, p, cfg)
-    return stationarity_residual(q, grad, cfg.q_min, cfg.q_max, s)
+    return stationarity_residual(q, grad, cfg.q_min, cfg.q_max)
 
 
 def solve_vi_adjoint(q: MatrixControlField, sol: VISolution, u_d: ScalarField,
-                     lin_tol: float = 1e-12,
-                     K: Optional[SparseOperator] = None) -> ScalarField:
+                     K: Optional[GridSystem] = None) -> ScalarField:
     """Adjoint of the VI-constrained tracking problem.
 
     Large-penalty limit of the penalized adjoint: the penalty Jacobian
@@ -245,7 +239,7 @@ def solve_vi_adjoint(q: MatrixControlField, sol: VISolution, u_d: ScalarField,
     stencil = mesh.stencil
     system = stencil.system(stencil.data_of(K.matrix), pinned)
     rhs = mesh.mass_matrix @ (sol.u.values - u_d.values)
-    vals, _ = solve_spd(system, rhs, tol=lin_tol)
+    vals, _ = solve_spd(system, rhs)
     return ScalarField(mesh, vals)
 
 
@@ -286,8 +280,7 @@ class _VIPath:
         return sol.u, sol, K
 
     def adjoint(self, q, u, sol, K):
-        return solve_vi_adjoint(q, sol, self.cfg.u_d,
-                                lin_tol=self.pdas.lin_tol, K=K)
+        return solve_vi_adjoint(q, sol, self.cfg.u_d, K=K)
 
     def multiplier(self, u, sol):
         return sol.lam
@@ -319,16 +312,14 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
         g = reduced_gradient(q, u, p, cfg, barrier_eval=be)
         track = 0.5 * l2_norm(u - cfg.u_d) ** 2
         tik = 0.5 * cfg.alpha * control_norm(q - cfg.q_d) ** 2
-        resid = stationarity_residual(q, g, cfg.q_min, cfg.q_max, opt.pg_step)
+        resid = stationarity_residual(q, g, cfg.q_min, cfg.q_max)
         return p, g, track, tik, bar_term, resid, report.worst_value
 
     p, g, track, tik, bar_term, resid, margin = diagnostics(q, u, aux, K,
                                                             report)
     value = track + tik + bar_term
-    tol = opt.grad_tol_abs + opt.grad_tol_rel * (1.0 + resid)
+    tol = opt.grad_tol_rel * (1.0 + resid)
     history = []
-    converged = False
-    stagnated = False
     it = 0
     while True:
         gnorm = control_norm(g)
@@ -346,7 +337,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
         bt = 0
         for bt in range(opt.max_backtracks + 1):
             trial_q = project_spectral(q - step * g, cfg.q_min, cfg.q_max,
-                                       opt.margin)
+                                       _MARGIN)
             trial_report = check_admissible(trial_q, cfg.q_min, cfg.q_max)
             if trial_report.admissible:
                 trial_bar = 0.0
@@ -364,19 +355,16 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
                     trial_tik = 0.5 * cfg.alpha * control_norm(
                         trial_q - cfg.q_d) ** 2
                     trial_value = trial_track + trial_tik + trial_bar
-                    if trial_value <= value - opt.sigma * step * gnorm2:
+                    if trial_value <= value - _SIGMA * step * gnorm2:
                         accepted = (trial_q, trial_u, trial_aux, trial_K,
                                     trial_report)
                         break
-            step *= opt.backtrack
+            step *= _BACKTRACK
         if accepted is None:
             history.append(entry)
-            if opt.on_stagnation == "raise":
-                raise StagnationError(
-                    f"line search stalled at iteration {it} after "
-                    f"{opt.max_backtracks} backtracks", tuple(history))
-            stagnated = True
-            break
+            raise StagnationError(
+                f"line search stalled at iteration {it} after "
+                f"{opt.max_backtracks} backtracks", tuple(history))
         history.append(replace(entry, step=step, backtracks=bt))
         q, u, aux, K, report = accepted
         it += 1
@@ -386,7 +374,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     return OptResult(q=q, u=u, p=p, multiplier=path.multiplier(u, aux),
                      gradient=g, value=value, pg_residual=resid,
                      history=tuple(history), converged=converged,
-                     stagnated=stagnated, iterations=it)
+                     iterations=it)
 
 
 def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,
@@ -394,14 +382,14 @@ def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,
     """Minimize the reduced objective subject to the penalized state.
 
     Projected gradient with Armijo backtracking: every accepted step
-    satisfies J(q+) <= J(q) - sigma step ||g||^2, every accepted iterate
+    satisfies J(q+) <= J(q) - _SIGMA step ||g||^2, every accepted iterate
     passes the determinant/trace admissibility test, and the objective is
     strictly decreasing. Terminates when the projected-gradient residual
-    falls below grad_tol_abs + grad_tol_rel (1 + initial residual), or when
-    the iteration budget runs out (converged=False on the result).
+    falls below grad_tol_rel (1 + initial residual), or when the iteration
+    budget runs out (converged=False on the result).
 
-    Raises StagnationError if the line search hits the backtracking floor
-    while descent is still required and on_stagnation is 'raise'.
+    Raises StagnationError, carrying the history, if the line search hits
+    the backtracking floor while descent is still required.
     """
     if opt is None:
         opt = LoopConfig()

@@ -17,13 +17,14 @@ import scipy.sparse as sp
 
 from .control import MatrixControlField
 from .errors import NewtonError
-from .fem import GridSystem, ScalarField, SparseOperator, _outer, \
-    assemble_stiffness
+from .fem import GridSystem, ScalarField, _outer, assemble_stiffness
 from .linsolve import solve_spd
 
 # cold starts at gamma above this run an internal continuation first
 _WARMUP_THRESHOLD = 1e6
 _WARMUP_FACTOR = 1e2
+# the damped Newton step fails below this step length
+_STEP_MIN = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,6 @@ class PenaltyConfig:
     psi: float = 0.5
     newton_tol: float = 1e-11
     newton_max: int = 60
-    step_min: float = 2.0 ** -20
-    lin_tol: float = 1e-12
 
     def __post_init__(self):
         if self.gamma < 0.0:
@@ -62,7 +61,7 @@ def _penalty_jacobian(mesh, gap: np.ndarray, gamma: float) -> sp.csr_matrix:
     return stencil.matrix(data)
 
 
-def _penalized_system(mesh, K: SparseOperator, gap: np.ndarray,
+def _penalized_system(mesh, K: GridSystem, gap: np.ndarray,
                       gamma: float) -> GridSystem:
     """Newton and adjoint matrix K + D(u), summed on the shared pattern;
     both terms are pinned on the boundary already."""
@@ -72,7 +71,7 @@ def _penalized_system(mesh, K: SparseOperator, gap: np.ndarray,
                       level=mesh.level)
 
 
-def _newton(mesh, K: SparseOperator, rhs: np.ndarray, cfg: PenaltyConfig,
+def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
             u0: np.ndarray) -> np.ndarray:
     f_scale = max(float(np.linalg.norm(rhs)), 1e-300)
     u = np.where(mesh.boundary_mask, 0.0, u0)
@@ -84,7 +83,7 @@ def _newton(mesh, K: SparseOperator, rhs: np.ndarray, cfg: PenaltyConfig,
         if res_norm <= cfg.newton_tol * f_scale:
             return u
         system = _penalized_system(mesh, K, gap, cfg.gamma)
-        delta, _ = solve_spd(system, -res, tol=cfg.lin_tol)
+        delta, _ = solve_spd(system, -res)
         step = 1.0
         while True:
             trial = u + step * delta
@@ -94,7 +93,7 @@ def _newton(mesh, K: SparseOperator, rhs: np.ndarray, cfg: PenaltyConfig,
             if norm_t <= (1.0 - 1e-4 * step) * res_norm:
                 break
             step *= 0.5
-            if step < cfg.step_min:
+            if step < _STEP_MIN:
                 raise NewtonError(
                     "Newton line search hit the step floor", history)
         u, gap, res, res_norm = trial, gap_t, res_t, norm_t
@@ -109,7 +108,7 @@ def _newton(mesh, K: SparseOperator, rhs: np.ndarray, cfg: PenaltyConfig,
 def solve_penalized(q: MatrixControlField, f_load: ScalarField,
                     cfg: PenaltyConfig,
                     u0: Optional[ScalarField] = None,
-                    K: Optional[SparseOperator] = None) -> ScalarField:
+                    K: Optional[GridSystem] = None) -> ScalarField:
     """Solve K_q u + gamma*max(u-psi,0)^3 = f by damped Newton.
 
     A cold start at large gamma first walks an internal geometric
@@ -123,7 +122,7 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
     cfg : PenaltyConfig
     u0 : ScalarField, optional
         Warm start, typically the solution at the previous gamma.
-    K : SparseOperator, optional
+    K : GridSystem, optional
         Pre-assembled eliminated stiffness for q.
     """
     mesh = f_load.mesh
@@ -131,7 +130,7 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
         K = assemble_stiffness(mesh, q)
     rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
     if u0 is None:
-        u, _ = solve_spd(K, rhs, tol=cfg.lin_tol)
+        u, _ = solve_spd(K, rhs)
         if cfg.gamma > _WARMUP_THRESHOLD:
             g = _WARMUP_THRESHOLD
             while g < cfg.gamma:
@@ -142,14 +141,14 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
     if cfg.gamma == 0.0:
         if u0 is None:
             return ScalarField(mesh, u)
-        sol, _ = solve_spd(K, rhs, tol=cfg.lin_tol, x0=u)
+        sol, _ = solve_spd(K, rhs, x0=u)
         return ScalarField(mesh, sol)
     return ScalarField(mesh, _newton(mesh, K, rhs, cfg, u))
 
 
 def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,
                   cfg: PenaltyConfig,
-                  K: Optional[SparseOperator] = None) -> ScalarField:
+                  K: Optional[GridSystem] = None) -> ScalarField:
     """Solve (K_q + D_gamma(u)) p = M (u - u_d) for the adjoint state.
 
     D_gamma is the weighted mass from the penalty derivative
@@ -162,7 +161,7 @@ def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,
     gap = _gap_at_quadrature(mesh, u.values, cfg.psi)
     system = _penalized_system(mesh, K, gap, cfg.gamma)
     rhs = mesh.mass_matrix @ (u.values - u_d.values)
-    p, _ = solve_spd(system, rhs, tol=cfg.lin_tol)
+    p, _ = solve_spd(system, rhs)
     return ScalarField(mesh, p)
 
 

@@ -38,27 +38,24 @@ class CriticalCone:
     free_nodes: np.ndarray
 
 
-def build_critical_cone(sol: VISolution, tol: float = 1e-8) -> CriticalCone:
+def build_critical_cone(sol: VISolution) -> CriticalCone:
     """Classify interior nodes from a converged VI solution.
 
-    Nodes with multiplier above tol * ||f|| become zero_nodes; remaining
-    active nodes are biactive and get the sign constraint. Ties at the
-    threshold fall to the weaker (sign) constraint.
+    The strongly active nodes of the solution become zero_nodes; the
+    remaining active nodes are biactive and get the sign constraint. The
+    active-set solver never activates a boundary node, so both sets lie in
+    the interior.
     """
-    mesh = sol.u.mesh
-    interior = mesh.interior_mask
-    threshold = tol * max(sol.f_norm, 1e-300)
-    zero = interior & sol.active_set & (sol.lam.values > threshold)
-    nonpos = interior & sol.active_set & ~zero
-    free = interior & ~zero & ~nonpos
+    zero = sol.strongly_active
+    nonpos = sol.active_set & ~zero
+    free = sol.u.mesh.interior_mask & ~sol.active_set
     return CriticalCone(zero, nonpos, free)
 
 
 def _direction_load(q: MatrixControlField, d: MatrixControlField,
                     u: ScalarField) -> np.ndarray:
     """Right side -(d grad u, grad phi) of the derivative VI."""
-    k_d = assemble_stiffness(q.mesh, d, eliminate=False,
-                             check_coefficient=False)
+    k_d = assemble_stiffness(q.mesh, d, eliminate=False)
     return -(k_d @ u.values)
 
 
@@ -135,7 +132,6 @@ def derivative_complementarity_check(u_tilde: ScalarField,
 def primal_first_order_check(q_star: MatrixControlField,
                              candidates: Sequence[MatrixControlField],
                              cfg: ObjectiveConfig, sol: VISolution,
-                             cone_tol: float = 1e-8,
                              pdas: Optional[PDASConfig] = None) -> float:
     """Minimum directional value of the primal stationarity condition.
 
@@ -147,7 +143,7 @@ def primal_first_order_check(q_star: MatrixControlField,
     minimizer the value is nonnegative for every admissible candidate, up
     to solver tolerances; a clearly negative minimum certifies descent.
     """
-    cone = build_critical_cone(sol, cone_tol)
+    cone = build_critical_cone(sol)
     bar_grad = None
     if cfg.beta > 0.0:
         be = barrier(q_star, cfg.q_min, cfg.q_max)

@@ -38,8 +38,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_structured_vtk(path, mesh: StructuredMesh,
-                         point_data: Mapping[str, np.ndarray],
-                         title: str = "obstacle control fields") -> Path:
+                         point_data: Mapping[str, np.ndarray]) -> Path:
     """Write nodal scalars on the structured mesh as a legacy VTK file.
 
     Points are emitted in the mesh's native ordering (x fastest), which is
@@ -48,7 +47,7 @@ def write_structured_vtk(path, mesh: StructuredMesh,
     n_side = mesh.cells_per_side + 1
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "obstacle control fields",
         "ASCII",
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {n_side} {n_side} 1",

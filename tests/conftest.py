@@ -1,8 +1,19 @@
-"""Shared helpers: random admissible control fields and directions."""
+"""Shared helpers: random admissible control fields and directions.
 
-import numpy as np
+BLAS runs on one thread in the tests: on their small meshes extra threads
+only synchronize, and on a machine whose cores are busy they slow the
+suite down severalfold. The variables must be set before numpy is first
+imported.
+"""
 
-from obstacle_control import MatrixControlField
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from obstacle_control import MatrixControlField  # noqa: E402
 
 Q_MIN = 0.5
 Q_MAX = 10.0

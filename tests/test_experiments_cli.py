@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,17 @@ def test_config_defaults_match_benchmark():
     assert cfg.c == 1.0
     assert cfg.q_init == (2.0, -1.0, 2.0)
     assert cfg.gamma_list == (1e0, 1e3, 1e6, 1e9, 1e12)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+def test_config_default_parses_back(name):
+    """Every key parses its default, written as key=value text, back to
+    the same value and type."""
+    default = getattr(ExperimentConfig(), name)
+    text = (",".join(map(str, default)) if isinstance(default, tuple)
+            else str(default))
+    parsed = getattr(load_config(None, [f"{name}={text}"]), name)
+    assert repr(parsed) == repr(default)
 
 
 @pytest.mark.parametrize("override", [

@@ -13,7 +13,6 @@ from obstacle_control import (
     NonFiniteError,
     ScalarField,
     assemble_load,
-    assemble_mass,
     assemble_stiffness,
     build_mesh,
     h1_seminorm,
@@ -23,7 +22,7 @@ from obstacle_control import (
     zero_field,
 )
 
-from conftest import random_admissible
+from conftest import random_admissible, random_direction
 
 SEED = 20260819
 
@@ -145,7 +144,7 @@ def test_stiffness_constant_kernel():
     mesh = build_mesh(2)
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q, eliminate=False)
-    rowsums = np.asarray(K.matrix.sum(axis=1)).ravel()
+    rowsums = np.asarray(K.sum(axis=1)).ravel()
     assert np.abs(rowsums).max() <= 1e-13
 
 
@@ -153,8 +152,8 @@ def test_stiffness_linear_in_q():
     mesh = build_mesh(2)
     q1 = MatrixControlField.constant(mesh, np.eye(2))
     q2 = MatrixControlField.constant(mesh, 2.0 * np.eye(2))
-    k1 = assemble_stiffness(mesh, q1, eliminate=False).matrix
-    k2 = assemble_stiffness(mesh, q2, eliminate=False).matrix
+    k1 = assemble_stiffness(mesh, q1, eliminate=False)
+    k2 = assemble_stiffness(mesh, q2, eliminate=False)
     assert np.array_equal(k2.toarray(), 2.0 * k1.toarray())
 
 
@@ -198,6 +197,20 @@ def test_stiffness_rejects_indefinite_coefficient():
         assemble_stiffness(mesh, q)
 
 
+def test_raw_stiffness_of_indefinite_direction():
+    """A control direction may be indefinite: its raw operator is the
+    plain CSR matrix on the stencil, while as a state operator it is
+    refused."""
+    mesh = build_mesh(3)
+    d = random_direction(mesh, np.random.default_rng(SEED + 3))
+    raw = assemble_stiffness(mesh, d, eliminate=False)
+    assert sp.isspmatrix_csr(raw)
+    assert np.shares_memory(raw.indices, mesh.stencil.indices)
+    assert abs(raw - raw.T).max() <= 1e-15 * abs(raw).max()
+    with pytest.raises(CoefficientError, match="cell"):
+        assemble_stiffness(mesh, d)
+
+
 def test_stiffness_spectral_sandwich():
     mesh = build_mesh(3)
     rng = np.random.default_rng(SEED + 2)
@@ -230,15 +243,14 @@ def test_assembly_deterministic():
 
 def test_mass_total_is_domain_area():
     mesh = build_mesh(1)
-    m = assemble_mass(mesh).matrix
-    assert m.sum() == pytest.approx(4.0, abs=1e-12)
+    assert mesh.mass_matrix.sum() == pytest.approx(4.0, abs=1e-12)
 
 
 def test_lumped_mass_total_is_domain_area():
     mesh = build_mesh(2)
-    m = assemble_mass(mesh, lumped=True).matrix
-    assert m.diagonal().sum() == pytest.approx(4.0, abs=1e-12)
-    assert np.all(m.diagonal() > 0.0)
+    m = mesh.lumped_mass
+    assert m.sum() == pytest.approx(4.0, abs=1e-12)
+    assert np.all(m > 0.0)
 
 
 def test_constant_function_norm():
@@ -351,7 +363,7 @@ def test_stiffness_rejects_non_finite_coefficient():
             assemble_stiffness(mesh, MatrixControlField(mesh, comps))
         with pytest.raises(CoefficientError, match="non-finite"):
             assemble_stiffness(mesh, MatrixControlField(mesh, comps),
-                               eliminate=False, check_coefficient=False)
+                               eliminate=False)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -398,11 +410,11 @@ def test_stiffness_matches_coo_reference(level):
     local = scale * np.einsum("gad,cgde,gbe->cab", grads, qmat, grads)
     want = coo_reference(mesh, local)
     raw = assemble_stiffness(mesh, q, eliminate=False)
-    assert raw.dirichlet_mask is None
+    assert sp.isspmatrix_csr(raw)
     assert_close_relative(raw.toarray(), want)
     pinned = assemble_stiffness(mesh, q)
     assert_close_relative(
-        pinned.toarray(),
+        pinned.matrix.toarray(),
         pin_reference(sp.csr_matrix(want), mesh.boundary_mask))
 
 
@@ -452,7 +464,7 @@ def test_pin_matches_keep_product(level):
     rng = np.random.default_rng(SEED + 7)
     q = random_admissible(mesh, rng)
     stencil = mesh.stencil
-    raw = assemble_stiffness(mesh, q, eliminate=False).matrix
+    raw = assemble_stiffness(mesh, q, eliminate=False)
     for _ in range(3):
         mask = rng.random(mesh.n_nodes) < 0.3
         for diagonal in (1.0, 0.0):

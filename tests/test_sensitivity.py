@@ -60,7 +60,9 @@ def quotient_error(q, d, t, f, sol, u_tilde, psi=PSI):
 
 def test_cone_partitions_interior():
     mesh, f, q, sol = example_setup()
+    assert sol.strongly_active.any()
     cone = build_critical_cone(sol)
+    assert np.array_equal(cone.zero_nodes, sol.strongly_active)
     interior = mesh.interior_mask
     assert not (cone.zero_nodes & cone.nonpositive_nodes).any()
     assert not (cone.zero_nodes & cone.free_nodes).any()
