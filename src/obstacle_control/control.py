@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CoefficientError, DimensionError
-from .fem import ScalarField, StructuredMesh
+from .fem import StructuredMesh
 from .linsolve import solve_spd
 
 # relative residual target of the mass solves in every Riesz lift

@@ -43,7 +43,10 @@ class NewtonError(RuntimeError):
 
 
 class StagnationError(RuntimeError):
-    """Descent line search hit the step floor; carries the iterate history."""
+    """Descent loop stopped without a certified stationary point: the line
+    search hit the step floor, no new minimum came in a run of accepted
+    steps, or the residual test was met above the best accepted objective.
+    Carries the iterate history."""
 
     def __init__(self, message, history=None):
         super().__init__(message)

@@ -12,10 +12,19 @@ with D the penalty Jacobian. At an exact VI solution the state never
 exceeds the obstacle, so D vanishes identically there and cannot carry the
 contact information; the correct large-penalty limit pins p = 0 on the
 strongly active set instead, which is what the VI path imposes.
+
+The loop is the spectral projected gradient method: a Barzilai-Borwein
+first trial step under a nonmonotone Armijo line search. An accepted
+objective may exceed the current one, but lies below the maximum of the
+last _MEMORY objective values by the sufficient-decrease term. Three exits
+raise StagnationError instead of returning: the line search runs out of
+backtracks, _MEMORY accepted steps in a row bring no new minimum, or the
+residual test is met above the best accepted objective.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -26,6 +35,7 @@ from .control import (
     MatrixControlField,
     barrier,
     check_admissible,
+    control_inner,
     control_norm,
     project_spectral,
     riesz_lift,
@@ -41,10 +51,20 @@ from .penalty import (
     solve_penalized,
 )
 
-# Armijo rule: accept J(q+) <= J(q) - _SIGMA step ||g||^2, else multiply
-# the step by _BACKTRACK
+# nonmonotone Armijo rule: accept J(q+) <= max of the last _MEMORY
+# objective values - _SIGMA step ||g||^2, else multiply the step by
+# _BACKTRACK; _MEMORY accepted steps in a row with no new minimum stall
 _SIGMA = 1e-4
 _BACKTRACK = 0.5
+_MEMORY = 10
+# clip of the Barzilai-Borwein first trial step <s,s>/<s,y>
+_STEP_MIN = 1e-4
+_STEP_MAX = 1e4
+# relative objective noise of the state solves: a run that meets the
+# residual test more than this above its best accepted objective has a
+# gradient that does not match the objective (correct runs end at most
+# 5.1e-12 above it, a dropped barrier gradient 2.9e-8 and more)
+_NOISE = 1e-10
 # spectral margin of every projected trial control
 _MARGIN = 1e-9
 # step s of the projected-gradient residual ||q - P(q - s g)|| / s
@@ -291,7 +311,14 @@ class _VIPath:
 
 def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
              opt: LoopConfig) -> OptResult:
-    """Projected-gradient loop with Armijo backtracking, shared by paths."""
+    """Spectral projected gradient with a nonmonotone Armijo line search,
+    shared by paths (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000).
+
+    The first trial step is opt.step_init, later ones the Barzilai-Borwein
+    step <s,s>/<s,y> of the last move s with gradient change y, clipped to
+    [_STEP_MIN, _STEP_MAX] and _STEP_MAX when <s,y> <= 0. Exits and
+    guarantees are those stated in minimize.
+    """
     report = check_admissible(q0, cfg.q_min, cfg.q_max)
     if not report.admissible:
         raise CoefficientError(
@@ -319,6 +346,10 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
                                                             report)
     value = track + tik + bar_term
     tol = opt.grad_tol_rel * (1.0 + resid)
+    recent = deque([value], maxlen=_MEMORY)
+    best = value
+    stalled = 0
+    first_step = opt.step_init
     history = []
     it = 0
     while True:
@@ -330,9 +361,21 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
         if resid <= tol or it >= opt.max_iters:
             converged = resid <= tol
             history.append(entry)
+            if converged and value - best > _NOISE * abs(best):
+                raise StagnationError(
+                    f"stationary at iteration {it} by the gradient, but "
+                    f"{value - best:.1e} above the best accepted "
+                    f"objective {best:.6e}: the gradient does not match "
+                    f"the objective", tuple(history))
             break
+        if stalled >= _MEMORY:
+            history.append(entry)
+            raise StagnationError(
+                f"no new minimum in the {_MEMORY} steps up to iteration "
+                f"{it}", tuple(history))
         gnorm2 = gnorm ** 2
-        step = opt.step_init
+        reference = max(recent)
+        step = first_step
         accepted = None
         bt = 0
         for bt in range(opt.max_backtracks + 1):
@@ -355,7 +398,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
                     trial_tik = 0.5 * cfg.alpha * control_norm(
                         trial_q - cfg.q_d) ** 2
                     trial_value = trial_track + trial_tik + trial_bar
-                    if trial_value <= value - _SIGMA * step * gnorm2:
+                    if trial_value <= reference - _SIGMA * step * gnorm2:
                         accepted = (trial_q, trial_u, trial_aux, trial_K,
                                     trial_report)
                         break
@@ -366,11 +409,21 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
                 f"line search stalled at iteration {it} after "
                 f"{opt.max_backtracks} backtracks", tuple(history))
         history.append(replace(entry, step=step, backtracks=bt))
+        q_prev, g_prev = q, g
         q, u, aux, K, report = accepted
         it += 1
         p, g, track, tik, bar_term, resid, margin = diagnostics(q, u, aux, K,
                                                                 report)
         value = track + tik + bar_term
+        recent.append(value)
+        if value < best:
+            best, stalled = value, 0
+        else:
+            stalled += 1
+        s = q - q_prev
+        sy = control_inner(s, g - g_prev)
+        first_step = _STEP_MAX if sy <= 0.0 else min(
+            max(control_inner(s, s) / sy, _STEP_MIN), _STEP_MAX)
     return OptResult(q=q, u=u, p=p, multiplier=path.multiplier(u, aux),
                      gradient=g, value=value, pg_residual=resid,
                      history=tuple(history), converged=converged,
@@ -381,15 +434,19 @@ def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,
              opt: Optional[LoopConfig] = None) -> OptResult:
     """Minimize the reduced objective subject to the penalized state.
 
-    Projected gradient with Armijo backtracking: every accepted step
-    satisfies J(q+) <= J(q) - _SIGMA step ||g||^2, every accepted iterate
-    passes the determinant/trace admissibility test, and the objective is
-    strictly decreasing. Terminates when the projected-gradient residual
-    falls below grad_tol_rel (1 + initial residual), or when the iteration
-    budget runs out (converged=False on the result).
+    Spectral projected gradient with a nonmonotone line search: every
+    accepted step satisfies J(q+) <= max(last _MEMORY values of J)
+    - _SIGMA step ||g||^2, and every accepted iterate passes the
+    determinant/trace admissibility test. Terminates when the
+    projected-gradient residual falls below grad_tol_rel (1 + initial
+    residual) at an objective within rounding of the best accepted one,
+    or when the iteration budget runs out (converged=False on the
+    result).
 
     Raises StagnationError, carrying the history, if the line search hits
-    the backtracking floor while descent is still required.
+    the backtracking floor, if _MEMORY accepted steps in a row bring no
+    new minimum, or if the residual test is met above the best accepted
+    objective (a gradient that does not match the objective).
     """
     if opt is None:
         opt = LoopConfig()

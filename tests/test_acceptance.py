@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from obstacle_control import (
-    MatrixControlField,
     PenaltyConfig,
     ScalarField,
     assemble_load,

@@ -10,7 +10,6 @@ from obstacle_control import (
     assemble_load,
     assemble_stiffness,
     build_mesh,
-    interpolate,
     l2_error_vs_function,
     l2_norm,
     zero_field,

@@ -1,12 +1,14 @@
 """Projected-gradient optimizer tests: gradient consistency, descent
-properties, penalty continuation, and the VI-constrained reference solve."""
+properties, fail-loud exits, penalty continuation, and the VI-constrained
+reference solve."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from obstacle_control import (
     MatrixControlField,
-    ScalarField,
     StagnationError,
     assemble_load,
     assemble_stiffness,
@@ -17,9 +19,13 @@ from obstacle_control import (
     solve_spd,
     zero_field,
 )
+from obstacle_control import optimize
+from obstacle_control.experiments import load_config, run_example1
 from obstacle_control.obstacle import complementarity_residuals, solve_vi
 from obstacle_control.penalty import PenaltyConfig, solve_penalized
 from obstacle_control.optimize import (
+    _MEMORY,
+    _SIGMA,
     LoopConfig,
     ObjectiveConfig,
     gamma_continuation,
@@ -27,7 +33,6 @@ from obstacle_control.optimize import (
     reduced_gradient,
     solve_vi_adjoint,
     solve_vi_constrained,
-    stationarity_residual,
     stationarity_residual_vi,
 )
 
@@ -147,15 +152,39 @@ def test_objective_monotone_armijo_and_violation():
     assert res.history[-1].pg_residual == res.pg_residual
 
 
-def test_iterates_strictly_admissible():
+def test_nonmonotone_certificate_replay():
+    """Every accepted objective lies below the maximum of the previous
+    _MEMORY ones by the sufficient-decrease term, and every iterate is
+    strictly admissible; the run does take steps that raise the
+    objective."""
     mesh = build_mesh(3)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    res = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5),
-                   LoopConfig(max_iters=25, grad_tol_rel=1e-30))
-    assert not res.converged
-    assert len(res.history) == 26
-    assert all(e.feasibility_margin > 0.0 for e in res.history)
+    res = minimize(q0, cfg, PenaltyConfig(gamma=1.0, psi=0.5))
+    assert res.converged
+    hist = res.history
+    vals = [e.objective for e in hist]
+    assert np.any(np.diff(vals) > 0.0)
+    for k in range(1, len(hist)):
+        reference = max(vals[max(0, k - _MEMORY):k])
+        prev = hist[k - 1]
+        assert vals[k] <= reference - _SIGMA * prev.step * prev.grad_norm ** 2
+    assert all(e.feasibility_margin > 0.0 for e in hist)
+
+
+def test_iterates_strictly_admissible():
+    """Past the rounding floor no step brings a new minimum, so the stall
+    exit ends the run; every iterate of its history is strictly
+    admissible."""
+    mesh = build_mesh(3)
+    cfg = example_config(mesh)
+    q0 = MatrixControlField.constant(mesh, Q_INIT)
+    with pytest.raises(StagnationError, match="no new minimum") as err:
+        minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5),
+                 LoopConfig(max_iters=25, grad_tol_rel=1e-30))
+    history = err.value.history
+    assert _MEMORY < len(history) <= 26
+    assert all(e.feasibility_margin > 0.0 for e in history)
 
 
 def test_beta_sweep_barrier_path():
@@ -296,3 +325,40 @@ def test_budget_exhaustion_returns_unconverged():
     assert not res.converged
     assert res.iterations == 3
     assert len(res.history) == 4
+
+
+def _flipped_tracking(monkeypatch):
+    tracking = optimize._tracking_gradient
+    monkeypatch.setattr(optimize, "_tracking_gradient",
+                        lambda mesh, u, p: -tracking(mesh, u, p))
+
+
+def _dropped_barrier(monkeypatch):
+    gradient = optimize.reduced_gradient
+
+    def without_barrier(q, u, p, cfg, barrier_eval=None):
+        return gradient(q, u, p, replace(cfg, beta=0.0))
+
+    monkeypatch.setattr(optimize, "reduced_gradient", without_barrier)
+
+
+@pytest.mark.parametrize("level", [4, 5])
+@pytest.mark.parametrize("mutation", [_flipped_tracking, _dropped_barrier],
+                         ids=["flipped_tracking", "dropped_barrier"])
+def test_wrong_gradient_raises_stagnation(mutation, level, monkeypatch,
+                                         tmp_path):
+    """A gradient that does not match the objective never reports
+    convergence."""
+    mutation(monkeypatch)
+    cfg = load_config(None, [], output_dir=str(tmp_path), level=level)
+    with pytest.raises(StagnationError):
+        run_example1(cfg)
+
+
+def test_stall_exit_example1_level6(tmp_path):
+    """At the level-6 kink of example1 no step brings a new minimum; the
+    run raises instead of spinning to the iteration cap."""
+    cfg = load_config(None, [], output_dir=str(tmp_path), level=6)
+    with pytest.raises(StagnationError, match="no new minimum") as err:
+        run_example1(cfg)
+    assert len(err.value.history) < 200

@@ -3,20 +3,18 @@ cone-constrained derivative solve against difference quotients, its
 complementarity system, and the primal first-order condition."""
 
 import numpy as np
-import pytest
 
 from obstacle_control import (
     MatrixControlField,
     ScalarField,
     assemble_load,
-    assemble_stiffness,
     build_mesh,
     check_admissible,
     control_norm,
     interpolate,
     l2_norm,
 )
-from obstacle_control.obstacle import PDASConfig, solve_vi
+from obstacle_control.obstacle import solve_vi
 from obstacle_control.optimize import ObjectiveConfig, solve_vi_constrained
 from obstacle_control.sensitivity import (
     CriticalCone,
