@@ -376,6 +376,7 @@ def run_convergence(cfg: ExperimentConfig) -> RunReport:
     rows: List[tuple] = []
     errors: List[float] = []
     hs: List[float] = []
+    sweeps: List[int] = []
     contact = False
     for level in cfg.levels:
         mesh = build_mesh(level)
@@ -384,6 +385,7 @@ def run_convergence(cfg: ExperimentConfig) -> RunReport:
         sol = solve_vi(obj.q_d, obj.f_load, cfg.psi, cfg=_pdas_config(cfg))
         err = l2_error_vs_function(sol.u, target_state)
         contact = contact or bool(sol.active_set.any())
+        sweeps.append(sol.iterations)
         hs.append(mesh.h)
         errors.append(err)
         if len(errors) > 1:
@@ -399,6 +401,7 @@ def run_convergence(cfg: ExperimentConfig) -> RunReport:
         "contact": contact,
         "errors": errors,
         "rates": [row[3] for row in rows[1:]],
+        "pdas_sweeps": sweeps,
     })
     outputs.append(write_meta(outdir / "meta.json", meta))
     return RunReport(passed=True, outputs=outputs, notes=meta)

@@ -484,6 +484,44 @@ def _prolongation(level: int, pinned: np.ndarray,
     return prolong
 
 
+def _prolong_axis(coarse: np.ndarray) -> np.ndarray:
+    fine = np.empty((2 * coarse.shape[0] - 1,) + coarse.shape[1:])
+    fine[::2] = coarse
+    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    return fine
+
+
+def _restrict_axis(fine: np.ndarray) -> np.ndarray:
+    coarse = fine[::2].copy()
+    coarse[:-1] += 0.5 * fine[1::2]
+    coarse[1:] += 0.5 * fine[1::2]
+    return coarse
+
+
+def prolong(values: np.ndarray, level: int) -> np.ndarray:
+    """Bilinear interpolation P of nodal values from level - 1 to level.
+
+    The same operator as _prolongation without pinned nodes, applied as
+    strided slices along each axis of the (n+1, n+1) node grid: an even
+    fine node copies its coarse node, an odd one averages two.
+    """
+    n1 = 2 ** (level - 1) + 1
+    grid = values.reshape(n1, n1)
+    return _prolong_axis(_prolong_axis(grid).T).T.ravel()
+
+
+def restrict(values: np.ndarray, level: int) -> np.ndarray:
+    """The transpose P' of `prolong`, from level to level - 1.
+
+    Applied to a load vector it gives the coarse load vector of the same
+    density, since every coarse basis function is the P-combination of
+    fine ones.
+    """
+    n1 = 2 ** level + 1
+    grid = values.reshape(n1, n1)
+    return _restrict_axis(_restrict_axis(grid).T).T.ravel()
+
+
 def _banded_cholesky(mat: sp.csr_matrix, bandwidth: int) -> np.ndarray:
     """Upper banded Cholesky factor of a symmetric CSR matrix whose entries
     lie within `bandwidth` of the diagonal."""
@@ -589,9 +627,8 @@ def l2_error_vs_function(field: ScalarField, exact: Callable) -> float:
     xi, eta = xi.ravel(), eta.ravel()
     w2 = np.outer(wts, wts).ravel() * mesh.h * mesh.h / 4.0
     shape = _shape_values(xi, eta)
-    corner_vals = field.values[mesh.cells]
-    uh = np.einsum("ga,ca->cg", shape, corner_vals)
-    xg = np.einsum("ga,cad->cgd", shape, mesh.nodes[mesh.cells])
+    uh = field.values[mesh.cells] @ shape.T
+    xg = shape @ mesh.nodes[mesh.cells]
     ue = exact(xg[:, :, 0], xg[:, :, 1])
-    err2 = np.einsum("g,cg->", w2, (uh - ue) ** 2)
+    err2 = ((uh - ue) ** 2 @ w2).sum()
     return float(np.sqrt(max(err2, 0.0)))

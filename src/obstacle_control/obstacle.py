@@ -6,6 +6,13 @@ multiplier gets a nodal representation lambda_i = mu_i / m_i through the
 lumped mass. The iteration is the semismooth Newton method on
 lambda - max(0, lambda + c (u - psi)) = 0: guess an active set, impose
 u = psi there, recover lambda from the lumped residual, reclassify.
+
+A cold solve (no active set given) on a mesh finer than the multigrid's
+coarsest grid starts from nested iteration: it solves the same problem one
+level down, recursively, and classifies the bilinearly prolonged solution
+by the same indicator. Semismooth Newton converges fast from near the final
+active set, so the sweep count of each level stays flat under refinement;
+at the coarsest grid and below a cold solve starts from the empty set.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ import numpy as np
 
 from .control import MatrixControlField
 from .errors import NonconvergenceError
-from .fem import GridSystem, ScalarField, StructuredMesh, \
-    assemble_stiffness
+from .fem import _COARSEST, GridSystem, ScalarField, StructuredMesh, \
+    assemble_stiffness, build_mesh, prolong, restrict
 from .linsolve import solve_spd
 
 # an active node is strongly active when its multiplier exceeds this
@@ -114,6 +121,27 @@ def _load_density_norm(f_load: ScalarField, m_lump: np.ndarray) -> float:
     return float(np.sqrt(np.sum(m_lump * dens * dens)))
 
 
+def _nested_start(q: MatrixControlField, f_load: ScalarField, psi: float,
+                  cfg: PDASConfig) -> np.ndarray:
+    """Cold-start active set from the same problem one level down.
+
+    The coarse coefficient is q at the even nodes (injection) and the
+    coarse load is P' f, the coarse load vector of the same density. The
+    coarse solution is prolonged bilinearly and classified by the PDAS
+    indicator lambda + c (u - psi) > 0.
+    """
+    mesh = f_load.mesh
+    n1 = mesh.cells_per_side + 1
+    coarse = build_mesh(mesh.level - 1)
+    q_c = MatrixControlField(
+        coarse, q.comps.reshape(n1, n1, 3)[::2, ::2].reshape(-1, 3))
+    f_c = ScalarField(coarse, restrict(f_load.values, mesh.level))
+    sol = solve_vi(q_c, f_c, psi, cfg)
+    u = prolong(sol.u.values, mesh.level)
+    lam = prolong(sol.lam.values, mesh.level)
+    return mesh.interior_mask & (lam + cfg.c * (u - psi) > 0.0)
+
+
 def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
              cfg: Optional[PDASConfig] = None,
              active0: Optional[np.ndarray] = None,
@@ -131,13 +159,18 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
         Constant obstacle, required positive.
     cfg : PDASConfig, optional
     active0 : ndarray of bool, optional
-        Warm-start active set.
+        Warm-start active set. Without it, a mesh finer than the
+        multigrid's coarsest grid (level > fem._COARSEST) starts from
+        the solution one level down: a recursive solve_vi call per level.
     K : GridSystem, optional
         Pre-assembled eliminated stiffness for q, to avoid re-assembly.
 
     Returns
     -------
     VISolution
+        Its `iterations` counts the PDAS sweeps on this mesh only; each
+        coarse solve of a nested start is its own solve_vi call, with its
+        own sweeps.
     """
     if psi <= 0.0:
         raise ValueError("obstacle psi must be positive")
@@ -145,6 +178,8 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     mesh = f_load.mesh
     if K is None:
         K = assemble_stiffness(mesh, q)
+    if active0 is None and mesh.level > _COARSEST:
+        active0 = _nested_start(q, f_load, psi, cfg)
     rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
     upper = np.full(mesh.n_nodes, psi)
     m_lump = mesh.lumped_mass

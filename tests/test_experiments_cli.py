@@ -258,6 +258,12 @@ def test_convergence_single_level_and_contact(tmp_path):
     cfg = load_config(None, ["levels=3,4"], output_dir=str(tmp_path))
     rep = run_convergence(cfg)
     assert rep.passed and rep.notes["contact"] is True
+    # the sweeps of each level's own PDAS loop, in meta.json only
+    meta = json.loads((tmp_path / "convergence" / "meta.json").read_text())
+    assert len(meta["pdas_sweeps"]) == 2
+    assert all(isinstance(n, int) and n >= 1 for n in meta["pdas_sweeps"])
+    lines = (tmp_path / "convergence" / "rates.csv").read_text().splitlines()
+    assert lines[0] == "level,h,err_L2,rate"
 
 
 def test_gradcheck_passes(tmp_path):

@@ -22,6 +22,8 @@ from obstacle_control import (
     zero_field,
 )
 
+from obstacle_control.fem import _prolongation, prolong, restrict
+
 from conftest import random_admissible, random_direction
 
 SEED = 20260819
@@ -75,6 +77,22 @@ def energy_quadrature_oracle(mesh, q, v, order=4):
                 qmat = np.array([[qq[0], qq[2]], [qq[2], qq[1]]])
                 total += wx * wy * jac * jac * (gv @ qmat @ gv)
     return total
+
+
+def l2_error_quadrature_oracle(v, fn, order=4):
+    """Direct quadrature of integral((v - fn)^2), cell by cell."""
+    mesh = v.mesh
+    pts, wts = np.polynomial.legendre.leggauss(order)
+    jac = mesh.h / 2.0
+    total = 0.0
+    for cell in mesh.cells:
+        for xi, wx in zip(pts, wts):
+            for eta, wy in zip(pts, wts):
+                shape = _oracle_shape(xi, eta)
+                x, y = shape @ mesh.nodes[cell]
+                diff = shape @ v.values[cell] - fn(x, y)
+                total += wx * wy * jac * jac * diff * diff
+    return np.sqrt(total)
 
 
 def domain_integral_oracle(fn, order=6):
@@ -342,6 +360,13 @@ def test_l2_error_exact_for_bilinear_function():
     assert l2_error_vs_function(v, fn) <= 1e-14
 
 
+def test_l2_error_matches_quadrature_oracle():
+    mesh = build_mesh(3)
+    v = interpolate(mesh, lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y))
+    want = l2_error_quadrature_oracle(v, desired_state)
+    assert abs(l2_error_vs_function(v, desired_state) / want - 1.0) <= 1e-13
+
+
 def test_l2_error_interpolant_second_order():
     errs = []
     for level in (3, 4):
@@ -350,6 +375,26 @@ def test_l2_error_interpolant_second_order():
         errs.append(l2_error_vs_function(v, desired_state))
     rate = np.log2(errs[0] / errs[1])
     assert rate >= 1.9
+
+
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_grid_transfers_are_the_prolongation_and_its_transpose(level):
+    n1, m1 = 2 ** level + 1, 2 ** (level - 1) + 1
+    p = _prolongation(level, np.zeros(n1 * n1, bool),
+                      np.zeros(m1 * m1, bool)).toarray()
+    rng = np.random.default_rng(SEED + level)
+    coarse, fine = rng.standard_normal(m1 * m1), rng.standard_normal(n1 * n1)
+    assert np.abs(prolong(coarse, level) - p @ coarse).max() <= 1e-15
+    assert np.abs(restrict(fine, level) - p.T @ fine).max() <= 1e-14
+
+
+def test_restricted_load_is_the_coarse_load():
+    """2x2 Gauss integrates a bilinear density times a basis function
+    exactly, so P' maps the fine load to the coarse one."""
+    fn = lambda x, y: 1.0 + 2.0 * x - y + 0.5 * x * y
+    fine = assemble_load(build_mesh(4), fn).values
+    coarse = assemble_load(build_mesh(3), fn).values
+    assert np.abs(restrict(fine, 4) - coarse).max() <= 1e-15
 
 
 def test_stiffness_rejects_non_finite_coefficient():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from obstacle_control import (
+    CoefficientError,
     MatrixControlField,
     NonconvergenceError,
     ScalarField,
@@ -14,13 +15,17 @@ from obstacle_control import (
     l2_norm,
     zero_field,
 )
+from obstacle_control import obstacle
 from obstacle_control.obstacle import (
+    _ACTIVE_TOL,
     PDASConfig,
     VISolution,
+    _pdas_bound_solve,
     complementarity_residuals,
     oracle_active_set_enumeration,
     solve_vi,
 )
+from obstacle_control.problems import example_objective
 
 from conftest import random_admissible
 from test_fem import desired_state, domain_integral_oracle, manufactured_load, q_d_components
@@ -31,6 +36,21 @@ SEED = 74205
 def _interior_dense(mesh, K):
     idx = np.nonzero(mesh.interior_mask)[0]
     return K.matrix.toarray()[np.ix_(idx, idx)], idx
+
+
+@pytest.fixture
+def vi_levels(monkeypatch):
+    """Route obstacle.solve_vi through a recorder of each call's level;
+    the coarse solves of a nested start go through it too."""
+    levels = []
+    solve = obstacle.solve_vi
+
+    def recorded(q, f_load, *args, **kwargs):
+        levels.append(f_load.mesh.level)
+        return solve(q, f_load, *args, **kwargs)
+
+    monkeypatch.setattr(obstacle, "solve_vi", recorded)
+    return levels
 
 
 def test_zero_load_gives_zero_solution():
@@ -211,20 +231,87 @@ def test_warm_start_converges_fast():
 
 
 def test_iteration_budget_error():
-    mesh = build_mesh(4)
-    q = MatrixControlField.constant(mesh, np.eye(2))
-    f = assemble_load(mesh, manufactured_load)
-    with pytest.raises(NonconvergenceError) as err:
-        solve_vi(q, f, psi=0.01, cfg=PDASConfig(max_iters=1))
-    assert err.value.active_sets is not None
-    assert len(err.value.active_sets) == 2
+    """The cap holds on every level of a nested start too: at level 7 the
+    cold solve at level 5, which starts the nest, hits it first."""
+    for level, max_iters, stopped in ((4, 1, 4), (7, 2, 5)):
+        mesh = build_mesh(level)
+        q = MatrixControlField.constant(mesh, np.eye(2))
+        f = assemble_load(mesh, manufactured_load)
+        with pytest.raises(NonconvergenceError) as err:
+            solve_vi(q, f, psi=0.01, cfg=PDASConfig(max_iters=max_iters))
+        assert err.value.active_sets is not None
+        assert len(err.value.active_sets) == 2
+        assert err.value.active_sets[0].size == build_mesh(stopped).n_nodes
 
 
-def test_positive_obstacle_required():
-    mesh = build_mesh(2)
-    q = MatrixControlField.constant(mesh, np.eye(2))
-    with pytest.raises(ValueError):
-        solve_vi(q, zero_field(mesh), psi=0.0)
+def test_positive_obstacle_required(vi_levels):
+    for level in (2, 6):
+        mesh = build_mesh(level)
+        q = MatrixControlField.constant(mesh, np.eye(2))
+        vi_levels.clear()
+        with pytest.raises(ValueError):
+            obstacle.solve_vi(q, zero_field(mesh), psi=0.0)
+        assert vi_levels == [level]
+
+
+def test_indefinite_coefficient_refused_before_coarse_work(vi_levels):
+    mesh = build_mesh(6)
+    comps = np.tile([1.0, 1.0, 0.0], (mesh.n_nodes, 1))
+    # det < 0 at the odd node (1, 1), which no coarse grid holds
+    comps[mesh.cells_per_side + 2] = [1.0, 1.0, 5.0]
+    q = MatrixControlField(mesh, comps)
+    with pytest.raises(CoefficientError, match="cell"):
+        obstacle.solve_vi(q, assemble_load(mesh, manufactured_load), 0.5)
+    assert vi_levels == [6]
+
+
+def test_nested_start_only_for_cold_solves_above_the_coarsest_grid(
+        vi_levels):
+    for level, want in ((5, [5]), (6, [6, 5]), (7, [7, 6, 5])):
+        mesh = build_mesh(level)
+        q = MatrixControlField.constant(mesh, np.eye(2))
+        f = assemble_load(mesh, manufactured_load)
+        vi_levels.clear()
+        sol = obstacle.solve_vi(q, f, psi=0.3)
+        assert vi_levels == want
+        vi_levels.clear()
+        obstacle.solve_vi(q, f, psi=0.3, active0=sol.active_set)
+        assert vi_levels == [level]
+
+
+def _convergence_problem(mesh):
+    obj = example_objective(mesh)
+    return obj.q_d, obj.f_load, 0.5
+
+
+def _anisotropic_problem(mesh):
+    q = random_admissible(mesh, np.random.default_rng(SEED))
+    return q, assemble_load(mesh, manufactured_load), 0.15
+
+
+@pytest.mark.parametrize("level", [6, 7, 8])
+@pytest.mark.parametrize("problem", [_convergence_problem,
+                                     _anisotropic_problem])
+def test_nested_start_matches_cold_loop(problem, level):
+    """A cold solve reaches the solution of the trusted reference, the
+    PDAS loop started from the empty active set, in a sweep count that
+    does not grow with the level."""
+    mesh = build_mesh(level)
+    q, f, psi = problem(mesh)
+    sol = solve_vi(q, f, psi)
+    u, lam, active, _ = _pdas_bound_solve(
+        mesh, assemble_stiffness(mesh, q),
+        np.where(mesh.boundary_mask, 0.0, f.values),
+        np.full(mesh.n_nodes, psi), mesh.boundary_mask,
+        np.zeros(mesh.n_nodes), PDASConfig(), active0=None)
+    assert active.any()
+    assert np.array_equal(sol.active_set, active)
+    strong = active & (lam > _ACTIVE_TOL * sol.f_norm)
+    assert np.array_equal(sol.strongly_active, strong)
+    for got, want in ((sol.u.values, u), (sol.lam.values, lam)):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    if level == 8:
+        assert sol.iterations <= 8
 
 
 def test_strongly_active_subset_of_active():
