@@ -21,14 +21,14 @@ import numpy as np
 from .control import MatrixControlField, check_admissible, control_inner
 from .errors import ConfigError
 from .fem import ScalarField, build_mesh, l2_error_vs_function, l2_norm
-from .obstacle import PDASConfig, _load_density_norm, \
+from .obstacle import PDASConfig, VISolution, _load_density_norm, \
     complementarity_residuals, solve_vi
 from .optimize import LoopConfig, ObjectiveConfig, OptResult, \
     gamma_continuation, objective_value, reduced_gradient, \
     solve_vi_constrained
 from .penalty import PenaltyConfig, solve_adjoint, solve_penalized
 from .problems import example_objective, initial_control, target_state
-from .sensitivity import build_critical_cone, \
+from .sensitivity import CriticalCone, build_critical_cone, \
     derivative_complementarity_check, directional_derivative
 from .vtkio import write_csv, write_meta, write_structured_vtk
 
@@ -429,6 +429,35 @@ def _random_direction(mesh, rng, scale: float) -> MatrixControlField:
     return MatrixControlField(mesh, comps)
 
 
+_QUOTIENT_STEPS = (1e-2, 1e-3, 1e-4)
+
+
+def _difference_quotients(cfg: ExperimentConfig, obj: ObjectiveConfig,
+                          q0: MatrixControlField, sol: VISolution,
+                          cone: CriticalCone, rng: np.random.Generator
+                          ) -> List[tuple]:
+    """(d, u', errors) for three random directions d at q0, each halved
+    once if q0 + d is not admissible: u' is the cone derivative of the
+    solution map along d, and the errors are the L2 distances of the
+    quotients (u(q0 + t d) - u(q0)) / t to it at _QUOTIENT_STEPS."""
+    mesh = q0.mesh
+    out = []
+    for _ in range(3):
+        d = _random_direction(mesh, rng, scale=0.1)
+        if not check_admissible(q0 + d, cfg.q_min, cfg.q_max).admissible:
+            d = 0.5 * d
+        ut = directional_derivative(q0, d, sol, cone,
+                                    pdas=_pdas_config(cfg))
+        errs = []
+        for t in _QUOTIENT_STEPS:
+            solt = solve_vi(q0 + t * d, obj.f_load, cfg.psi,
+                            cfg=_pdas_config(cfg), active0=sol.active_set)
+            quot = (solt.u.values - sol.u.values) / t
+            errs.append(l2_norm(ScalarField(mesh, quot - ut.values)))
+        out.append((d, ut, errs))
+    return out
+
+
 def run_gradcheck(cfg: ExperimentConfig) -> RunReport:
     """Finite-difference validation of the adjoint gradient and the
     directional derivative of the solution map.
@@ -478,22 +507,12 @@ def run_gradcheck(cfg: ExperimentConfig) -> RunReport:
     # cone derivative against VI difference quotients
     sol = solve_vi(q0, obj.f_load, cfg.psi, cfg=_pdas_config(cfg))
     cone = build_critical_cone(sol)
-    quot_rows: List[tuple] = []
-    quot_pass = True
-    for direction in range(3):
-        d = _random_direction(mesh, rng, scale=0.1)
-        if not check_admissible(q0 + d, cfg.q_min, cfg.q_max).admissible:
-            d = 0.5 * d
-        ut = directional_derivative(q0, d, sol, cone,
-                                    pdas=_pdas_config(cfg))
-        errs = []
-        for t in (1e-2, 1e-3, 1e-4):
-            solt = solve_vi(q0 + t * d, obj.f_load, cfg.psi,
-                            cfg=_pdas_config(cfg), active0=sol.active_set)
-            quot = (solt.u.values - sol.u.values) / t
-            errs.append(l2_norm(ScalarField(mesh, quot - ut.values)))
-            quot_rows.append((direction, t, errs[-1]))
-        quot_pass = quot_pass and errs[0] > errs[1] > errs[2]
+    quotients = _difference_quotients(cfg, obj, q0, sol, cone, rng)
+    quot_rows = [(direction, t, err)
+                 for direction, (_, _, errs) in enumerate(quotients)
+                 for t, err in zip(_QUOTIENT_STEPS, errs)]
+    quot_pass = all(errs[0] > errs[1] > errs[2]
+                    for _, _, errs in quotients)
     zero_dir = directional_derivative(
         q0, MatrixControlField.constant(mesh, np.zeros((2, 2))), sol, cone,
         pdas=_pdas_config(cfg))
@@ -531,7 +550,7 @@ def run_sensitivity(cfg: ExperimentConfig) -> RunReport:
     """
     started = _now()
     outdir = Path(cfg.output_dir) / "sensitivity"
-    mesh, obj, q0 = _setup(cfg)
+    _, obj, q0 = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
     sol = solve_vi(q0, obj.f_load, cfg.psi, cfg=_pdas_config(cfg))
     cone = build_critical_cone(sol)
@@ -539,22 +558,13 @@ def run_sensitivity(cfg: ExperimentConfig) -> RunReport:
     rows: List[tuple] = []
     passed = True
     worst_residual = 0.0
-    for direction in range(3):
-        d = _random_direction(mesh, rng, scale=0.1)
-        if not check_admissible(q0 + d, cfg.q_min, cfg.q_max).admissible:
-            d = 0.5 * d
-        ut = directional_derivative(q0, d, sol, cone,
-                                    pdas=_pdas_config(cfg))
+    quotients = _difference_quotients(cfg, obj, q0, sol, cone, rng)
+    for direction, (d, ut, errs) in enumerate(quotients):
         feas, polar, comp = derivative_complementarity_check(
             ut, cone, q0, d, sol.u)
         worst_residual = max(worst_residual, feas, polar, comp)
-        errs = []
-        for t in (1e-2, 1e-3, 1e-4):
-            solt = solve_vi(q0 + t * d, obj.f_load, cfg.psi,
-                            cfg=_pdas_config(cfg), active0=sol.active_set)
-            quot = (solt.u.values - sol.u.values) / t
-            errs.append(l2_norm(ScalarField(mesh, quot - ut.values)))
-            rows.append((direction, t, errs[-1], feas, polar, comp))
+        rows.extend((direction, t, err, feas, polar, comp)
+                    for t, err in zip(_QUOTIENT_STEPS, errs))
         passed = passed and errs[0] > errs[1] > errs[2]
     passed = passed and worst_residual <= 1e-8
 

@@ -279,12 +279,11 @@ class StencilPattern:
             raise DimensionError("matrix is not on this mesh's stencil")
         return matrix.data
 
-    def pin(self, data: np.ndarray, mask: np.ndarray,
-            diagonal: float = 1.0) -> np.ndarray:
-        """Data with the rows and columns flagged by mask zeroed and
-        `diagonal` on their diagonal entries."""
+    def pin(self, data: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Data with the rows and columns flagged by mask zeroed and 1 on
+        their diagonal entries."""
         out = np.where(mask[self.rows] | mask[self.indices], 0.0, data)
-        out[self.diagonal[mask]] = diagonal
+        out[self.diagonal[mask]] = 1.0
         return out
 
     def system(self, data: np.ndarray, pinned: np.ndarray) -> "GridSystem":
@@ -417,10 +416,11 @@ class GridSystem:
 
         Each grid above the coarsest is smoothed by two damped-Jacobi
         sweeps before and after its coarse correction. The coarse operator
-        is Galerkin, P'AP, with P the bilinear prolongation kron(P1, P1)
-        restricted to free nodes: a coarse node is pinned where its fine
-        node is, so every free coarse node keeps its own free fine node and
-        P'AP stays positive definite; pinned coarse nodes get identity rows.
+        is Galerkin, P'AP, with P the bilinear `prolongation` with the
+        rows of pinned fine nodes and the columns of pinned coarse nodes
+        zeroed: a coarse node is pinned where its fine node is, so every
+        free coarse node keeps its own free fine node and P'AP stays
+        positive definite; pinned coarse nodes get identity rows.
         The coarsest grid (at most 32 cells per side) is solved exactly by
         banded Cholesky, so below level 6 the V-cycle is a direct solve.
         Raises numpy.linalg.LinAlgError when that factorization fails.
@@ -430,7 +430,9 @@ class GridSystem:
         while level > _COARSEST:
             n1 = 2 ** level + 1
             coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
-            p = _prolongation(level, pinned, coarse)
+            p = prolongation(level)
+            rows = np.repeat(pinned, np.diff(p.indptr))
+            p.data[rows | coarse[p.indices]] = 0.0
             # every row holds its positive diagonal, so none is empty
             l1 = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
             weights = np.minimum(_OMEGA / mat.diagonal(), _L1_CAP / l1)
@@ -461,14 +463,16 @@ class GridSystem:
         return vcycle
 
 
-def _prolongation(level: int, pinned: np.ndarray,
-                  coarse: np.ndarray) -> sp.csr_matrix:
-    """Bilinear prolongation kron(P1, P1) from level - 1 to level, with
-    the rows of pinned fine nodes and the columns of pinned coarse nodes
-    zeroed.
+def prolongation(level: int) -> sp.csr_matrix:
+    """Bilinear prolongation P = kron(P1, P1) from level - 1 to level.
 
-    Built on every call: a cached copy would outlive the solve, and at
-    level 8 it kept 10 MB more of the heap resident.
+    The one grid transfer of the package: the multigrid hierarchy zeroes
+    its pinned rows and columns, the nested cold start of the obstacle
+    solve applies it as it is, and its transpose maps a load vector to the
+    coarse load vector of the same density, since every coarse basis
+    function is the P-combination of fine ones. Built on every call: a
+    cached copy would outlive the solve, and at level 8 it kept 10 MB more
+    of the heap resident.
     """
     n = 2 ** level
     fine = np.arange(n + 1)
@@ -478,48 +482,7 @@ def _prolongation(level: int, pinned: np.ndarray,
         (np.r_[np.where(fine % 2, 0.5, 1.0), np.full(odd.size, 0.5)],
          (np.r_[fine, odd], np.r_[fine // 2, odd // 2 + 1])),
         shape=(n + 1, n // 2 + 1))
-    prolong = sp.kron(p1, p1, format="csr")
-    rows = np.repeat(pinned, np.diff(prolong.indptr))
-    prolong.data[rows | coarse[prolong.indices]] = 0.0
-    return prolong
-
-
-def _prolong_axis(coarse: np.ndarray) -> np.ndarray:
-    fine = np.empty((2 * coarse.shape[0] - 1,) + coarse.shape[1:])
-    fine[::2] = coarse
-    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
-    return fine
-
-
-def _restrict_axis(fine: np.ndarray) -> np.ndarray:
-    coarse = fine[::2].copy()
-    coarse[:-1] += 0.5 * fine[1::2]
-    coarse[1:] += 0.5 * fine[1::2]
-    return coarse
-
-
-def prolong(values: np.ndarray, level: int) -> np.ndarray:
-    """Bilinear interpolation P of nodal values from level - 1 to level.
-
-    The same operator as _prolongation without pinned nodes, applied as
-    strided slices along each axis of the (n+1, n+1) node grid: an even
-    fine node copies its coarse node, an odd one averages two.
-    """
-    n1 = 2 ** (level - 1) + 1
-    grid = values.reshape(n1, n1)
-    return _prolong_axis(_prolong_axis(grid).T).T.ravel()
-
-
-def restrict(values: np.ndarray, level: int) -> np.ndarray:
-    """The transpose P' of `prolong`, from level to level - 1.
-
-    Applied to a load vector it gives the coarse load vector of the same
-    density, since every coarse basis function is the P-combination of
-    fine ones.
-    """
-    n1 = 2 ** level + 1
-    grid = values.reshape(n1, n1)
-    return _restrict_axis(_restrict_axis(grid).T).T.ravel()
+    return sp.kron(p1, p1, format="csr")
 
 
 def _banded_cholesky(mat: sp.csr_matrix, bandwidth: int) -> np.ndarray:

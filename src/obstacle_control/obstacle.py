@@ -25,18 +25,19 @@ import numpy as np
 from .control import MatrixControlField
 from .errors import NonconvergenceError
 from .fem import _COARSEST, GridSystem, ScalarField, StructuredMesh, \
-    assemble_stiffness, build_mesh, prolong, restrict
+    assemble_stiffness, build_mesh, prolongation
 from .linsolve import solve_spd
 
 # an active node is strongly active when its multiplier exceeds this
 # fraction of the load's lumped L2 norm
 _ACTIVE_TOL = 1e-8
+# sweep cap of every PDAS loop
+_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
 class PDASConfig:
     c: float = 1.0
-    max_iters: int = 100
 
     def __post_init__(self):
         if self.c <= 0.0:
@@ -85,7 +86,7 @@ def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
     stencil = mesh.stencil
     k_data = stencil.data_of(mat)
     m_lump = mesh.lumped_mass
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         fixed = pinned | active
         u_fix = np.where(pinned, pinned_values, 0.0)
         u_fix[active] = upper[active]
@@ -111,7 +112,7 @@ def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
         seen.add(key)
         active = new_active
     raise NonconvergenceError(
-        f"active set did not stabilize within {cfg.max_iters} iterations",
+        f"active set did not stabilize within {_MAX_ITERS} iterations",
         active_sets=(active.copy(), new_active.copy()))
 
 
@@ -126,19 +127,20 @@ def _nested_start(q: MatrixControlField, f_load: ScalarField, psi: float,
     """Cold-start active set from the same problem one level down.
 
     The coarse coefficient is q at the even nodes (injection) and the
-    coarse load is P' f, the coarse load vector of the same density. The
-    coarse solution is prolonged bilinearly and classified by the PDAS
-    indicator lambda + c (u - psi) > 0.
+    coarse load is P' f, the coarse load vector of the same density, with
+    P = fem.prolongation. The coarse solution is prolonged by P and
+    classified by the PDAS indicator lambda + c (u - psi) > 0. P goes out
+    of scope on return, before the fine-level loop.
     """
     mesh = f_load.mesh
     n1 = mesh.cells_per_side + 1
     coarse = build_mesh(mesh.level - 1)
+    p = prolongation(mesh.level)
     q_c = MatrixControlField(
         coarse, q.comps.reshape(n1, n1, 3)[::2, ::2].reshape(-1, 3))
-    f_c = ScalarField(coarse, restrict(f_load.values, mesh.level))
-    sol = solve_vi(q_c, f_c, psi, cfg)
-    u = prolong(sol.u.values, mesh.level)
-    lam = prolong(sol.lam.values, mesh.level)
+    sol = solve_vi(q_c, ScalarField(coarse, p.T @ f_load.values), psi, cfg)
+    u = p @ sol.u.values
+    lam = p @ sol.lam.values
     return mesh.interior_mask & (lam + cfg.c * (u - psi) > 0.0)
 
 

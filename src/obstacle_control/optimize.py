@@ -57,9 +57,13 @@ from .penalty import (
 _SIGMA = 1e-4
 _BACKTRACK = 0.5
 _MEMORY = 10
-# clip of the Barzilai-Borwein first trial step <s,s>/<s,y>
+# first trial step of a run, and the clip of the Barzilai-Borwein first
+# trial step <s,s>/<s,y> after it
+_STEP_INIT = 1.0
 _STEP_MIN = 1e-4
 _STEP_MAX = 1e4
+# backtracks per line search before it stalls
+_MAX_BACKTRACKS = 40
 # relative objective noise of the state solves: a run that meets the
 # residual test more than this above its best accepted objective has a
 # gradient that does not match the objective (correct runs end at most
@@ -101,12 +105,6 @@ class ObjectiveConfig:
 class LoopConfig:
     grad_tol_rel: float = 1e-8
     max_iters: int = 2000
-    step_init: float = 1.0
-    max_backtracks: int = 40
-
-    def __post_init__(self):
-        if self.step_init <= 0.0:
-            raise ValueError("step_init must be positive")
 
 
 @dataclass(frozen=True)
@@ -314,7 +312,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     """Spectral projected gradient with a nonmonotone Armijo line search,
     shared by paths (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000).
 
-    The first trial step is opt.step_init, later ones the Barzilai-Borwein
+    The first trial step is _STEP_INIT, later ones the Barzilai-Borwein
     step <s,s>/<s,y> of the last move s with gradient change y, clipped to
     [_STEP_MIN, _STEP_MAX] and _STEP_MAX when <s,y> <= 0. Exits and
     guarantees are those stated in minimize.
@@ -349,7 +347,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     recent = deque([value], maxlen=_MEMORY)
     best = value
     stalled = 0
-    first_step = opt.step_init
+    first_step = _STEP_INIT
     history = []
     it = 0
     while True:
@@ -378,7 +376,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
         step = first_step
         accepted = None
         bt = 0
-        for bt in range(opt.max_backtracks + 1):
+        for bt in range(_MAX_BACKTRACKS + 1):
             trial_q = project_spectral(q - step * g, cfg.q_min, cfg.q_max,
                                        _MARGIN)
             trial_report = check_admissible(trial_q, cfg.q_min, cfg.q_max)
@@ -407,7 +405,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
             history.append(entry)
             raise StagnationError(
                 f"line search stalled at iteration {it} after "
-                f"{opt.max_backtracks} backtracks", tuple(history))
+                f"{_MAX_BACKTRACKS} backtracks", tuple(history))
         history.append(replace(entry, step=step, backtracks=bt))
         q_prev, g_prev = q, g
         q, u, aux, K, report = accepted

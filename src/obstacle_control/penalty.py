@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .control import MatrixControlField
 from .errors import NewtonError
@@ -25,6 +24,8 @@ _WARMUP_THRESHOLD = 1e6
 _WARMUP_FACTOR = 1e2
 # the damped Newton step fails below this step length
 _STEP_MIN = 2.0 ** -20
+# Newton steps per solve
+_NEWTON_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class PenaltyConfig:
     gamma: float
     psi: float = 0.5
     newton_tol: float = 1e-11
-    newton_max: int = 60
 
     def __post_init__(self):
         if self.gamma < 0.0:
@@ -51,24 +51,22 @@ def _penalty_vector(mesh, gap: np.ndarray, gamma: float) -> np.ndarray:
     return vec
 
 
-def _penalty_jacobian(mesh, gap: np.ndarray, gamma: float) -> sp.csr_matrix:
-    """Weighted mass from 3*gamma*max(u-psi,0)^2, boundary rows/cols zero."""
+def _penalty_jacobian(mesh, gap: np.ndarray, gamma: float) -> np.ndarray:
+    """Stencil data of the weighted mass from 3*gamma*max(u-psi,0)^2,
+    without boundary elimination."""
     shape, _, scale = mesh._reference
     w = scale * 3.0 * gamma * gap ** 2
     local = (w @ _outer(shape, shape)).reshape(mesh.n_cells, 4, 4)
-    stencil = mesh.stencil
-    data = stencil.pin(stencil.assemble(local), mesh.boundary_mask, 0.0)
-    return stencil.matrix(data)
+    return mesh.stencil.assemble(local)
 
 
 def _penalized_system(mesh, K: GridSystem, gap: np.ndarray,
                       gamma: float) -> GridSystem:
-    """Newton and adjoint matrix K + D(u), summed on the shared pattern;
-    both terms are pinned on the boundary already."""
+    """Newton and adjoint matrix K + D(u), summed on the shared pattern
+    and pinned on the boundary."""
     stencil = mesh.stencil
-    data = stencil.data_of(K.matrix) + _penalty_jacobian(mesh, gap, gamma).data
-    return GridSystem(stencil.compact(data), mesh.boundary_mask,
-                      level=mesh.level)
+    data = stencil.data_of(K.matrix) + _penalty_jacobian(mesh, gap, gamma)
+    return stencil.system(data, mesh.boundary_mask)
 
 
 def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
@@ -79,7 +77,7 @@ def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
     res = K @ u + _penalty_vector(mesh, gap, cfg.gamma) - rhs
     res_norm = float(np.linalg.norm(res))
     history = [res_norm]
-    for _ in range(cfg.newton_max):
+    for _ in range(_NEWTON_MAX):
         if res_norm <= cfg.newton_tol * f_scale:
             return u
         system = _penalized_system(mesh, K, gap, cfg.gamma)
@@ -101,7 +99,7 @@ def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
     if res_norm <= cfg.newton_tol * f_scale:
         return u
     raise NewtonError(
-        f"Newton did not converge in {cfg.newton_max} iterations "
+        f"Newton did not converge in {_NEWTON_MAX} iterations "
         f"(residual {res_norm:.3e})", history)
 
 

@@ -22,7 +22,7 @@ from obstacle_control import (
     zero_field,
 )
 
-from obstacle_control.fem import _prolongation, prolong, restrict
+from obstacle_control.fem import prolongation
 
 from conftest import random_admissible, random_direction
 
@@ -377,24 +377,27 @@ def test_l2_error_interpolant_second_order():
     assert rate >= 1.9
 
 
+def bilinear(x, y):
+    return 1.0 + 2.0 * x - y + 0.5 * x * y
+
+
 @pytest.mark.parametrize("level", [1, 2, 4])
-def test_grid_transfers_are_the_prolongation_and_its_transpose(level):
-    n1, m1 = 2 ** level + 1, 2 ** (level - 1) + 1
-    p = _prolongation(level, np.zeros(n1 * n1, bool),
-                      np.zeros(m1 * m1, bool)).toarray()
-    rng = np.random.default_rng(SEED + level)
-    coarse, fine = rng.standard_normal(m1 * m1), rng.standard_normal(n1 * n1)
-    assert np.abs(prolong(coarse, level) - p @ coarse).max() <= 1e-15
-    assert np.abs(restrict(fine, level) - p.T @ fine).max() <= 1e-14
+def test_prolongation_reproduces_bilinear_functions(level):
+    """P maps the interpolant of a bilinear function one level down to
+    its interpolant on the fine mesh."""
+    p = prolongation(level)
+    assert sp.isspmatrix_csr(p)
+    coarse = interpolate(build_mesh(level - 1), bilinear).values
+    fine = interpolate(build_mesh(level), bilinear).values
+    assert np.abs(p @ coarse - fine).max() <= 1e-15
 
 
 def test_restricted_load_is_the_coarse_load():
     """2x2 Gauss integrates a bilinear density times a basis function
     exactly, so P' maps the fine load to the coarse one."""
-    fn = lambda x, y: 1.0 + 2.0 * x - y + 0.5 * x * y
-    fine = assemble_load(build_mesh(4), fn).values
-    coarse = assemble_load(build_mesh(3), fn).values
-    assert np.abs(restrict(fine, 4) - coarse).max() <= 1e-15
+    fine = assemble_load(build_mesh(4), bilinear).values
+    coarse = assemble_load(build_mesh(3), bilinear).values
+    assert np.abs(prolongation(4).T @ fine - coarse).max() <= 1e-15
 
 
 def test_stiffness_rejects_non_finite_coefficient():
@@ -434,10 +437,9 @@ def coo_reference(mesh, local):
                          shape=(mesh.n_nodes, mesh.n_nodes)).toarray()
 
 
-def pin_reference(matrix, mask, diagonal=1.0):
+def pin_reference(matrix, mask):
     keep = sp.diags((~mask).astype(float))
-    return (keep @ matrix @ keep
-            + diagonal * sp.diags(mask.astype(float))).toarray()
+    return (keep @ matrix @ keep + sp.diags(mask.astype(float))).toarray()
 
 
 def assert_close_relative(got, want, rel=1e-14):
@@ -483,9 +485,8 @@ def test_penalty_jacobian_matches_coo_reference():
     shape, _, scale = mesh._reference
     w = scale * 3.0 * 1e6 * gap ** 2
     local = np.einsum("cg,ga,gb->cab", w, shape, shape)
-    want = pin_reference(sp.csr_matrix(coo_reference(mesh, local)),
-                         mesh.boundary_mask, diagonal=0.0)
-    assert_close_relative(_penalty_jacobian(mesh, gap, 1e6).toarray(), want)
+    got = mesh.stencil.matrix(_penalty_jacobian(mesh, gap, 1e6))
+    assert_close_relative(got.toarray(), coo_reference(mesh, local))
 
 
 def test_operators_share_the_mesh_pattern():
@@ -512,13 +513,12 @@ def test_pin_matches_keep_product(level):
     raw = assemble_stiffness(mesh, q, eliminate=False)
     for _ in range(3):
         mask = rng.random(mesh.n_nodes) < 0.3
-        for diagonal in (1.0, 0.0):
-            pinned = stencil.pin(raw.data, mask, diagonal)
-            want = pin_reference(raw, mask, diagonal)
-            assert np.array_equal(stencil.matrix(pinned).toarray(), want)
-            compact = stencil.compact(pinned)
-            assert np.array_equal(compact.toarray(), want)
-            assert np.count_nonzero(compact.data) == compact.nnz
+        pinned = stencil.pin(raw.data, mask)
+        want = pin_reference(raw, mask)
+        assert np.array_equal(stencil.matrix(pinned).toarray(), want)
+        compact = stencil.compact(pinned)
+        assert np.array_equal(compact.toarray(), want)
+        assert np.count_nonzero(compact.data) == compact.nnz
 
 
 @pytest.mark.parametrize("level", [1, 4, 7])

@@ -76,11 +76,6 @@ def test_objective_config_validation():
         ObjectiveConfig(0.1, 0.0, u_d, q_d, 10.0, 0.5, f)
 
 
-def test_loop_config_validation():
-    with pytest.raises(ValueError, match="step_init"):
-        LoopConfig(step_init=0.0)
-
-
 def test_gradient_is_tikhonov_for_zero_load():
     mesh = build_mesh(3)
     cfg = ObjectiveConfig(
@@ -305,14 +300,15 @@ def test_vi_constrained_contact_region_and_multiplier():
     assert max(feas, neg, comp) <= 1e-8
 
 
-def test_stagnation_raises_with_history():
+def test_stagnation_raises_with_history(monkeypatch):
     mesh = build_mesh(3)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
     pen = PenaltyConfig(gamma=1e3, psi=0.5)
-    bad = LoopConfig(step_init=1e6, max_backtracks=0)
+    monkeypatch.setattr(optimize, "_STEP_INIT", 1e6)
+    monkeypatch.setattr(optimize, "_MAX_BACKTRACKS", 0)
     with pytest.raises(StagnationError) as err:
-        minimize(q0, cfg, pen, bad)
+        minimize(q0, cfg, pen, LoopConfig())
     assert len(err.value.history) >= 1
 
 

@@ -15,6 +15,7 @@ from obstacle_control import (
     solve_spd,
     zero_field,
 )
+from obstacle_control import penalty
 from obstacle_control.obstacle import solve_vi
 from obstacle_control.penalty import (
     PenaltyConfig,
@@ -151,7 +152,8 @@ def test_uniqueness_from_different_starts():
 
 
 def test_newton_jacobian_is_spd():
-    from obstacle_control.penalty import _gap_at_quadrature, _penalty_jacobian
+    from obstacle_control.penalty import _gap_at_quadrature, \
+        _penalized_system
     mesh = build_mesh(2)
     q = MatrixControlField.constant(mesh, np.eye(2))
     f = assemble_load(mesh, manufactured_load)
@@ -160,16 +162,17 @@ def test_newton_jacobian_is_spd():
     gap = _gap_at_quadrature(mesh, u.values, cfg.psi)
     assert gap.max() > 0.0
     K = assemble_stiffness(mesh, q)
-    system = (K.matrix + _penalty_jacobian(mesh, gap, cfg.gamma)).toarray()
+    system = _penalized_system(mesh, K, gap, cfg.gamma).matrix.toarray()
     assert np.allclose(system, system.T, atol=1e-10)
     assert np.linalg.eigvalsh(system).min() > 0.0
 
 
-def test_newton_error_carries_history():
+def test_newton_error_carries_history(monkeypatch):
     mesh = build_mesh(3)
     q = MatrixControlField.constant(mesh, np.eye(2))
     f = assemble_load(mesh, manufactured_load)
+    monkeypatch.setattr(penalty, "_NEWTON_MAX", 1)
     with pytest.raises(NewtonError) as err:
-        solve_penalized(q, f, PenaltyConfig(gamma=1e6, psi=0.3, newton_max=1),
+        solve_penalized(q, f, PenaltyConfig(gamma=1e6, psi=0.3),
                         u0=zero_field(mesh))
     assert len(err.value.history) >= 1

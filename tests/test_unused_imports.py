@@ -1,7 +1,9 @@
-"""Every imported name in src/ and tests/ is used in its module.
+"""Every imported name in src/ and tests/ is used in its module, and every
+module-level private name in src/ is read somewhere in src/.
 
-A package __init__.py is exempt: its imports are the public API. Names in
-string annotations count as used.
+A package __init__.py is exempt from the import check: its imports are
+the public API. Names in string annotations count as used. A private name
+counts as read where it is loaded, imported or taken as an attribute.
 """
 
 import ast
@@ -47,6 +49,48 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def _private_definitions(tree):
+    """(line, name) of the module-level private functions, classes and
+    constants of a module; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def _read_names(tree):
+    """Names a module reads: loads, imports, attributes and annotations."""
+    names = _annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def unread_private_names(sources: dict) -> list:
+    """(file, line, name) of every module-level private definition in the
+    given {file: source} set that no file of the set reads."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    return sorted((path, line, name) for path, tree in trees.items()
+                  for line, name in _private_definitions(tree)
+                  if name not in read)
+
+
 def test_scanner_finds_unused_and_keeps_used():
     source = ("from __future__ import annotations\n"
               "import os\n"
@@ -67,3 +111,32 @@ def test_no_unused_imports_in_src_and_tests():
              for path in files if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def test_private_scanner_finds_unread_definitions():
+    sources = {
+        "a.py": ("_USED = 1\n"
+                 "_UNREAD = 2\n"
+                 "__version__ = '1'\n"
+                 "def _helper():\n"
+                 "    return _USED\n"
+                 "def _orphan():\n"
+                 "    return 0\n"
+                 "class _Hint:\n"
+                 "    pass\n"
+                 "_OVERWRITTEN: int = 3\n"),
+        "b.py": ("import a\n"
+                 "from a import _helper\n"
+                 "def f(x: \"_Hint\") -> int:\n"
+                 "    return _helper() + a._OVERWRITTEN\n"
+                 "_orphan = None\n"),
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", 2, "_UNREAD"), ("a.py", 6, "_orphan"), ("b.py", 5, "_orphan")]
+
+
+def test_every_private_name_in_src_is_read_in_src():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in files}
+    assert unread_private_names(sources) == []
