@@ -11,12 +11,13 @@ cone; a closed-form eigenvalue projection provides the safeguard.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import CoefficientError, DimensionError
-from .fem import StructuredMesh
+from .fem import GridSystem, StructuredMesh, assemble_stiffness
 from .linsolve import solve_spd
 
 # relative residual target of the mass solves in every Riesz lift
@@ -43,6 +44,12 @@ class MatrixControlField:
                 f"{int(np.argmin(finite))}")
         arr.flags.writeable = False
         object.__setattr__(self, "comps", arr)
+
+    @cached_property
+    def stiffness(self) -> GridSystem:
+        """Eliminated stiffness K_q, assembled and checked definite once
+        (a failure raises CoefficientError and caches nothing)."""
+        return assemble_stiffness(self.mesh, self)
 
     @classmethod
     def constant(cls, mesh: StructuredMesh, mat) -> "MatrixControlField":

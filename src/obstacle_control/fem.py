@@ -9,14 +9,15 @@ assembly writes its data by strided slice-adds. Homogeneous Dirichlet
 conditions, and every other pinned node, are imposed by symmetric
 row/column elimination with identity diagonal (a mask on that data), so
 all operators stay usable by symmetric solvers. An eliminated operator is
-a `GridSystem`, which knows its level and its pinned nodes and builds the
-geometric multigrid preconditioner its solves use. The consistent mass
-matrix is a Kronecker product of 1-D masses and is solved exactly along
-the grid axes.
+a `GridSystem`, which knows its pinned nodes, reads its level off its size
+and builds the geometric multigrid preconditioner its solves use. The
+consistent mass matrix is a Kronecker product of 1-D masses and is solved
+exactly along the grid axes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, TYPE_CHECKING
@@ -289,8 +290,7 @@ class StencilPattern:
     def system(self, data: np.ndarray, pinned: np.ndarray) -> "GridSystem":
         """The grid system of data with the pinned rows and columns set to
         identity, without its zero entries."""
-        return GridSystem(self.compact(self.pin(data, pinned)), pinned,
-                          level=self.cells_per_side.bit_length() - 1)
+        return GridSystem(self.compact(self.pin(data, pinned)), pinned)
 
 
 class KroneckerMass:
@@ -386,7 +386,7 @@ _L1_CAP = 1.8
 
 @dataclass(frozen=True)
 class GridSystem:
-    """SPD system on the nine-point stencil of the mesh at `level`.
+    """SPD system on the nine-point stencil of the (2^L + 1)^2 grid nodes.
 
     The rows and columns of the nodes in `dirichlet_mask` (boundary nodes,
     and whatever else a solver pins) are identity; `solve_spd` zeroes the
@@ -397,7 +397,6 @@ class GridSystem:
 
     matrix: sp.csr_matrix
     dirichlet_mask: np.ndarray
-    level: int
 
     def __post_init__(self):
         n_nodes = (2 ** self.level + 1) ** 2
@@ -405,8 +404,13 @@ class GridSystem:
                 or self.matrix.shape != (n_nodes, n_nodes) \
                 or self.dirichlet_mask.shape != (n_nodes,):
             raise DimensionError(
-                f"a level-{self.level} grid system is a CSR matrix on "
-                f"{n_nodes} nodes with a mask of them")
+                "a grid system is a CSR matrix on the (2^L + 1)^2 nodes of "
+                "a grid with a mask of them")
+
+    @property
+    def level(self) -> int:
+        """The refinement level L, read off the matrix size."""
+        return (math.isqrt(self.matrix.shape[0]) - 1).bit_length() - 1
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -546,8 +550,7 @@ def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
     data = stencil.assemble(ke)
     if eliminate:
         mask = mesh.boundary_mask
-        return GridSystem(stencil.matrix(stencil.pin(data, mask)), mask,
-                          level=mesh.level)
+        return GridSystem(stencil.matrix(stencil.pin(data, mask)), mask)
     return stencil.matrix(data)
 
 

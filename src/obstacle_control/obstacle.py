@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .control import MatrixControlField
-from .errors import NonconvergenceError
+from .errors import DimensionError, NonconvergenceError
 from .fem import _COARSEST, GridSystem, ScalarField, StructuredMesh, \
-    assemble_stiffness, build_mesh, prolongation
+    build_mesh, prolongation
 from .linsolve import solve_spd
 
 # an active node is strongly active when its multiplier exceeds this
@@ -63,13 +63,12 @@ class VISolution:
 
 def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
                       rhs: np.ndarray, upper: np.ndarray,
-                      pinned: np.ndarray, pinned_values: np.ndarray,
-                      cfg: PDASConfig,
+                      pinned: np.ndarray, cfg: PDASConfig,
                       active0: Optional[np.ndarray] = None):
     """Primal-dual active set loop for min 1/2 u'Ku - rhs'u, u <= upper.
 
-    Nodes flagged by `pinned` are held at `pinned_values` throughout
-    (Dirichlet nodes and, for cone problems, strongly-active nodes). The
+    Nodes flagged by `pinned` are held at zero throughout (Dirichlet
+    nodes and, for cone problems, strongly-active nodes). The
     upper bound applies wherever `upper` is finite; +inf entries are
     unconstrained. K must be assembled on `mesh`. Returns (u, lam, active,
     iterations) with lam the lumped nodal multiplier, supported on the
@@ -88,8 +87,7 @@ def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
     m_lump = mesh.lumped_mass
     for it in range(1, _MAX_ITERS + 1):
         fixed = pinned | active
-        u_fix = np.where(pinned, pinned_values, 0.0)
-        u_fix[active] = upper[active]
+        u_fix = np.where(active, upper, 0.0)
         # the free part solves the system pinned at the fixed nodes, where
         # it is zero and u_fix (zero elsewhere) holds the values
         system = stencil.system(k_data, fixed)
@@ -146,15 +144,15 @@ def _nested_start(q: MatrixControlField, f_load: ScalarField, psi: float,
 
 def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
              cfg: Optional[PDASConfig] = None,
-             active0: Optional[np.ndarray] = None,
-             K: Optional[GridSystem] = None) -> VISolution:
+             active0: Optional[np.ndarray] = None) -> VISolution:
     """Solve the obstacle problem (q grad u, grad(v-u)) >= (f, v-u).
 
     Parameters
     ----------
     q : MatrixControlField
-        Admissible coefficient (positive definiteness is checked at
-        quadrature points during assembly).
+        Admissible coefficient on the mesh of f_load; the solve uses its
+        cached stiffness `q.stiffness`, whose assembly checks positive
+        definiteness at the quadrature points.
     f_load : ScalarField
         Assembled load vector.
     psi : float
@@ -164,8 +162,6 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
         Warm-start active set. Without it, a mesh finer than the
         multigrid's coarsest grid (level > fem._COARSEST) starts from
         the solution one level down: a recursive solve_vi call per level.
-    K : GridSystem, optional
-        Pre-assembled eliminated stiffness for q, to avoid re-assembly.
 
     Returns
     -------
@@ -178,16 +174,16 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
         raise ValueError("obstacle psi must be positive")
     cfg = cfg or PDASConfig()
     mesh = f_load.mesh
-    if K is None:
-        K = assemble_stiffness(mesh, q)
+    if q.mesh is not mesh:
+        raise DimensionError("coefficient lives on a different mesh")
+    K = q.stiffness
     if active0 is None and mesh.level > _COARSEST:
         active0 = _nested_start(q, f_load, psi, cfg)
     rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
     upper = np.full(mesh.n_nodes, psi)
     m_lump = mesh.lumped_mass
     u, lam, active, its = _pdas_bound_solve(
-        mesh, K, rhs, upper, mesh.boundary_mask,
-        np.zeros(mesh.n_nodes), cfg, active0)
+        mesh, K, rhs, upper, mesh.boundary_mask, cfg, active0)
     f_norm = _load_density_norm(f_load, m_lump)
     strong = active & (lam > _ACTIVE_TOL * max(f_norm, 1e-300))
     return VISolution(ScalarField(mesh, u), ScalarField(mesh, lam),

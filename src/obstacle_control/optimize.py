@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .control import (
-    BarrierEval,
+    AdmissibilityReport,
     MatrixControlField,
     barrier,
     check_admissible,
@@ -41,7 +41,7 @@ from .control import (
     riesz_lift,
 )
 from .errors import CoefficientError, StagnationError
-from .fem import GridSystem, ScalarField, assemble_stiffness, l2_norm
+from .fem import ScalarField, l2_norm
 from .linsolve import solve_spd
 from .obstacle import PDASConfig, VISolution, solve_vi
 from .penalty import (
@@ -176,26 +176,17 @@ def _tracking_gradient(mesh, u_vals: np.ndarray,
 
 
 def reduced_gradient(q: MatrixControlField, u: ScalarField, p: ScalarField,
-                     cfg: ObjectiveConfig,
-                     barrier_eval: Optional[BarrierEval] = None
-                     ) -> MatrixControlField:
+                     cfg: ObjectiveConfig) -> MatrixControlField:
     """Mass-weighted L2 gradient of the reduced objective at (q, u, p).
 
     Sum of alpha (q - q_d), beta times the barrier gradient, and the
     tracking term -sym(grad u x grad p) lifted to nodal components. The
     result pairs with control_inner to give exact directional derivatives
     of the discrete objective. u and p must belong to q.
-
-    Parameters
-    ----------
-    barrier_eval : BarrierEval, optional
-        Reuse of a barrier evaluation (with gradient) at q.
     """
     comps = cfg.alpha * (q.comps - cfg.q_d.comps)
     if cfg.beta > 0.0:
-        be = barrier_eval
-        if be is None or be.gradient is None:
-            be = barrier(q, cfg.q_min, cfg.q_max)
+        be = barrier(q, cfg.q_min, cfg.q_max)
         if not be.feasible:
             raise CoefficientError("control violates the spectral bounds; "
                                    "barrier gradient undefined")
@@ -204,18 +195,37 @@ def reduced_gradient(q: MatrixControlField, u: ScalarField, p: ScalarField,
     return MatrixControlField(q.mesh, comps)
 
 
+def _barrier_term(q: MatrixControlField, cfg: ObjectiveConfig,
+                  report: AdmissibilityReport) -> float:
+    """beta B(q) of a control whose check_admissible report is given;
+    +inf when q is inadmissible or its barrier infeasible."""
+    if not report.admissible:
+        return np.inf
+    if cfg.beta == 0.0:
+        return 0.0
+    return cfg.beta * barrier(q, cfg.q_min, cfg.q_max, with_gradient=False,
+                              admissibility=report).value
+
+
+def _fit_terms(q: MatrixControlField, u: ScalarField,
+               cfg: ObjectiveConfig) -> tuple[float, float]:
+    """Tracking and Tikhonov terms 1/2 ||u - u_d||^2, alpha/2 ||q - q_d||^2."""
+    return (0.5 * l2_norm(u - cfg.u_d) ** 2,
+            0.5 * cfg.alpha * control_norm(q - cfg.q_d) ** 2)
+
+
 def objective_value(q: MatrixControlField, cfg: ObjectiveConfig,
                     pen: PenaltyConfig) -> float:
-    """Reduced objective through the penalized state, for external checks."""
+    """Reduced objective through the penalized state, for external checks;
+    raises CoefficientError when beta > 0 and q violates the bounds."""
     u = solve_penalized(q, cfg.f_load, pen)
-    value = 0.5 * l2_norm(u - cfg.u_d) ** 2 \
-        + 0.5 * cfg.alpha * control_norm(q - cfg.q_d) ** 2
+    track, tik = _fit_terms(q, u, cfg)
+    bar = 0.0
     if cfg.beta > 0.0:
-        be = barrier(q, cfg.q_min, cfg.q_max, with_gradient=False)
-        if not be.feasible:
+        bar = _barrier_term(q, cfg, check_admissible(q, cfg.q_min, cfg.q_max))
+        if bar == np.inf:
             raise CoefficientError("control violates the spectral bounds")
-        value += cfg.beta * be.value
-    return float(value)
+    return float(track + tik + bar)
 
 
 def stationarity_residual(q: MatrixControlField, grad: MatrixControlField,
@@ -241,50 +251,48 @@ def stationarity_residual_vi(q: MatrixControlField, u: ScalarField,
     return stationarity_residual(q, grad, cfg.q_min, cfg.q_max)
 
 
-def solve_vi_adjoint(q: MatrixControlField, sol: VISolution, u_d: ScalarField,
-                     K: Optional[GridSystem] = None) -> ScalarField:
+def solve_vi_adjoint(q: MatrixControlField, sol: VISolution,
+                     u_d: ScalarField) -> ScalarField:
     """Adjoint of the VI-constrained tracking problem.
 
     Large-penalty limit of the penalized adjoint: the penalty Jacobian
     blows up exactly on the contact region, so p is pinned to zero on the
-    strongly active nodes and solves K p = M (u - u_d) elsewhere. Biactive
-    nodes (active with vanishing multiplier) stay free.
+    strongly active nodes and solves K_q p = M (u - u_d) elsewhere, with
+    K_q the cached stiffness `q.stiffness`. Biactive nodes (active with
+    vanishing multiplier) stay free.
     """
     mesh = q.mesh
-    if K is None:
-        K = assemble_stiffness(mesh, q)
     pinned = mesh.boundary_mask | sol.strongly_active
     stencil = mesh.stencil
-    system = stencil.system(stencil.data_of(K.matrix), pinned)
+    system = stencil.system(stencil.data_of(q.stiffness.matrix), pinned)
     rhs = mesh.mass_matrix @ (sol.u.values - u_d.values)
     vals, _ = solve_spd(system, rhs)
     return ScalarField(mesh, vals)
 
 
 class _PenalizedPath:
-    """State/adjoint pair through the penalized equation."""
+    """State/adjoint pair through the penalized equation (sol is u)."""
 
     def __init__(self, cfg: ObjectiveConfig, pen: PenaltyConfig):
         self.cfg = cfg
         self.pen = pen
 
     def state(self, q, carry):
-        K = assemble_stiffness(q.mesh, q)
-        u = solve_penalized(q, self.cfg.f_load, self.pen, u0=carry, K=K)
-        return u, None, K
+        u = solve_penalized(q, self.cfg.f_load, self.pen, u0=carry)
+        return u, u
 
-    def adjoint(self, q, u, aux, K):
-        return solve_adjoint(q, u, self.cfg.u_d, self.pen, K=K)
+    def adjoint(self, q, sol):
+        return solve_adjoint(q, sol, self.cfg.u_d, self.pen)
 
-    def multiplier(self, u, aux):
-        return penalty_residual_as_multiplier(u, self.pen)
+    def multiplier(self, sol):
+        return penalty_residual_as_multiplier(sol, self.pen)
 
-    def carry(self, u, aux):
-        return u
+    def carry(self, sol):
+        return sol
 
 
 class _VIPath:
-    """State/adjoint pair through the obstacle VI."""
+    """State/adjoint pair through the obstacle VI (sol a VISolution)."""
 
     def __init__(self, cfg: ObjectiveConfig, psi: float, pdas: PDASConfig):
         self.cfg = cfg
@@ -292,18 +300,17 @@ class _VIPath:
         self.pdas = pdas
 
     def state(self, q, carry):
-        K = assemble_stiffness(q.mesh, q)
         sol = solve_vi(q, self.cfg.f_load, self.psi, self.pdas,
-                       active0=carry, K=K)
-        return sol.u, sol, K
+                       active0=carry)
+        return sol.u, sol
 
-    def adjoint(self, q, u, sol, K):
-        return solve_vi_adjoint(q, sol, self.cfg.u_d, K=K)
+    def adjoint(self, q, sol):
+        return solve_vi_adjoint(q, sol, self.cfg.u_d)
 
-    def multiplier(self, u, sol):
+    def multiplier(self, sol):
         return sol.lam
 
-    def carry(self, u, sol):
+    def carry(self, sol):
         return sol.active_set
 
 
@@ -316,6 +323,10 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     step <s,s>/<s,y> of the last move s with gradient change y, clipped to
     [_STEP_MIN, _STEP_MAX] and _STEP_MAX when <s,y> <= 0. Exits and
     guarantees are those stated in minimize.
+
+    The path gives state(q, carry) -> (u, sol), adjoint(q, sol),
+    multiplier(sol) and carry(sol), the next warm start. Each control is
+    evaluated once: an accepted trial keeps its objective terms.
     """
     report = check_admissible(q0, cfg.q_min, cfg.q_max)
     if not report.admissible:
@@ -323,27 +334,10 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
             f"initial control violates the spectral bounds at node "
             f"{report.worst_node} (margin {report.worst_value:.3e})")
     q = q0
-    u, aux, K = path.state(q, None)
-
-    def diagnostics(q, u, aux, K, report):
-        """Adjoint, gradient and objective terms at an admissible q, whose
-        check_admissible report is given."""
-        p = path.adjoint(q, u, aux, K)
-        be = None
-        bar_term = 0.0
-        if cfg.beta > 0.0:
-            be = barrier(q, cfg.q_min, cfg.q_max, admissibility=report)
-            bar_term = cfg.beta * be.value
-        g = reduced_gradient(q, u, p, cfg, barrier_eval=be)
-        track = 0.5 * l2_norm(u - cfg.u_d) ** 2
-        tik = 0.5 * cfg.alpha * control_norm(q - cfg.q_d) ** 2
-        resid = stationarity_residual(q, g, cfg.q_min, cfg.q_max)
-        return p, g, track, tik, bar_term, resid, report.worst_value
-
-    p, g, track, tik, bar_term, resid, margin = diagnostics(q, u, aux, K,
-                                                            report)
+    u, sol = path.state(q, None)
+    track, tik = _fit_terms(q, u, cfg)
+    bar_term = _barrier_term(q, cfg, report)
     value = track + tik + bar_term
-    tol = opt.grad_tol_rel * (1.0 + resid)
     recent = deque([value], maxlen=_MEMORY)
     best = value
     stalled = 0
@@ -351,11 +345,22 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     history = []
     it = 0
     while True:
+        p = path.adjoint(q, sol)
+        g = reduced_gradient(q, u, p, cfg)
+        resid = stationarity_residual(q, g, cfg.q_min, cfg.q_max)
+        if it == 0:
+            tol = opt.grad_tol_rel * (1.0 + resid)
+        else:
+            s = q - q_prev
+            sy = control_inner(s, g - g_prev)
+            first_step = _STEP_MAX if sy <= 0.0 else min(
+                max(control_inner(s, s) / sy, _STEP_MIN), _STEP_MAX)
         gnorm = control_norm(g)
         entry = OptIterate(iteration=it, tracking=track, tikhonov=tik,
                            barrier_term=bar_term, objective=value,
                            grad_norm=gnorm, pg_residual=resid,
-                           step=0.0, backtracks=0, feasibility_margin=margin)
+                           step=0.0, backtracks=0,
+                           feasibility_margin=report.worst_value)
         if resid <= tol or it >= opt.max_iters:
             converged = resid <= tol
             history.append(entry)
@@ -380,26 +385,16 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
             trial_q = project_spectral(q - step * g, cfg.q_min, cfg.q_max,
                                        _MARGIN)
             trial_report = check_admissible(trial_q, cfg.q_min, cfg.q_max)
-            if trial_report.admissible:
-                trial_bar = 0.0
-                feasible = True
-                if cfg.beta > 0.0:
-                    tb = barrier(trial_q, cfg.q_min, cfg.q_max,
-                                 with_gradient=False,
-                                 admissibility=trial_report)
-                    feasible = tb.feasible
-                    trial_bar = cfg.beta * tb.value if feasible else np.inf
-                if feasible:
-                    trial_u, trial_aux, trial_K = path.state(
-                        trial_q, path.carry(u, aux))
-                    trial_track = 0.5 * l2_norm(trial_u - cfg.u_d) ** 2
-                    trial_tik = 0.5 * cfg.alpha * control_norm(
-                        trial_q - cfg.q_d) ** 2
-                    trial_value = trial_track + trial_tik + trial_bar
-                    if trial_value <= reference - _SIGMA * step * gnorm2:
-                        accepted = (trial_q, trial_u, trial_aux, trial_K,
-                                    trial_report)
-                        break
+            trial_bar = _barrier_term(trial_q, cfg, trial_report)
+            if trial_bar < np.inf:
+                trial_u, trial_sol = path.state(trial_q, path.carry(sol))
+                trial_track, trial_tik = _fit_terms(trial_q, trial_u, cfg)
+                trial_value = trial_track + trial_tik + trial_bar
+                if trial_value <= reference - _SIGMA * step * gnorm2:
+                    accepted = (trial_q, trial_report, trial_u, trial_sol,
+                                trial_track, trial_tik, trial_bar,
+                                trial_value)
+                    break
             step *= _BACKTRACK
         if accepted is None:
             history.append(entry)
@@ -408,21 +403,14 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
                 f"{_MAX_BACKTRACKS} backtracks", tuple(history))
         history.append(replace(entry, step=step, backtracks=bt))
         q_prev, g_prev = q, g
-        q, u, aux, K, report = accepted
+        q, report, u, sol, track, tik, bar_term, value = accepted
         it += 1
-        p, g, track, tik, bar_term, resid, margin = diagnostics(q, u, aux, K,
-                                                                report)
-        value = track + tik + bar_term
         recent.append(value)
         if value < best:
             best, stalled = value, 0
         else:
             stalled += 1
-        s = q - q_prev
-        sy = control_inner(s, g - g_prev)
-        first_step = _STEP_MAX if sy <= 0.0 else min(
-            max(control_inner(s, s) / sy, _STEP_MIN), _STEP_MAX)
-    return OptResult(q=q, u=u, p=p, multiplier=path.multiplier(u, aux),
+    return OptResult(q=q, u=u, p=p, multiplier=path.multiplier(sol),
                      gradient=g, value=value, pg_residual=resid,
                      history=tuple(history), converged=converged,
                      iterations=it)

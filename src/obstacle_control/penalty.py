@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .control import MatrixControlField
-from .errors import NewtonError
-from .fem import GridSystem, ScalarField, _outer, assemble_stiffness
+from .errors import DimensionError, NewtonError
+from .fem import GridSystem, ScalarField, _outer
 from .linsolve import solve_spd
 
 # cold starts at gamma above this run an internal continuation first
@@ -105,8 +105,7 @@ def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
 
 def solve_penalized(q: MatrixControlField, f_load: ScalarField,
                     cfg: PenaltyConfig,
-                    u0: Optional[ScalarField] = None,
-                    K: Optional[GridSystem] = None) -> ScalarField:
+                    u0: Optional[ScalarField] = None) -> ScalarField:
     """Solve K_q u + gamma*max(u-psi,0)^3 = f by damped Newton.
 
     A cold start at large gamma first walks an internal geometric
@@ -116,16 +115,16 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
     Parameters
     ----------
     q : MatrixControlField
+        Coefficient on the mesh of f_load, with K_q = q.stiffness.
     f_load : ScalarField
     cfg : PenaltyConfig
     u0 : ScalarField, optional
         Warm start, typically the solution at the previous gamma.
-    K : GridSystem, optional
-        Pre-assembled eliminated stiffness for q.
     """
     mesh = f_load.mesh
-    if K is None:
-        K = assemble_stiffness(mesh, q)
+    if q.mesh is not mesh:
+        raise DimensionError("coefficient lives on a different mesh")
+    K = q.stiffness
     rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
     if u0 is None:
         u, _ = solve_spd(K, rhs)
@@ -145,19 +144,18 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
 
 
 def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,
-                  cfg: PenaltyConfig,
-                  K: Optional[GridSystem] = None) -> ScalarField:
+                  cfg: PenaltyConfig) -> ScalarField:
     """Solve (K_q + D_gamma(u)) p = M (u - u_d) for the adjoint state.
 
-    D_gamma is the weighted mass from the penalty derivative
-    3*gamma*max(u-psi,0)^2, evaluated at the same quadrature points as the
-    state residual.
+    K_q = q.stiffness with q on the mesh of u; D_gamma is the weighted mass
+    from the penalty derivative 3*gamma*max(u-psi,0)^2, evaluated at the
+    same quadrature points as the state residual.
     """
     mesh = u.mesh
-    if K is None:
-        K = assemble_stiffness(mesh, q)
+    if q.mesh is not mesh:
+        raise DimensionError("coefficient lives on a different mesh")
     gap = _gap_at_quadrature(mesh, u.values, cfg.psi)
-    system = _penalized_system(mesh, K, gap, cfg.gamma)
+    system = _penalized_system(mesh, q.stiffness, gap, cfg.gamma)
     rhs = mesh.mass_matrix @ (u.values - u_d.values)
     p, _ = solve_spd(system, rhs)
     return ScalarField(mesh, p)

@@ -30,7 +30,7 @@ def target_state(x, y):
     return (1.0 - x * x) * (1.0 - y * y)
 
 
-def target_coefficient(x, y):
+def target_coefficient(x, _y):
     """Desired coefficient components (q11, q22, q12) = (1+x^2, 1, 0)."""
     return 1.0 + x * x, np.ones_like(x), np.zeros_like(x)
 

@@ -76,14 +76,12 @@ def directional_derivative(q: MatrixControlField, d: MatrixControlField,
         raise CoefficientError("direction and solution must share the mesh")
     if pdas is None:
         pdas = PDASConfig()
-    K = assemble_stiffness(mesh, q)
+    K = q.stiffness
     rhs = _direction_load(q, d, sol.u)
-    n = mesh.n_nodes
-    upper = np.full(n, np.inf)
+    upper = np.full(mesh.n_nodes, np.inf)
     upper[cone.nonpositive_nodes] = 0.0
     pinned = mesh.boundary_mask | cone.zero_nodes
-    v, _, _, _ = _pdas_bound_solve(mesh, K, rhs, upper, pinned,
-                                   np.zeros(n), pdas)
+    v, _, _, _ = _pdas_bound_solve(mesh, K, rhs, upper, pinned, pdas)
     return ScalarField(mesh, v)
 
 
@@ -92,9 +90,8 @@ def _derivative_multiplier(q: MatrixControlField, d: MatrixControlField,
                            u_tilde: ScalarField) -> ScalarField:
     """Lumped nodal multiplier of the derivative VI, from its residual."""
     mesh = q.mesh
-    K = assemble_stiffness(mesh, q)
     rhs = _direction_load(q, d, u)
-    resid = rhs - K.matrix @ u_tilde.values
+    resid = rhs - q.stiffness.matrix @ u_tilde.values
     lam = resid / mesh.lumped_mass
     lam[mesh.boundary_mask] = 0.0
     return ScalarField(mesh, lam)

@@ -2,8 +2,9 @@
 
 Field files use the legacy ASCII structured-grid format so any standard
 visualization tool can open them. All writers are atomic (write to a
-temporary file in the target directory, then rename) and format floats
-with 17 significant digits, which round-trips IEEE doubles exactly.
+temporary file in the target directory, then rename), leave the file
+with the mode a plain open() would (0666 less the umask), and format
+floats with 17 significant digits, which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ def _atomic_write_text(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp made it 0600; open() would give 0666 less the umask,
+        # which is read by setting it (to the stricter 077 meanwhile)
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -3,19 +3,30 @@
 import numpy as np
 import pytest
 
+import obstacle_control as oc
 from obstacle_control import (
     CoefficientError,
     DimensionError,
     MatrixControlField,
+    assemble_load,
     barrier,
     build_mesh,
     check_admissible,
     control_inner,
     control_norm,
+    interpolate,
     project_spectral,
 )
+from obstacle_control import control, fem
+from obstacle_control.obstacle import solve_vi
+from obstacle_control.optimize import solve_vi_adjoint
+from obstacle_control.penalty import PenaltyConfig, solve_adjoint, \
+    solve_penalized
+from obstacle_control.sensitivity import build_critical_cone, \
+    derivative_complementarity_check, directional_derivative
 
 from conftest import random_admissible, random_direction
+from test_fem import desired_state, manufactured_load
 
 SEED = 910
 Q_MIN, Q_MAX = 0.5, 10.0
@@ -209,3 +220,76 @@ def test_inner_mesh_mismatch_raises():
     b = MatrixControlField.constant(build_mesh(3), np.eye(2))
     with pytest.raises(DimensionError):
         control_inner(a, b)
+
+
+# ------------------------------------------------------ cached stiffness
+
+@pytest.fixture
+def eliminated_assemblies(monkeypatch):
+    """Count the eliminated stiffness assemblies, whichever module binding
+    of assemble_stiffness they go through."""
+    calls = []
+    assemble = fem.assemble_stiffness
+
+    def counted(mesh, q, eliminate=True):
+        calls.append(eliminate)
+        return assemble(mesh, q, eliminate)
+
+    for module in (oc, control, fem, oc.sensitivity):
+        monkeypatch.setattr(module, "assemble_stiffness", counted)
+    return lambda: sum(calls)
+
+
+def _problem(level=3):
+    mesh = build_mesh(level)
+    q = MatrixControlField.constant(mesh, [[2.0, -1.0], [-1.0, 2.0]])
+    return (mesh, q, assemble_load(mesh, manufactured_load),
+            interpolate(mesh, desired_state))
+
+
+def test_vi_solve_adjoint_and_derivatives_assemble_once(
+        eliminated_assemblies):
+    mesh, q, f, u_d = _problem()
+    rng = np.random.default_rng(SEED)
+    sol = solve_vi(q, f, 0.5)
+    assert sol.strongly_active.any()
+    solve_vi_adjoint(q, sol, u_d)
+    cone = build_critical_cone(sol)
+    d = random_direction(mesh, rng, scale=0.1)
+    directional_derivative(q, random_direction(mesh, rng, scale=0.1), sol,
+                           cone)
+    u_t = directional_derivative(q, d, sol, cone)
+    derivative_complementarity_check(u_t, cone, q, d, sol.u)
+    assert eliminated_assemblies() == 1
+    assert q.stiffness is q.stiffness
+
+
+def test_penalized_state_and_adjoint_assemble_once(eliminated_assemblies):
+    _, q, f, u_d = _problem()
+    pen = PenaltyConfig(gamma=1e3)
+    solve_adjoint(q, solve_penalized(q, f, pen), u_d, pen)
+    assert eliminated_assemblies() == 1
+
+
+@pytest.mark.parametrize("level", [3, 4], ids=["same_level", "other_level"])
+def test_solvers_refuse_a_coefficient_on_another_mesh(level):
+    _, _, f, u_d = _problem()
+    other = MatrixControlField.constant(build_mesh(level), np.eye(2))
+    pen = PenaltyConfig(gamma=1e3)
+    u = solve_penalized(MatrixControlField.constant(f.mesh, np.eye(2)), f,
+                        pen)
+    with pytest.raises(DimensionError, match="different mesh"):
+        solve_vi(other, f, 0.5)
+    with pytest.raises(DimensionError, match="different mesh"):
+        solve_penalized(other, f, pen)
+    with pytest.raises(DimensionError, match="different mesh"):
+        solve_adjoint(other, u, u_d, pen)
+
+
+def test_failed_assembly_is_not_cached(eliminated_assemblies):
+    _, _, f, _ = _problem()
+    q = MatrixControlField.constant(f.mesh, np.diag([1.0, -1.0]))
+    for _ in range(2):
+        with pytest.raises(CoefficientError, match="not positive definite"):
+            solve_vi(q, f, 0.5)
+    assert eliminated_assemblies() == 2

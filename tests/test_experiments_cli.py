@@ -29,6 +29,7 @@ from obstacle_control import (
     run_gradcheck,
     run_sensitivity,
     write_csv,
+    write_meta,
     write_structured_vtk,
 )
 from obstacle_control import cli, problems
@@ -177,6 +178,25 @@ def test_csv_write_is_atomic_and_deterministic(tmp_path):
     # 17 significant digits round-trip doubles exactly
     back = [float(v) for v in p1.read_text().splitlines()[1].split(",")]
     assert back == list(rows[0])
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_written_files_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    """Every writer leaves 0666 less the umask, as open(path, "w") would,
+    and no temporary file behind."""
+    mesh = build_mesh(1)
+    old = os.umask(umask)
+    try:
+        paths = [write_csv(tmp_path / "t.csv", ["a"], [(1.0,)]),
+                 write_meta(tmp_path / "meta.json", {"a": 1}),
+                 write_structured_vtk(tmp_path / "f.vtk", mesh,
+                                      {"u": np.zeros(mesh.n_nodes)})]
+    finally:
+        os.umask(old)
+    assert [p.stat().st_mode & 0o777 for p in paths] == [mode] * 3
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "f.vtk", "meta.json", "t.csv"]
 
 
 # ------------------------------------------------------------- runners

@@ -378,7 +378,19 @@ def test_failed_banded_factor_raises(level):
 
 
 def test_grid_system_checks_its_level():
-    mesh = build_mesh(3)
-    K = assemble_stiffness(mesh, initial_control(mesh))
-    with pytest.raises(DimensionError, match="level-4"):
-        GridSystem(K.matrix, K.dirichlet_mask, level=4)
+    """A grid system reads its level off its (2^L + 1)^2 nodes and
+    refuses any other size, a mask of another length and a matrix that
+    is not square CSR."""
+    for level in (0, 1, 3):
+        mesh = build_mesh(level)
+        K = assemble_stiffness(mesh, initial_control(mesh))
+        assert GridSystem(K.matrix, K.dirichlet_mask).level == level
+    # not squares, or squares of 4 and 7 nodes per side (not 2^L + 1)
+    for n in (1, 10, 16, 49):
+        with pytest.raises(DimensionError, match="grid system"):
+            GridSystem(sp.identity(n, format="csr"), np.zeros(n, dtype=bool))
+    for matrix, mask in ((K.matrix, K.dirichlet_mask[:-1]),
+                         (K.matrix[:, :25].tocsr(), K.dirichlet_mask),
+                         (K.matrix.tocoo(), K.dirichlet_mask)):
+        with pytest.raises(DimensionError, match="grid system"):
+            GridSystem(matrix, mask)

@@ -303,8 +303,8 @@ def test_nested_start_matches_cold_loop(problem, level):
     u, lam, active, _ = _pdas_bound_solve(
         mesh, assemble_stiffness(mesh, q),
         np.where(mesh.boundary_mask, 0.0, f.values),
-        np.full(mesh.n_nodes, psi), mesh.boundary_mask,
-        np.zeros(mesh.n_nodes), PDASConfig(), active0=None)
+        np.full(mesh.n_nodes, psi), mesh.boundary_mask, PDASConfig(),
+        active0=None)
     assert active.any()
     assert np.array_equal(sol.active_set, active)
     strong = active & (lam > _ACTIVE_TOL * sol.f_norm)

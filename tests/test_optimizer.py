@@ -332,7 +332,7 @@ def _flipped_tracking(monkeypatch):
 def _dropped_barrier(monkeypatch):
     gradient = optimize.reduced_gradient
 
-    def without_barrier(q, u, p, cfg, barrier_eval=None):
+    def without_barrier(q, u, p, cfg):
         return gradient(q, u, p, replace(cfg, beta=0.0))
 
     monkeypatch.setattr(optimize, "reduced_gradient", without_barrier)

@@ -1,9 +1,12 @@
-"""Every imported name in src/ and tests/ is used in its module, and every
-module-level private name in src/ is read somewhere in src/.
+"""Every imported name in src/ and tests/ is used in its module, every
+module-level private name in src/ is read somewhere in src/, and every
+parameter of a function or lambda in src/ is read by its body.
 
 A package __init__.py is exempt from the import check: its imports are
 the public API. Names in string annotations count as used. A private name
 counts as read where it is loaded, imported or taken as an attribute.
+`self`, `cls` and `_`-prefixed parameters are exempt from the parameter
+check: an interface may need a slot its implementation does not read.
 """
 
 import ast
@@ -91,6 +94,27 @@ def unread_private_names(sources: dict) -> list:
                   if name not in read)
 
 
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of every parameter of a function or
+    lambda in source that its body, nested scopes included, never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs \
+            + [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [(a.lineno, name, a.arg) for a in params
+                  if a.arg not in read and a.arg not in ("self", "cls")
+                  and not a.arg.startswith("_")]
+    return sorted(found)
+
+
 def test_scanner_finds_unused_and_keeps_used():
     source = ("from __future__ import annotations\n"
               "import os\n"
@@ -140,3 +164,28 @@ def test_every_private_name_in_src_is_read_in_src():
     sources = {str(path.relative_to(ROOT)): path.read_text()
                for path in files}
     assert unread_private_names(sources) == []
+
+
+def test_parameter_scanner_finds_unread_parameters():
+    source = ("class A:\n"
+              "    def f(self, x, y, _z, *args, key=1, **kw):\n"
+              "        return x + sum(args)\n"
+              "    @classmethod\n"
+              "    def g(cls, v):\n"
+              "        def inner():\n"
+              "            return v\n"
+              "        return inner\n"
+              "h = lambda a, b: a\n"
+              "def k(w=1, *, n):\n"
+              "    w = 2\n"
+              "    return n\n")
+    assert unread_parameters(source) == [
+        (2, "f", "key"), (2, "f", "kw"), (2, "f", "y"), (9, "<lambda>", "b"),
+        (10, "k", "w")]
+
+
+def test_every_parameter_in_src_is_read():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}({param})"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, name, param in unread_parameters(path.read_text())]
+    assert found == []
