@@ -6,6 +6,8 @@ barrier on the admissible coefficient cone, directional derivatives of the
 control-to-state map, and the experiment pipelines built on them.
 """
 
+import types as _types
+
 from .errors import (
     CapacityError,
     CoefficientError,
@@ -24,12 +26,10 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     build_mesh,
-    h1_seminorm,
     interpolate,
     l2_error_vs_function,
     l2_inner,
     l2_norm,
-    zero_field,
 )
 from .linsolve import LinearSolveReport, solve_spd
 from .control import (
@@ -46,7 +46,6 @@ from .obstacle import (
     PDASConfig,
     VISolution,
     complementarity_residuals,
-    oracle_active_set_enumeration,
     solve_vi,
 )
 from .penalty import (
@@ -68,14 +67,12 @@ from .optimize import (
     solve_vi_adjoint,
     solve_vi_constrained,
     stationarity_residual,
-    stationarity_residual_vi,
 )
 from .sensitivity import (
     CriticalCone,
     build_critical_cone,
     derivative_complementarity_check,
     directional_derivative,
-    primal_first_order_check,
 )
 from .problems import (
     example_objective,
@@ -95,8 +92,9 @@ from .experiments import (
     run_gradcheck,
     run_sensitivity,
 )
-from .vtkio import read_structured_vtk, write_csv, write_meta, \
-    write_structured_vtk
+from .vtkio import write_csv, write_meta, write_structured_vtk
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_")
+           and not isinstance(value, _types.ModuleType)]
 __version__ = "0.1.0"

@@ -74,23 +74,6 @@ class MatrixControlField:
                           for c in fn(x, y)], axis=1)
         return cls(mesh, comps)
 
-    def as_matrices(self) -> np.ndarray:
-        """Dense per-node matrices, shape (n_nodes, 2, 2)."""
-        q11, q22, q12 = self.comps.T
-        out = np.empty((self.mesh.n_nodes, 2, 2))
-        out[:, 0, 0] = q11
-        out[:, 1, 1] = q22
-        out[:, 0, 1] = q12
-        out[:, 1, 0] = q12
-        return out
-
-    def eigenvalues(self) -> np.ndarray:
-        """Per-node eigenvalue pairs (low, high), closed form."""
-        q11, q22, q12 = self.comps.T
-        mid = 0.5 * (q11 + q22)
-        rad = np.sqrt(0.25 * (q11 - q22) ** 2 + q12 ** 2)
-        return np.column_stack([mid - rad, mid + rad])
-
     def __add__(self, other: "MatrixControlField") -> "MatrixControlField":
         self._check_mesh(other)
         return MatrixControlField(self.mesh, self.comps + other.comps)

@@ -383,6 +383,9 @@ def run_convergence(cfg: ExperimentConfig) -> RunReport:
         obj = example_objective(mesh, cfg.alpha, cfg.beta, cfg.q_min,
                                 cfg.q_max)
         sol = solve_vi(obj.q_d, obj.f_load, cfg.psi, cfg=_pdas_config(cfg))
+        # the cached stiffness of obj.q_d would outlive the solve through
+        # the error integral, the largest allocation of the level
+        del obj
         err = l2_error_vs_function(sol.u, target_state)
         contact = contact or bool(sol.active_set.any())
         sweeps.append(sol.iterations)

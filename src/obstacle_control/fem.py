@@ -190,13 +190,6 @@ class StructuredMesh:
         """Row sums of the consistent mass matrix (all positive for Q1)."""
         return np.asarray(self.mass_matrix.sum(axis=1)).ravel()
 
-    @cached_property
-    def stiffness_identity(self) -> sp.csr_matrix:
-        """Stiffness with unit coefficient, no boundary elimination."""
-        _, grads, scale = self._reference
-        local = scale * np.einsum("gad,gbd->ab", grads, grads)
-        return self.stencil.matrix(self.stencil.assemble(local))
-
     def __repr__(self) -> str:
         return f"StructuredMesh(level={self.level})"
 
@@ -365,10 +358,6 @@ class ScalarField:
     def _check_mesh(self, other: "ScalarField") -> None:
         if other.mesh is not self.mesh:
             raise DimensionError("fields live on different meshes")
-
-
-def zero_field(mesh: StructuredMesh) -> ScalarField:
-    return ScalarField(mesh, np.zeros(mesh.n_nodes))
 
 
 def interpolate(mesh: StructuredMesh, f: Callable) -> ScalarField:
@@ -572,12 +561,6 @@ def l2_inner(a: ScalarField, b: ScalarField) -> float:
 def l2_norm(v: ScalarField) -> float:
     """L2 norm sqrt(v' M v) with the consistent mass matrix."""
     return float(np.sqrt(max(l2_inner(v, v), 0.0)))
-
-
-def h1_seminorm(v: ScalarField) -> float:
-    """H1 seminorm sqrt(v' K_I v) with the unit-coefficient stiffness."""
-    val = v.values @ (v.mesh.stiffness_identity @ v.values)
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def l2_error_vs_function(field: ScalarField, exact: Callable) -> float:

@@ -1,20 +1,18 @@
-"""Symmetric positive definite solves for assembly and Newton systems.
+"""Symmetric positive definite solves on a structured mesh.
 
-Every system assembled on a mesh's nine-point stencil is a `GridSystem`:
-the Dirichlet stiffness, the active-set, VI-adjoint and cone systems with
+`solve_spd` takes one of the two operators the package builds. Every
+system assembled on a mesh's nine-point stencil is a `GridSystem`: the
+Dirichlet stiffness, the active-set, VI-adjoint and cone systems with
 their pinned rows, and the Newton/adjoint matrices K + D. Conjugate
 gradients solve it with a geometric multigrid V-cycle as preconditioner,
 whose coarsest grid (at most 32 cells per side) is an exact banded
 Cholesky solve, so the iteration count does not grow with the level and a
-system on at most 32 cells per side converges in one iteration. Any other
-sparse or dense matrix gets Jacobi (diagonal) preconditioned CG, the
-generic path the multigrid one is tested against. The consistent mass
-matrix of a structured mesh (`KroneckerMass`) is solved exactly by banded
-Cholesky along each grid axis, for several right-hand sides at once, and
-each result is checked against the same residual contract
-||Ax - b|| <= tol * ||b|| that CG iterates to. An optional sparse direct
-path exists for cross-checking all of them. Non-finite input is refused
-before any work.
+system on at most 32 cells per side converges in one iteration. The
+consistent mass matrix of a structured mesh (`KroneckerMass`) is solved
+exactly by banded Cholesky along each grid axis, for several right-hand
+sides at once, and each result is checked against the same residual
+contract ||Ax - b|| <= tol * ||b|| that CG iterates to. Any other operator
+and any non-finite input are refused before any work.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .fem import GridSystem, KroneckerMass, ScalarField
@@ -38,17 +35,13 @@ class LinearSolveReport:
     method: str
 
 
-def _as_csr_and_mask(A) -> tuple[sp.csr_matrix, Optional[np.ndarray]]:
-    if isinstance(A, GridSystem):
-        return A.matrix, A.dirichlet_mask
-    if sp.issparse(A):
-        return A.tocsr(), None
-    return sp.csr_matrix(np.asarray(A, dtype=float)), None
+def _cg_cap(n: int) -> int:
+    """Iteration cap of CG on n unknowns."""
+    return max(1000, 4 * n)
 
 
 def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
-         x0: Optional[np.ndarray], max_iters: int,
-         callback: Optional[Callable],
+         x0: Optional[np.ndarray],
          precondition: Callable[[np.ndarray], np.ndarray]
          ) -> tuple[np.ndarray, int, float]:
     """Preconditioned conjugate gradients to ||Ax-b|| <= tol*||b||.
@@ -69,6 +62,7 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
+    max_iters = _cg_cap(b.shape[0])
     for k in range(1, max_iters + 1):
         ap = mat @ p
         pap = float(p @ ap)
@@ -80,8 +74,6 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
         x += alpha * p
         r -= alpha * ap
         res = math.sqrt(r @ r)
-        if callback is not None:
-            callback(x.copy())
         if res <= target:
             return x, k, res
         z = precondition(r)
@@ -94,43 +86,31 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
         LinearSolveReport(max_iters, res, "pcg"))
 
 
-def solve_spd(A: Union[KroneckerMass, GridSystem, sp.spmatrix, np.ndarray],
+def solve_spd(A: Union[GridSystem, KroneckerMass],
               b: Union[ScalarField, np.ndarray],
               tol: float = 1e-12,
-              x0: Optional[np.ndarray] = None,
-              max_iters: Optional[int] = None,
-              method: str = "pcg",
-              callback: Optional[Callable] = None):
+              x0: Optional[np.ndarray] = None):
     """Solve the SPD system A x = b.
 
-    When A is a `GridSystem`, the right-hand side and the initial guess
-    are zeroed on the rows of its Dirichlet mask, so the solution is
-    exactly zero there, and the system is solved by multigrid-
-    preconditioned CG; any other matrix by Jacobi-PCG. The returned
-    solution mirrors the type of b.
-
-    A `KroneckerMass` is solved exactly (banded Cholesky along each grid
-    axis) and b may then hold several columns, shape (n, k); `method`
-    "direct" still selects sparse LU for it, and x0, max_iters and callback
-    do not apply. The residual of every column is checked against tol.
+    A `GridSystem` is solved by multigrid-preconditioned CG, at most
+    max(1000, 4n) iterations on n unknowns; the right-hand side and the
+    initial guess are zeroed on the rows of its Dirichlet mask, so the
+    solution is exactly zero there. A `KroneckerMass` is solved exactly
+    (banded Cholesky along each grid axis), b may then hold several
+    columns, shape (n, k), and x0 does not apply; the residual of every
+    column is checked against tol. The returned solution mirrors the type
+    of b.
 
     Parameters
     ----------
-    A : KroneckerMass, GridSystem, sparse matrix, or dense array
+    A : GridSystem or KroneckerMass
     b : ScalarField or ndarray
     tol : float
         Relative residual target ||Ax - b|| <= tol * ||b||. Every
         stiffness, active-set and Newton solve of the package uses the
         default.
     x0 : ndarray, optional
-        Warm-start vector (pcg only).
-    max_iters : int, optional
-        Iteration cap; defaults to max(1000, 4 * n).
-    method : str
-        "pcg" (preconditioned CG; the exact solve for a KroneckerMass) or
-        "direct" (sparse LU cross-check path).
-    callback : callable, optional
-        Called with a copy of the iterate after each pcg step.
+        Warm-start vector of CG.
 
     Returns
     -------
@@ -138,13 +118,18 @@ def solve_spd(A: Union[KroneckerMass, GridSystem, sp.spmatrix, np.ndarray],
 
     Raises
     ------
+    TypeError
+        When A is neither a GridSystem nor a KroneckerMass.
     SolverError
         On a non-finite b or x0 (before any iteration), on a nonpositive
         diagonal, when the coarsest multigrid grid has no Cholesky factor,
         when CG meets a direction of nonpositive (or NaN) curvature, when
-        pcg hits its iteration cap, or when a mass solve misses the
+        CG hits its iteration cap, or when a mass solve misses the
         residual target.
     """
+    if not isinstance(A, (GridSystem, KroneckerMass)):
+        raise TypeError("solve_spd takes a GridSystem or a KroneckerMass, "
+                        f"not {type(A).__name__}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     rhs = b.values if isinstance(b, ScalarField) else np.asarray(b, float)
@@ -153,64 +138,42 @@ def solve_spd(A: Union[KroneckerMass, GridSystem, sp.spmatrix, np.ndarray],
     if x0 is not None and not np.isfinite(x0).all():
         raise SolverError("initial guess has non-finite entries")
     if isinstance(A, KroneckerMass):
-        x, report = _solve_mass(A, rhs, tol, method)
+        x, report = _solve_mass(A, rhs, tol)
     else:
-        x, report = _solve_sparse(A, rhs, tol, x0, max_iters, method,
-                                  callback)
+        x, report = _solve_grid(A, rhs, tol, x0)
     if isinstance(b, ScalarField):
         return ScalarField(b.mesh, x), report
     return x, report
 
 
-def _solve_sparse(A, rhs, tol, x0, max_iters, method, callback):
-    mat, mask = _as_csr_and_mask(A)
+def _solve_grid(A: GridSystem, rhs, tol, x0):
+    mat, mask = A.matrix, A.dirichlet_mask
     if rhs.shape[0] != mat.shape[0]:
         raise ValueError("dimension mismatch between operator and rhs")
-    if mask is not None:
-        rhs = np.where(mask, 0.0, rhs)
-        if x0 is not None:
-            x0 = np.where(mask, 0.0, x0)
-    if method == "direct":
-        x = spla.splu(mat.tocsc()).solve(rhs)
-        res = float(np.linalg.norm(mat @ x - rhs))
-        return x, LinearSolveReport(0, res, "direct")
-    if method != "pcg":
-        raise ValueError(f"unknown method {method!r}")
-    cap = max_iters if max_iters is not None else max(1000, 4 * mat.shape[0])
-    diag = mat.diagonal()
-    if not np.all(diag > 0.0):
+    rhs = np.where(mask, 0.0, rhs)
+    if x0 is not None:
+        x0 = np.where(mask, 0.0, x0)
+    if not np.all(mat.diagonal() > 0.0):
         raise SolverError("matrix has a nonpositive diagonal entry")
-    if isinstance(A, GridSystem):
-        try:
-            precondition = A.multigrid()
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                "banded Cholesky factorization of the coarsest grid "
-                f"failed: {exc}", LinearSolveReport(0, math.nan, "pcg")
-            ) from exc
-    else:
-        inv_diag = 1.0 / diag
-
-        def precondition(r):
-            return inv_diag * r
-    x, its, res = _pcg(mat, rhs, tol, x0, cap, callback, precondition)
+    try:
+        precondition = A.multigrid()
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            "banded Cholesky factorization of the coarsest grid "
+            f"failed: {exc}", LinearSolveReport(0, math.nan, "pcg")
+        ) from exc
+    x, its, res = _pcg(mat, rhs, tol, x0, precondition)
     return x, LinearSolveReport(its, res, "pcg")
 
 
-def _solve_mass(A: KroneckerMass, rhs, tol, method):
+def _solve_mass(A: KroneckerMass, rhs, tol):
     """Exact mass solve of one or several columns, residual checked."""
     mat = A.matrix
     if rhs.shape[0] != mat.shape[0] or rhs.ndim > 2:
         raise ValueError("dimension mismatch between operator and rhs")
-    if method == "direct":
-        x = spla.splu(mat.tocsc()).solve(rhs)
-    elif method == "pcg":
-        method = "kronecker"
-        x = A.solve(rhs)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x = A.solve(rhs)
     res = np.linalg.norm(mat @ x - rhs, axis=0)
-    report = LinearSolveReport(0, float(np.max(res)), method)
+    report = LinearSolveReport(0, float(np.max(res)), "kronecker")
     # written so that a NaN residual fails it
     if not np.all(res <= tol * np.linalg.norm(rhs, axis=0)):
         raise SolverError(

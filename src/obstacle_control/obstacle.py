@@ -200,33 +200,3 @@ def complementarity_residuals(sol: VISolution,
     feas_lambda = float(np.maximum(-lam, 0.0).max())
     comp = float(abs(np.sum(lam * m * (u - psi))))
     return feas_u, feas_lambda, comp
-
-
-def oracle_active_set_enumeration(K: np.ndarray, f: np.ndarray, psi: float,
-                                  tol: float = 1e-11):
-    """Brute-force reference solution of the dense obstacle problem.
-
-    Tries every active subset of the (interior) dense system K u + mu = f,
-    u <= psi, mu >= 0 supported on the subset, and returns the unique
-    feasible configuration as (u, mu) with mu the unscaled residual
-    multiplier f - K u.
-
-    Intended for tests only; the interior dimension must be at most 20.
-    """
-    n = K.shape[0]
-    if n > 20:
-        raise ValueError("enumeration oracle limited to dimension 20")
-    scale = max(1.0, float(np.abs(f).max()), abs(psi))
-    for bits in range(2 ** n):
-        active = np.array([(bits >> k) & 1 for k in range(n)], dtype=bool)
-        inactive = ~active
-        u = np.full(n, psi, dtype=float)
-        if inactive.any():
-            kii = K[np.ix_(inactive, inactive)]
-            rhs = f[inactive] - K[np.ix_(inactive, active)] @ u[active]
-            u[inactive] = np.linalg.solve(kii, rhs)
-        mu = np.zeros(n)
-        mu[active] = (f - K @ u)[active]
-        if np.all(u <= psi + tol * scale) and np.all(mu >= -tol * scale):
-            return u, mu
-    raise RuntimeError("no feasible active-set configuration found")

@@ -239,18 +239,6 @@ def stationarity_residual(q: MatrixControlField, grad: MatrixControlField,
     return control_norm(q - trial) / _PG_STEP
 
 
-def stationarity_residual_vi(q: MatrixControlField, u: ScalarField,
-                             p: ScalarField, cfg: ObjectiveConfig) -> float:
-    """Stationarity measure of the gradient variational inequality.
-
-    Evaluates the reduced gradient at the triple (q, u, p) and measures the
-    norm of the spectrally projected steepest-descent displacement; small
-    values certify the first-order condition over the admissible set.
-    """
-    grad = reduced_gradient(q, u, p, cfg)
-    return stationarity_residual(q, grad, cfg.q_min, cfg.q_max)
-
-
 def solve_vi_adjoint(q: MatrixControlField, sol: VISolution,
                      u_d: ScalarField) -> ScalarField:
     """Adjoint of the VI-constrained tracking problem.

@@ -12,15 +12,14 @@ the derivative behaves like the solution of a linearized PDE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .control import MatrixControlField, barrier, control_inner
+from .control import MatrixControlField
 from .errors import CoefficientError
-from .fem import ScalarField, assemble_stiffness, l2_inner
+from .fem import ScalarField, assemble_stiffness
 from .obstacle import PDASConfig, VISolution, _pdas_bound_solve
-from .optimize import ObjectiveConfig
 
 
 @dataclass(frozen=True)
@@ -124,36 +123,3 @@ def derivative_complementarity_check(u_tilde: ScalarField,
                     float((-lam[cone.nonpositive_nodes]).max(initial=0.0)))
     comp = float(abs(np.sum(mesh.lumped_mass * lam * v)))
     return feas, polar, comp
-
-
-def primal_first_order_check(q_star: MatrixControlField,
-                             candidates: Sequence[MatrixControlField],
-                             cfg: ObjectiveConfig, sol: VISolution,
-                             pdas: Optional[PDASConfig] = None) -> float:
-    """Minimum directional value of the primal stationarity condition.
-
-    For each candidate q the direction d = q - q_star gets the value
-
-        (u - u_d, S'(q_star; d)) + alpha <q_star - q_d, d> + beta <B', d>,
-
-    with S' the cone derivative at the converged VI solution. At a local
-    minimizer the value is nonnegative for every admissible candidate, up
-    to solver tolerances; a clearly negative minimum certifies descent.
-    """
-    cone = build_critical_cone(sol)
-    bar_grad = None
-    if cfg.beta > 0.0:
-        be = barrier(q_star, cfg.q_min, cfg.q_max)
-        if not be.feasible:
-            raise CoefficientError("q_star violates the spectral bounds")
-        bar_grad = be.gradient
-    best = np.inf
-    for cand in candidates:
-        d = cand - q_star
-        u_t = directional_derivative(q_star, d, sol, cone, pdas)
-        value = l2_inner(sol.u - cfg.u_d, u_t) \
-            + cfg.alpha * control_inner(q_star - cfg.q_d, d)
-        if bar_grad is not None:
-            value += cfg.beta * control_inner(bar_grad, d)
-        best = min(best, value)
-    return float(best)

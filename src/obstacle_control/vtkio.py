@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,55 +71,6 @@ def write_structured_vtk(path, mesh: StructuredMesh,
         lines.extend(_fmt(v) for v in values)
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
     return Path(path)
-
-
-def read_structured_vtk(path) -> tuple:
-    """Read back a legacy structured-grid file written by this module.
-
-    Returns (points, point_data) with points shaped (n, 2) and point_data
-    a dict of nodal arrays.
-    """
-    with open(path) as handle:
-        tokens = handle.read().split("\n")
-    idx = 0
-
-    def next_line():
-        nonlocal idx
-        while idx < len(tokens) and not tokens[idx].strip():
-            idx += 1
-        line = tokens[idx]
-        idx += 1
-        return line
-
-    for _ in range(3):
-        next_line()  # header comment, title, ASCII
-    if next_line().split() != ["DATASET", "STRUCTURED_GRID"]:
-        raise ValueError("not a structured-grid file")
-    next_line()  # DIMENSIONS
-    n_points = int(next_line().split()[1])
-    points = np.empty((n_points, 2))
-    for k in range(n_points):
-        parts = next_line().split()
-        points[k] = float(parts[0]), float(parts[1])
-    n_data = int(next_line().split()[1])
-    if n_data != n_points:
-        raise ValueError("point data size mismatch")
-    data: Dict[str, np.ndarray] = {}
-    while True:
-        try:
-            line = next_line()
-        except IndexError:
-            break
-        parts = line.split()
-        if not parts or parts[0] != "SCALARS":
-            break
-        name = parts[1]
-        next_line()  # LOOKUP_TABLE
-        values = np.empty(n_points)
-        for k in range(n_points):
-            values[k] = float(next_line())
-        data[name] = values
-    return points, data
 
 
 def write_csv(path, header: Sequence[str],

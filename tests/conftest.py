@@ -1,4 +1,5 @@
-"""Shared helpers: random admissible control fields and directions.
+"""Shared helpers: random admissible control fields and directions, and
+the reference solvers and readers the tests check the package against.
 
 BLAS runs on one thread in the tests: on their small meshes extra threads
 only synchronize, and on a machine whose cores are busy they slow the
@@ -39,3 +40,57 @@ def random_direction(mesh, rng, scale=1.0):
     """Random symmetric nodal direction field with O(scale) entries."""
     comps = rng.standard_normal((mesh.n_nodes, 3)) * scale
     return MatrixControlField(mesh, comps)
+
+
+def oracle_active_set_enumeration(K, f, psi, tol=1e-11):
+    """Brute-force reference solution of the dense obstacle problem.
+
+    Tries every active subset of the (interior) dense system K u + mu = f,
+    u <= psi, mu >= 0 supported on the subset, and returns the unique
+    feasible configuration as (u, mu) with mu the unscaled residual
+    multiplier f - K u. The dimension must be at most 20.
+    """
+    n = K.shape[0]
+    if n > 20:
+        raise ValueError("enumeration oracle limited to dimension 20")
+    scale = max(1.0, float(np.abs(f).max()), abs(psi))
+    for bits in range(2 ** n):
+        active = np.array([(bits >> k) & 1 for k in range(n)], dtype=bool)
+        inactive = ~active
+        u = np.full(n, psi, dtype=float)
+        if inactive.any():
+            kii = K[np.ix_(inactive, inactive)]
+            rhs = f[inactive] - K[np.ix_(inactive, active)] @ u[active]
+            u[inactive] = np.linalg.solve(kii, rhs)
+        mu = np.zeros(n)
+        mu[active] = (f - K @ u)[active]
+        if np.all(u <= psi + tol * scale) and np.all(mu >= -tol * scale):
+            return u, mu
+    raise RuntimeError("no feasible active-set configuration found")
+
+
+def read_structured_vtk(path):
+    """Read back a legacy structured-grid file written by the package.
+
+    Returns (points, point_data) with points shaped (n, 2) and point_data
+    a dict of nodal arrays.
+    """
+    with open(path) as handle:
+        lines = [line for line in handle.read().split("\n") if line.strip()]
+    # header comment, title, ASCII
+    if lines[3].split() != ["DATASET", "STRUCTURED_GRID"]:
+        raise ValueError("not a structured-grid file")
+    n_points = int(lines[5].split()[1])
+    points = np.array([line.split()[:2] for line in lines[6:6 + n_points]],
+                      dtype=float)
+    idx = 6 + n_points
+    if int(lines[idx].split()[1]) != n_points:
+        raise ValueError("point data size mismatch")
+    idx += 1
+    data = {}
+    while idx < len(lines) and lines[idx].split()[0] == "SCALARS":
+        name = lines[idx].split()[1]
+        start = idx + 2  # past LOOKUP_TABLE
+        data[name] = np.array(lines[start:start + n_points], dtype=float)
+        idx = start + n_points
+    return points, data

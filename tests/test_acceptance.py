@@ -24,7 +24,6 @@ from obstacle_control import (
     l2_norm,
     load_config,
     objective_value,
-    oracle_active_set_enumeration,
     reduced_gradient,
     run_convergence,
     run_example1,
@@ -38,7 +37,8 @@ from obstacle_control.experiments import _warn_multiplier
 from obstacle_control.sensitivity import build_critical_cone, \
     directional_derivative
 
-from conftest import random_admissible, random_direction
+from conftest import oracle_active_set_enumeration, random_admissible, \
+    random_direction
 
 SEED = 90210
 FACTOR = 5.0

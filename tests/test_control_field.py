@@ -32,6 +32,13 @@ SEED = 910
 Q_MIN, Q_MAX = 0.5, 10.0
 
 
+def node_matrices(q):
+    """Dense per-node matrices of a control field, (n_nodes, 2, 2)."""
+    q11, q22, q12 = q.comps.T
+    return np.stack([np.stack([q11, q12], -1), np.stack([q12, q22], -1)],
+                    -2)
+
+
 # --------------------------------------------------------- admissibility
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -66,7 +73,7 @@ def test_initial_control_admissible():
     mesh = build_mesh(2)
     q = MatrixControlField.constant(mesh, [[2.0, -1.0], [-1.0, 2.0]])
     assert check_admissible(q, Q_MIN, Q_MAX).admissible
-    eigs = q.eigenvalues()
+    eigs = np.linalg.eigvalsh(node_matrices(q))
     assert np.allclose(eigs[:, 0], 1.0) and np.allclose(eigs[:, 1], 3.0)
 
 
@@ -79,12 +86,20 @@ def test_negative_definite_slack_rejected_despite_positive_determinant():
 
 
 def test_eigenvalues_match_dense_oracle():
+    """The closed-form eigenpair of the projection moves every nodal
+    eigenvalue onto its clamped value: the dense eigenvalues of the
+    projected field are those of the field clipped to the bounds, which
+    cut nodes on both sides and leave others inside."""
     mesh = build_mesh(2)
     rng = np.random.default_rng(SEED)
     q = random_direction(mesh, rng, scale=3.0)
-    ours = q.eigenvalues()
-    dense = np.linalg.eigvalsh(q.as_matrices())
-    assert np.allclose(ours, dense, atol=1e-12)
+    lo, hi = -1.0, 2.0
+    dense = np.linalg.eigvalsh(node_matrices(q))
+    assert (dense < lo).any() and (dense > hi).any()
+    assert ((dense > lo) & (dense < hi)).any()
+    projected = project_spectral(q, lo, hi)
+    assert np.allclose(np.linalg.eigvalsh(node_matrices(projected)),
+                       np.clip(dense, lo, hi), atol=1e-12)
 
 
 # ----------------------------------------------------------------- barrier

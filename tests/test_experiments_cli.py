@@ -22,7 +22,6 @@ from obstacle_control import (
     example_objective,
     l2_norm,
     load_config,
-    read_structured_vtk,
     run_convergence,
     run_example1,
     run_example2,
@@ -35,6 +34,7 @@ from obstacle_control import (
 from obstacle_control import cli, problems
 from obstacle_control.experiments import RunReport, parse_config_text
 
+from conftest import read_structured_vtk
 from test_fem import desired_state, manufactured_load, q_d_components
 
 SEED = 1105

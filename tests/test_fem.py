@@ -15,11 +15,9 @@ from obstacle_control import (
     assemble_load,
     assemble_stiffness,
     build_mesh,
-    h1_seminorm,
     interpolate,
     l2_error_vs_function,
     l2_norm,
-    zero_field,
 )
 
 from obstacle_control.fem import prolongation
@@ -301,25 +299,11 @@ def test_load_vector_matches_integral_oracle():
 
 # ----------------------------------------------------------------- norms
 
-def test_zero_field_norms():
-    mesh = build_mesh(2)
-    z = zero_field(mesh)
-    assert l2_norm(z) == 0.0
-    assert h1_seminorm(z) == 0.0
-
-
 def test_norm_homogeneity():
     mesh = build_mesh(3)
     rng = np.random.default_rng(SEED + 4)
     v = ScalarField(mesh, rng.standard_normal(mesh.n_nodes))
     assert l2_norm(2.0 * v) == pytest.approx(2.0 * l2_norm(v), rel=1e-12)
-
-
-def test_h1_seminorm_linear_function():
-    mesh = build_mesh(3)
-    v = interpolate(mesh, lambda x, y: x)
-    # integral of |grad x|^2 over (-1,1)^2 is 4
-    assert h1_seminorm(v) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_desired_state_interpolant_norm():
@@ -471,8 +455,9 @@ def test_constant_operators_match_coo_reference(level):
     shape, grads, scale = mesh._reference
     assert_close_relative(mesh.mass_matrix.toarray(),
                           coo_reference(mesh, scale * shape.T @ shape))
+    unit = MatrixControlField.constant(mesh, np.eye(2))
     assert_close_relative(
-        mesh.stiffness_identity.toarray(),
+        assemble_stiffness(mesh, unit, eliminate=False).toarray(),
         coo_reference(mesh,
                       scale * np.einsum("gad,gbd->ab", grads, grads)))
 
@@ -493,7 +478,7 @@ def test_operators_share_the_mesh_pattern():
     mesh = build_mesh(3)
     q = random_admissible(mesh, np.random.default_rng(SEED + 6))
     stencil = mesh.stencil
-    for mat in (mesh.mass_matrix, mesh.stiffness_identity,
+    for mat in (mesh.mass_matrix, assemble_stiffness(mesh, q, eliminate=False),
                 assemble_stiffness(mesh, q).matrix):
         assert mat.has_sorted_indices
         assert stencil.data_of(mat) is mat.data

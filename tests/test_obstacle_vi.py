@@ -13,7 +13,6 @@ from obstacle_control import (
     build_mesh,
     l2_error_vs_function,
     l2_norm,
-    zero_field,
 )
 from obstacle_control import obstacle
 from obstacle_control.obstacle import (
@@ -22,12 +21,11 @@ from obstacle_control.obstacle import (
     VISolution,
     _pdas_bound_solve,
     complementarity_residuals,
-    oracle_active_set_enumeration,
     solve_vi,
 )
 from obstacle_control.problems import example_objective
 
-from conftest import random_admissible
+from conftest import oracle_active_set_enumeration, random_admissible
 from test_fem import desired_state, domain_integral_oracle, manufactured_load, q_d_components
 
 SEED = 74205
@@ -57,7 +55,7 @@ def test_zero_load_gives_zero_solution():
     mesh = build_mesh(3)
     rng = np.random.default_rng(SEED)
     q = random_admissible(mesh, rng)
-    sol = solve_vi(q, zero_field(mesh), psi=0.5)
+    sol = solve_vi(q, ScalarField(mesh, np.zeros(mesh.n_nodes)), psi=0.5)
     assert np.array_equal(sol.u.values, np.zeros(mesh.n_nodes))
     assert np.array_equal(sol.lam.values, np.zeros(mesh.n_nodes))
     assert not sol.active_set.any()
@@ -140,7 +138,7 @@ def test_complementarity_residuals_hand_cases():
     mesh = build_mesh(2)
     psi = 0.5
     over = ScalarField(mesh, np.full(mesh.n_nodes, psi + 0.1))
-    zl = zero_field(mesh)
+    zl = ScalarField(mesh, np.zeros(mesh.n_nodes))
     empty = np.zeros(mesh.n_nodes, dtype=bool)
     sol = VISolution(over, zl, empty, empty, 0, 1.0)
     feas_u, feas_lam, comp = complementarity_residuals(sol, psi)
@@ -251,7 +249,8 @@ def test_positive_obstacle_required(vi_levels):
         q = MatrixControlField.constant(mesh, np.eye(2))
         vi_levels.clear()
         with pytest.raises(ValueError):
-            obstacle.solve_vi(q, zero_field(mesh), psi=0.0)
+            obstacle.solve_vi(q, ScalarField(mesh, np.zeros(mesh.n_nodes)),
+                              psi=0.0)
         assert vi_levels == [level]
 
 

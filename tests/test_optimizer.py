@@ -9,6 +9,7 @@ import pytest
 
 from obstacle_control import (
     MatrixControlField,
+    ScalarField,
     StagnationError,
     assemble_load,
     assemble_stiffness,
@@ -17,7 +18,6 @@ from obstacle_control import (
     interpolate,
     l2_norm,
     solve_spd,
-    zero_field,
 )
 from obstacle_control import optimize
 from obstacle_control.experiments import load_config, run_example1
@@ -33,7 +33,7 @@ from obstacle_control.optimize import (
     reduced_gradient,
     solve_vi_adjoint,
     solve_vi_constrained,
-    stationarity_residual_vi,
+    stationarity_residual,
 )
 
 from conftest import random_admissible, random_direction
@@ -52,6 +52,12 @@ def example_config(mesh, beta=1e-4):
         f_load=assemble_load(mesh, manufactured_load))
 
 
+def stationarity_vi(q, u, p, cfg):
+    """Projected-gradient residual of the reduced gradient at (q, u, p)."""
+    return stationarity_residual(q, reduced_gradient(q, u, p, cfg),
+                                 cfg.q_min, cfg.q_max)
+
+
 def total_objective(q, cfg, pen):
     from obstacle_control.control import barrier
     u = solve_penalized(q, cfg.f_load, pen)
@@ -65,9 +71,9 @@ def total_objective(q, cfg, pen):
 
 def test_objective_config_validation():
     mesh = build_mesh(2)
-    u_d = zero_field(mesh)
+    u_d = ScalarField(mesh, np.zeros(mesh.n_nodes))
     q_d = MatrixControlField.constant(mesh, np.eye(2))
-    f = zero_field(mesh)
+    f = ScalarField(mesh, np.zeros(mesh.n_nodes))
     with pytest.raises(ValueError, match="alpha"):
         ObjectiveConfig(0.0, 0.0, u_d, q_d, 0.5, 10.0, f)
     with pytest.raises(ValueError, match="beta"):
@@ -78,16 +84,17 @@ def test_objective_config_validation():
 
 def test_gradient_is_tikhonov_for_zero_load():
     mesh = build_mesh(3)
+    zero = ScalarField(mesh, np.zeros(mesh.n_nodes))
     cfg = ObjectiveConfig(
-        alpha=0.1, beta=0.0, u_d=zero_field(mesh),
+        alpha=0.1, beta=0.0, u_d=zero,
         q_d=MatrixControlField.from_function(mesh, q_d_components),
-        q_min=0.5, q_max=10.0, f_load=zero_field(mesh))
+        q_min=0.5, q_max=10.0, f_load=zero)
     rng = np.random.default_rng(SEED)
     q = random_admissible(mesh, rng)
     pen = PenaltyConfig(gamma=1e3, psi=0.5)
     u = solve_penalized(q, cfg.f_load, pen)
     assert np.array_equal(u.values, np.zeros(mesh.n_nodes))
-    g = reduced_gradient(q, u, zero_field(mesh), cfg)
+    g = reduced_gradient(q, u, zero, cfg)
     assert np.allclose(g.comps, 0.1 * (q.comps - cfg.q_d.comps), atol=1e-15)
 
 
@@ -204,11 +211,10 @@ def test_beta_sweep_barrier_path():
 def test_stationarity_zero_at_tikhonov_optimum():
     mesh = build_mesh(3)
     q_d = MatrixControlField.from_function(mesh, q_d_components)
-    cfg = ObjectiveConfig(alpha=0.1, beta=0.0, u_d=zero_field(mesh),
-                          q_d=q_d, q_min=0.5, q_max=10.0,
-                          f_load=zero_field(mesh))
-    r = stationarity_residual_vi(q_d, zero_field(mesh), zero_field(mesh),
-                                 cfg)
+    zero = ScalarField(mesh, np.zeros(mesh.n_nodes))
+    cfg = ObjectiveConfig(alpha=0.1, beta=0.0, u_d=zero, q_d=q_d,
+                          q_min=0.5, q_max=10.0, f_load=zero)
+    r = stationarity_vi(q_d, zero, zero, cfg)
     assert r == 0.0
 
 
@@ -220,14 +226,14 @@ def test_stationarity_large_at_start_small_at_optimum():
     p = solve_vi_adjoint(q0, sol, cfg.u_d)
     assert np.array_equal(p.values[sol.strongly_active],
                           np.zeros(int(sol.strongly_active.sum())))
-    r0 = stationarity_residual_vi(q0, sol.u, p, cfg)
+    r0 = stationarity_vi(q0, sol.u, p, cfg)
     assert r0 > 1e-2
     res = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5),
                    LoopConfig(max_iters=3000))
     from obstacle_control.penalty import solve_adjoint
     pen = PenaltyConfig(gamma=1e3, psi=0.5)
     p_star = solve_adjoint(res.q, res.u, cfg.u_d, pen)
-    r_star = stationarity_residual_vi(res.q, res.u, p_star, cfg)
+    r_star = stationarity_vi(res.q, res.u, p_star, cfg)
     assert r_star <= 1e-6
 
 

@@ -1,16 +1,26 @@
 """Every imported name in src/ and tests/ is used in its module, every
-module-level private name in src/ is read somewhere in src/, and every
-parameter of a function or lambda in src/ is read by its body.
+module-level private name in src/ is read somewhere in src/, every public
+function, class, constant and method in src/ is read somewhere in src/
+outside the package __init__.py, and every parameter of a function or
+lambda in src/ is read by its body. The package exports no submodule
+through __all__, and importing it does not load scipy.sparse.linalg.
 
 A package __init__.py is exempt from the import check: its imports are
-the public API. Names in string annotations count as used. A private name
-counts as read where it is loaded, imported or taken as an attribute.
-`self`, `cls` and `_`-prefixed parameters are exempt from the parameter
-check: an interface may need a slot its implementation does not read.
+the public API. Names in string annotations count as used. A name counts
+as read where it is loaded, imported or taken as an attribute; a method
+counts as read wherever its name is. `self`, `cls` and `_`-prefixed
+parameters are exempt from the parameter check: an interface may need a
+slot its implementation does not read.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
+
+import obstacle_control
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,25 +62,6 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
-def _private_definitions(tree):
-    """(line, name) of the module-level private functions, classes and
-    constants of a module; dunder names are not private."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name):
-            names = [node.target.id]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield node.lineno, name
-
-
 def _read_names(tree):
     """Names a module reads: loads, imports, attributes and annotations."""
     names = _annotation_names(tree)
@@ -84,14 +75,49 @@ def _read_names(tree):
     return names
 
 
-def unread_private_names(sources: dict) -> list:
-    """(file, line, name) of every module-level private definition in the
-    given {file: source} set that no file of the set reads."""
+def _definitions(tree):
+    """(line, name) of the module-level functions, classes and constants
+    of a module, and of the methods of its classes as "Class.method"."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.lineno, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((sub.lineno, f"{node.name}.{sub.name}")
+                            for sub in node.body
+                            if isinstance(sub, (ast.FunctionDef,
+                                                ast.AsyncFunctionDef)))
+        elif isinstance(node, ast.Assign):
+            yield from ((node.lineno, t.id) for t in node.targets
+                        if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            yield node.lineno, node.target.id
+
+
+def _unread(sources: dict, checked) -> list:
+    """(file, line, name) of every definition in the given {file: source}
+    set that `checked` selects and that no file of the set other than a
+    package __init__.py reads; a method is read wherever its name is."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
-    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    read = set().union(*(_read_names(tree) for path, tree in trees.items()
+                         if Path(path).name != "__init__.py"))
     return sorted((path, line, name) for path, tree in trees.items()
-                  for line, name in _private_definitions(tree)
-                  if name not in read)
+                  for line, name in _definitions(tree)
+                  if checked(name) and name.rpartition(".")[2] not in read)
+
+
+def unread_private_names(sources: dict) -> list:
+    """Module-level private definitions no file reads; dunder names are
+    not private."""
+    return _unread(sources, lambda name: name.startswith("_")
+                   and not name.startswith("__") and "." not in name)
+
+
+def unread_public_names(sources: dict) -> list:
+    """Public definitions and public methods no file reads."""
+    return _unread(sources, lambda name:
+                   not name.rpartition(".")[2].startswith("_"))
 
 
 def unread_parameters(source: str) -> list:
@@ -164,6 +190,60 @@ def test_every_private_name_in_src_is_read_in_src():
     sources = {str(path.relative_to(ROOT)): path.read_text()
                for path in files}
     assert unread_private_names(sources) == []
+
+
+def test_public_scanner_finds_unread_definitions():
+    sources = {
+        "pkg/__init__.py": "from .a import orphan, Shape\n",
+        "pkg/a.py": ("LIMIT = 3\n"
+                     "UNREAD = 4\n"
+                     "def used():\n"
+                     "    return LIMIT\n"
+                     "def orphan():\n"
+                     "    return 0\n"
+                     "class Shape:\n"
+                     "    def area(self):\n"
+                     "        return used()\n"
+                     "    def unread_method(self):\n"
+                     "        return 1\n"
+                     "    def __repr__(self):\n"
+                     "        return ''\n"
+                     "    def _hidden(self):\n"
+                     "        return 2\n"),
+        "pkg/b.py": ("from .a import Shape\n"
+                     "def report(s: Shape) -> int:\n"
+                     "    return s.area()\n"),
+    }
+    assert unread_public_names(sources) == [
+        ("pkg/a.py", 2, "UNREAD"), ("pkg/a.py", 5, "orphan"),
+        ("pkg/a.py", 10, "Shape.unread_method"), ("pkg/b.py", 2, "report")]
+
+
+def test_every_public_name_in_src_is_read_in_src():
+    """No public API is kept for users alone: the allow-list is empty."""
+    files = sorted((ROOT / "src").rglob("*.py"))
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in files}
+    assert unread_public_names(sources) == []
+
+
+def test_all_exports_no_submodule():
+    exported = [getattr(obstacle_control, name)
+                for name in obstacle_control.__all__]
+    assert len(exported) > 50
+    assert not any(isinstance(v, types.ModuleType) for v in exported)
+
+
+def test_import_does_not_load_sparse_linalg():
+    """The package's solvers are its own; scipy's sparse solvers are test
+    references only."""
+    probe = ("import sys, obstacle_control; "
+             "print('scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"
 
 
 def test_parameter_scanner_finds_unread_parameters():
