@@ -43,7 +43,6 @@ from .control import (
     project_spectral,
 )
 from .obstacle import (
-    PDASConfig,
     VISolution,
     complementarity_residuals,
     solve_vi,

@@ -21,7 +21,7 @@ import numpy as np
 from .control import MatrixControlField, check_admissible, control_inner
 from .errors import ConfigError
 from .fem import ScalarField, build_mesh, l2_error_vs_function, l2_norm
-from .obstacle import PDASConfig, VISolution, _load_density_norm, \
+from .obstacle import VISolution, _load_density_norm, \
     complementarity_residuals, solve_vi
 from .optimize import LoopConfig, ObjectiveConfig, OptResult, \
     gamma_continuation, objective_value, reduced_gradient, \
@@ -52,7 +52,6 @@ class ExperimentConfig:
     psi: float = 0.5
     q_min: float = 0.5
     q_max: float = 10.0
-    c: float = 1.0
     q_init: Tuple[float, float, float] = (2.0, -1.0, 2.0)
     grad_tol: float = 1e-8
     max_iters: int = 2000
@@ -83,8 +82,6 @@ class ExperimentConfig:
             raise ConfigError("psi must be positive")
         if not 0.0 < self.q_min < self.q_max:
             raise ConfigError("bounds must satisfy 0 < q_min < q_max")
-        if self.c <= 0.0:
-            raise ConfigError("c must be positive")
         if len(self.q_init) != 3:
             raise ConfigError("q_init needs the three entries q11,q12,q22")
         if self.grad_tol < 0.0:
@@ -209,10 +206,6 @@ def _loop_config(cfg: ExperimentConfig) -> LoopConfig:
     return LoopConfig(grad_tol_rel=cfg.grad_tol, max_iters=cfg.max_iters)
 
 
-def _pdas_config(cfg: ExperimentConfig) -> PDASConfig:
-    return PDASConfig(c=cfg.c)
-
-
 def _penalty_config(cfg: ExperimentConfig, gamma: float) -> PenaltyConfig:
     return PenaltyConfig(gamma=gamma, psi=cfg.psi,
                          newton_tol=cfg.newton_tol)
@@ -283,9 +276,8 @@ def run_example1(cfg: ExperimentConfig) -> RunReport:
     started = _now()
     outdir = Path(cfg.output_dir) / "example1"
     mesh, obj, q0 = _setup(cfg)
-    result = solve_vi_constrained(q0, obj, cfg.psi, pdas=_pdas_config(cfg),
-                                  opt=_loop_config(cfg))
-    sol = solve_vi(result.q, obj.f_load, cfg.psi, cfg=_pdas_config(cfg))
+    result = solve_vi_constrained(q0, obj, cfg.psi, opt=_loop_config(cfg))
+    sol = solve_vi(result.q, obj.f_load, cfg.psi)
     ratio = _multiplier_ratio(result, obj, mesh)
     feas_u, feas_lam, comp = complementarity_residuals(sol, cfg.psi)
     outputs = [
@@ -325,8 +317,7 @@ def run_example2(cfg: ExperimentConfig) -> RunReport:
     outdir = Path(cfg.output_dir) / "example2"
     mesh, obj, q0 = _setup(cfg)
     opt = _loop_config(cfg)
-    reference = solve_vi_constrained(q0, obj, cfg.psi,
-                                     pdas=_pdas_config(cfg), opt=opt)
+    reference = solve_vi_constrained(q0, obj, cfg.psi, opt=opt)
     legs = gamma_continuation(q0, obj, cfg.gamma_list,
                               _penalty_config(cfg, cfg.gamma_list[0]),
                               opt=opt, reference=reference)
@@ -382,7 +373,7 @@ def run_convergence(cfg: ExperimentConfig) -> RunReport:
         mesh = build_mesh(level)
         obj = example_objective(mesh, cfg.alpha, cfg.beta, cfg.q_min,
                                 cfg.q_max)
-        sol = solve_vi(obj.q_d, obj.f_load, cfg.psi, cfg=_pdas_config(cfg))
+        sol = solve_vi(obj.q_d, obj.f_load, cfg.psi)
         # the cached stiffness of obj.q_d would outlive the solve through
         # the error integral, the largest allocation of the level
         del obj
@@ -449,12 +440,11 @@ def _difference_quotients(cfg: ExperimentConfig, obj: ObjectiveConfig,
         d = _random_direction(mesh, rng, scale=0.1)
         if not check_admissible(q0 + d, cfg.q_min, cfg.q_max).admissible:
             d = 0.5 * d
-        ut = directional_derivative(q0, d, sol, cone,
-                                    pdas=_pdas_config(cfg))
+        ut = directional_derivative(q0, d, sol, cone)
         errs = []
         for t in _QUOTIENT_STEPS:
             solt = solve_vi(q0 + t * d, obj.f_load, cfg.psi,
-                            cfg=_pdas_config(cfg), active0=sol.active_set)
+                            active0=sol.active_set)
             quot = (solt.u.values - sol.u.values) / t
             errs.append(l2_norm(ScalarField(mesh, quot - ut.values)))
         out.append((d, ut, errs))
@@ -508,7 +498,7 @@ def run_gradcheck(cfg: ExperimentConfig) -> RunReport:
     halving_pass = 2.0 <= halving_ratio <= 8.0
 
     # cone derivative against VI difference quotients
-    sol = solve_vi(q0, obj.f_load, cfg.psi, cfg=_pdas_config(cfg))
+    sol = solve_vi(q0, obj.f_load, cfg.psi)
     cone = build_critical_cone(sol)
     quotients = _difference_quotients(cfg, obj, q0, sol, cone, rng)
     quot_rows = [(direction, t, err)
@@ -517,8 +507,7 @@ def run_gradcheck(cfg: ExperimentConfig) -> RunReport:
     quot_pass = all(errs[0] > errs[1] > errs[2]
                     for _, _, errs in quotients)
     zero_dir = directional_derivative(
-        q0, MatrixControlField.constant(mesh, np.zeros((2, 2))), sol, cone,
-        pdas=_pdas_config(cfg))
+        q0, MatrixControlField.constant(mesh, np.zeros((2, 2))), sol, cone)
     zero_pass = bool(np.all(zero_dir.values == 0.0))
 
     passed = fd_pass and halving_pass and quot_pass and zero_pass
@@ -555,7 +544,7 @@ def run_sensitivity(cfg: ExperimentConfig) -> RunReport:
     outdir = Path(cfg.output_dir) / "sensitivity"
     _, obj, q0 = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
-    sol = solve_vi(q0, obj.f_load, cfg.psi, cfg=_pdas_config(cfg))
+    sol = solve_vi(q0, obj.f_load, cfg.psi)
     cone = build_critical_cone(sol)
 
     rows: List[tuple] = []

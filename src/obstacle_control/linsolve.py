@@ -32,7 +32,6 @@ from .fem import GridSystem, KroneckerMass, ScalarField
 class LinearSolveReport:
     iterations: int
     residual_norm: float
-    method: str
 
 
 def _cg_cap(n: int) -> int:
@@ -69,7 +68,7 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
         if not pap > 0.0:
             raise SolverError(
                 "matrix or preconditioner is not positive definite on the "
-                "search space", LinearSolveReport(k, res, "pcg"))
+                "search space", LinearSolveReport(k, res))
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -83,7 +82,7 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
     raise SolverError(
         f"pcg did not reach tolerance {tol:g} in {max_iters} iterations "
         f"(residual {res:.3e}, target {target:.3e})",
-        LinearSolveReport(max_iters, res, "pcg"))
+        LinearSolveReport(max_iters, res))
 
 
 def solve_spd(A: Union[GridSystem, KroneckerMass],
@@ -160,10 +159,10 @@ def _solve_grid(A: GridSystem, rhs, tol, x0):
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             "banded Cholesky factorization of the coarsest grid "
-            f"failed: {exc}", LinearSolveReport(0, math.nan, "pcg")
+            f"failed: {exc}", LinearSolveReport(0, math.nan)
         ) from exc
     x, its, res = _pcg(mat, rhs, tol, x0, precondition)
-    return x, LinearSolveReport(its, res, "pcg")
+    return x, LinearSolveReport(its, res)
 
 
 def _solve_mass(A: KroneckerMass, rhs, tol):
@@ -173,7 +172,7 @@ def _solve_mass(A: KroneckerMass, rhs, tol):
         raise ValueError("dimension mismatch between operator and rhs")
     x = A.solve(rhs)
     res = np.linalg.norm(mat @ x - rhs, axis=0)
-    report = LinearSolveReport(0, float(np.max(res)), "kronecker")
+    report = LinearSolveReport(0, float(np.max(res)))
     # written so that a NaN residual fails it
     if not np.all(res <= tol * np.linalg.norm(rhs, axis=0)):
         raise SolverError(

@@ -4,15 +4,20 @@ Solves, for a fixed admissible coefficient q, the discrete complementarity
 system: K_q u + mu = f, u <= psi, mu >= 0, mu'(u - psi) = 0, where the
 multiplier gets a nodal representation lambda_i = mu_i / m_i through the
 lumped mass. The iteration is the semismooth Newton method on
-lambda - max(0, lambda + c (u - psi)) = 0: guess an active set, impose
-u = psi there, recover lambda from the lumped residual, reclassify.
+lambda - max(0, lambda + c (u - psi)) = 0 for any c > 0: guess an active
+set, impose u = psi there, recover lambda from the lumped residual,
+reclassify. Within the loop lambda = 0 off the active set and u = psi on
+it, so the reclassification keeps an active node while lambda > 0 and
+adds an inactive one where u > psi, whatever c is.
 
 A cold solve (no active set given) on a mesh finer than the multigrid's
 coarsest grid starts from nested iteration: it solves the same problem one
-level down, recursively, and classifies the bilinearly prolonged solution
-by the same indicator. Semismooth Newton converges fast from near the final
-active set, so the sweep count of each level stays flat under refinement;
-at the coarsest grid and below a cold solve starts from the empty set.
+level down, recursively. A fine node starts active only when every coarse
+node its bilinear interpolant draws on is active, and the first sweep's CG
+starts from the prolonged coarse state. Semismooth Newton converges fast
+from near the final active set, so the sweep count of each level stays
+flat under refinement; at the coarsest grid and below a cold solve starts
+from the empty set and the zero state.
 """
 
 from __future__ import annotations
@@ -36,15 +41,6 @@ _MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
-class PDASConfig:
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("reformulation constant c must be positive")
-
-
-@dataclass(frozen=True)
 class VISolution:
     """Converged state, nodal multiplier, and active-set partition.
 
@@ -63,16 +59,19 @@ class VISolution:
 
 def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
                       rhs: np.ndarray, upper: np.ndarray,
-                      pinned: np.ndarray, cfg: PDASConfig,
-                      active0: Optional[np.ndarray] = None):
+                      pinned: np.ndarray,
+                      active0: Optional[np.ndarray] = None,
+                      u0: Optional[np.ndarray] = None):
     """Primal-dual active set loop for min 1/2 u'Ku - rhs'u, u <= upper.
 
     Nodes flagged by `pinned` are held at zero throughout (Dirichlet
     nodes and, for cone problems, strongly-active nodes). The
     upper bound applies wherever `upper` is finite; +inf entries are
-    unconstrained. K must be assembled on `mesh`. Returns (u, lam, active,
-    iterations) with lam the lumped nodal multiplier, supported on the
-    final active set.
+    unconstrained. K must be assembled on `mesh`. The loop starts from
+    the active set `active0` (default empty) and the first sweep's CG
+    from `u0` (default zero); each later sweep's CG starts from the state
+    of the one before. Returns (u, lam, active, iterations) with lam the
+    lumped nodal multiplier, supported on the final active set.
     """
     n = rhs.shape[0]
     constrained = np.isfinite(upper) & ~pinned
@@ -80,7 +79,7 @@ def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
     if active0 is not None:
         active = active0 & constrained
     seen = {active.tobytes()}
-    u = np.zeros(n)
+    u = np.zeros(n) if u0 is None else u0
     mat = K.matrix
     stencil = mesh.stencil
     k_data = stencil.data_of(mat)
@@ -96,10 +95,7 @@ def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
         lam = np.zeros(n)
         resid = rhs - mat @ u
         lam[active] = resid[active] / m_lump[active]
-        indicator = np.zeros(n)
-        idx = constrained
-        indicator[idx] = lam[idx] + cfg.c * (u[idx] - upper[idx])
-        new_active = constrained & (indicator > 0.0)
+        new_active = constrained & np.where(active, lam > 0.0, u > upper)
         if np.array_equal(new_active, active):
             return u, lam, active, it
         key = new_active.tobytes()
@@ -120,15 +116,20 @@ def _load_density_norm(f_load: ScalarField, m_lump: np.ndarray) -> float:
     return float(np.sqrt(np.sum(m_lump * dens * dens)))
 
 
-def _nested_start(q: MatrixControlField, f_load: ScalarField, psi: float,
-                  cfg: PDASConfig) -> np.ndarray:
-    """Cold-start active set from the same problem one level down.
+def _nested_start(q: MatrixControlField, f_load: ScalarField,
+                  psi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cold-start active set and state from the same problem one level down.
 
     The coarse coefficient is q at the even nodes (injection) and the
     coarse load is P' f, the coarse load vector of the same density, with
-    P = fem.prolongation. The coarse solution is prolonged by P and
-    classified by the PDAS indicator lambda + c (u - psi) > 0. P goes out
-    of scope on return, before the fine-level loop.
+    P = fem.prolongation. A fine node starts active when P maps the 0/1
+    vector of the coarse active set to exactly 1 there, that is when every
+    coarse node its interpolant draws on is active; the weights 1, 1/2 and
+    1/4 sum to 1 exactly in floating point. (Prolonging lambda would
+    spread it past the contact edge and start nodes active that are not.)
+    A boundary node draws on a coarse boundary node, which is never
+    active. The start state is P u_c, zero on the boundary because u_c
+    is. P goes out of scope on return, before the fine-level loop.
     """
     mesh = f_load.mesh
     n1 = mesh.cells_per_side + 1
@@ -136,14 +137,11 @@ def _nested_start(q: MatrixControlField, f_load: ScalarField, psi: float,
     p = prolongation(mesh.level)
     q_c = MatrixControlField(
         coarse, q.comps.reshape(n1, n1, 3)[::2, ::2].reshape(-1, 3))
-    sol = solve_vi(q_c, ScalarField(coarse, p.T @ f_load.values), psi, cfg)
-    u = p @ sol.u.values
-    lam = p @ sol.lam.values
-    return mesh.interior_mask & (lam + cfg.c * (u - psi) > 0.0)
+    sol = solve_vi(q_c, ScalarField(coarse, p.T @ f_load.values), psi)
+    return p @ sol.active_set.astype(float) == 1.0, p @ sol.u.values
 
 
 def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
-             cfg: Optional[PDASConfig] = None,
              active0: Optional[np.ndarray] = None) -> VISolution:
     """Solve the obstacle problem (q grad u, grad(v-u)) >= (f, v-u).
 
@@ -157,10 +155,10 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
         Assembled load vector.
     psi : float
         Constant obstacle, required positive.
-    cfg : PDASConfig, optional
     active0 : ndarray of bool, optional
-        Warm-start active set. Without it, a mesh finer than the
-        multigrid's coarsest grid (level > fem._COARSEST) starts from
+        Warm-start active set; the first sweep then starts from the zero
+        state. Without it, a mesh finer than the multigrid's coarsest grid
+        (level > fem._COARSEST) starts from the active set and state of
         the solution one level down: a recursive solve_vi call per level.
 
     Returns
@@ -172,18 +170,18 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     """
     if psi <= 0.0:
         raise ValueError("obstacle psi must be positive")
-    cfg = cfg or PDASConfig()
     mesh = f_load.mesh
     if q.mesh is not mesh:
         raise DimensionError("coefficient lives on a different mesh")
     K = q.stiffness
+    u0 = None
     if active0 is None and mesh.level > _COARSEST:
-        active0 = _nested_start(q, f_load, psi, cfg)
+        active0, u0 = _nested_start(q, f_load, psi)
     rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
     upper = np.full(mesh.n_nodes, psi)
     m_lump = mesh.lumped_mass
     u, lam, active, its = _pdas_bound_solve(
-        mesh, K, rhs, upper, mesh.boundary_mask, cfg, active0)
+        mesh, K, rhs, upper, mesh.boundary_mask, active0, u0)
     f_norm = _load_density_norm(f_load, m_lump)
     strong = active & (lam > _ACTIVE_TOL * max(f_norm, 1e-300))
     return VISolution(ScalarField(mesh, u), ScalarField(mesh, lam),

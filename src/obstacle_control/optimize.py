@@ -43,7 +43,7 @@ from .control import (
 from .errors import CoefficientError, StagnationError
 from .fem import ScalarField, l2_norm
 from .linsolve import solve_spd
-from .obstacle import PDASConfig, VISolution, solve_vi
+from .obstacle import VISolution, solve_vi
 from .penalty import (
     PenaltyConfig,
     penalty_residual_as_multiplier,
@@ -176,17 +176,21 @@ def _tracking_gradient(mesh, u_vals: np.ndarray,
 
 
 def reduced_gradient(q: MatrixControlField, u: ScalarField, p: ScalarField,
-                     cfg: ObjectiveConfig) -> MatrixControlField:
+                     cfg: ObjectiveConfig,
+                     admissibility: Optional[AdmissibilityReport] = None
+                     ) -> MatrixControlField:
     """Mass-weighted L2 gradient of the reduced objective at (q, u, p).
 
     Sum of alpha (q - q_d), beta times the barrier gradient, and the
     tracking term -sym(grad u x grad p) lifted to nodal components. The
     result pairs with control_inner to give exact directional derivatives
-    of the discrete objective. u and p must belong to q.
+    of the discrete objective. u and p must belong to q. A caller that
+    already ran check_admissible(q, cfg.q_min, cfg.q_max) passes its report
+    as `admissibility`.
     """
     comps = cfg.alpha * (q.comps - cfg.q_d.comps)
     if cfg.beta > 0.0:
-        be = barrier(q, cfg.q_min, cfg.q_max)
+        be = barrier(q, cfg.q_min, cfg.q_max, admissibility=admissibility)
         if not be.feasible:
             raise CoefficientError("control violates the spectral bounds; "
                                    "barrier gradient undefined")
@@ -282,14 +286,12 @@ class _PenalizedPath:
 class _VIPath:
     """State/adjoint pair through the obstacle VI (sol a VISolution)."""
 
-    def __init__(self, cfg: ObjectiveConfig, psi: float, pdas: PDASConfig):
+    def __init__(self, cfg: ObjectiveConfig, psi: float):
         self.cfg = cfg
         self.psi = psi
-        self.pdas = pdas
 
     def state(self, q, carry):
-        sol = solve_vi(q, self.cfg.f_load, self.psi, self.pdas,
-                       active0=carry)
+        sol = solve_vi(q, self.cfg.f_load, self.psi, active0=carry)
         return sol.u, sol
 
     def adjoint(self, q, sol):
@@ -334,7 +336,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     it = 0
     while True:
         p = path.adjoint(q, sol)
-        g = reduced_gradient(q, u, p, cfg)
+        g = reduced_gradient(q, u, p, cfg, report)
         resid = stationarity_residual(q, g, cfg.q_min, cfg.q_max)
         if it == 0:
             tol = opt.grad_tol_rel * (1.0 + resid)
@@ -428,7 +430,7 @@ def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,
 
 
 def solve_vi_constrained(q0: MatrixControlField, cfg: ObjectiveConfig,
-                         psi: float, pdas: Optional[PDASConfig] = None,
+                         psi: float,
                          opt: Optional[LoopConfig] = None) -> OptResult:
     """Minimize the reduced objective subject to the obstacle VI.
 
@@ -439,9 +441,7 @@ def solve_vi_constrained(q0: MatrixControlField, cfg: ObjectiveConfig,
     """
     if opt is None:
         opt = LoopConfig()
-    if pdas is None:
-        pdas = PDASConfig()
-    return _descent(q0, _VIPath(cfg, psi, pdas), cfg, opt)
+    return _descent(q0, _VIPath(cfg, psi), cfg, opt)
 
 
 def gamma_continuation(q0: MatrixControlField, cfg: ObjectiveConfig,

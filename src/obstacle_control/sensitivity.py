@@ -12,14 +12,13 @@ the derivative behaves like the solution of a linearized PDE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .control import MatrixControlField
 from .errors import CoefficientError
 from .fem import ScalarField, assemble_stiffness
-from .obstacle import PDASConfig, VISolution, _pdas_bound_solve
+from .obstacle import VISolution, _pdas_bound_solve
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,8 @@ def _direction_load(q: MatrixControlField, d: MatrixControlField,
 
 
 def directional_derivative(q: MatrixControlField, d: MatrixControlField,
-                           sol: VISolution, cone: CriticalCone,
-                           pdas: Optional[PDASConfig] = None) -> ScalarField:
+                           sol: VISolution,
+                           cone: CriticalCone) -> ScalarField:
     """Derivative of the solution map at q in the control direction d.
 
     Solves the cone-constrained VI: minimize 1/2 v' K_q v + (K_d u)' v over
@@ -73,14 +72,12 @@ def directional_derivative(q: MatrixControlField, d: MatrixControlField,
     mesh = q.mesh
     if d.mesh is not mesh or sol.u.mesh is not mesh:
         raise CoefficientError("direction and solution must share the mesh")
-    if pdas is None:
-        pdas = PDASConfig()
     K = q.stiffness
     rhs = _direction_load(q, d, sol.u)
     upper = np.full(mesh.n_nodes, np.inf)
     upper[cone.nonpositive_nodes] = 0.0
     pinned = mesh.boundary_mask | cone.zero_nodes
-    v, _, _, _ = _pdas_bound_solve(mesh, K, rhs, upper, pinned, pdas)
+    v, _, _, _ = _pdas_bound_solve(mesh, K, rhs, upper, pinned)
     return ScalarField(mesh, v)
 
 

@@ -53,7 +53,6 @@ def test_config_defaults_match_benchmark():
     assert cfg.alpha == 0.1 and cfg.beta == 1e-4
     assert cfg.psi == 0.5
     assert (cfg.q_min, cfg.q_max) == (0.5, 10.0)
-    assert cfg.c == 1.0
     assert cfg.q_init == (2.0, -1.0, 2.0)
     assert cfg.gamma_list == (1e0, 1e3, 1e6, 1e9, 1e12)
 

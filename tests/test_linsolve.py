@@ -210,7 +210,7 @@ def test_kronecker_mass_solve_matches_pcg_and_direct(level, columns):
     b = _mass_rhs(mesh, columns, SEED + level)
     x, report = solve_spd(mesh.mass_operator, b, tol=MASS_TOL)
     assert x.shape == b.shape
-    assert report.method == "kronecker" and report.iterations == 0
+    assert report.iterations == 0
     _assert_mass_contract(mesh, x, b)
     x_dir = scipy_lu(mesh.mass_matrix, b)
     _assert_mass_contract(mesh, x_dir, b)
@@ -293,7 +293,6 @@ def test_multigrid_matches_jacobi_and_direct(kind, level):
     pinned = system.dirichlet_mask
     x0 = np.random.default_rng(SEED).standard_normal(b.shape)
     x, report = solve_spd(system, b, tol=GRID_TOL, x0=x0)
-    assert report.method == "pcg"
     # pinned entries are exactly their prescribed values, whatever b and
     # x0 hold there
     assert np.array_equal(x[pinned], np.zeros(pinned.sum()))

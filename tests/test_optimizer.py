@@ -338,8 +338,8 @@ def _flipped_tracking(monkeypatch):
 def _dropped_barrier(monkeypatch):
     gradient = optimize.reduced_gradient
 
-    def without_barrier(q, u, p, cfg):
-        return gradient(q, u, p, replace(cfg, beta=0.0))
+    def without_barrier(q, u, p, cfg, admissibility):
+        return gradient(q, u, p, replace(cfg, beta=0.0), admissibility)
 
     monkeypatch.setattr(optimize, "reduced_gradient", without_barrier)
 

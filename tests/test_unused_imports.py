@@ -1,14 +1,15 @@
 """Every imported name in src/ and tests/ is used in its module, every
 module-level private name in src/ is read somewhere in src/, every public
 function, class, constant and method in src/ is read somewhere in src/
-outside the package __init__.py, and every parameter of a function or
-lambda in src/ is read by its body. The package exports no submodule
+outside the package __init__.py, every dataclass field in src/ is read
+somewhere in src/ or perfbench/ outside an __init__.py, and every
+parameter of a function or lambda in src/ is read by its body. The package exports no submodule
 through __all__, and importing it does not load scipy.sparse.linalg.
 
 A package __init__.py is exempt from the import check: its imports are
 the public API. Names in string annotations count as used. A name counts
 as read where it is loaded, imported or taken as an attribute; a method
-counts as read wherever its name is. `self`, `cls` and `_`-prefixed
+or field counts as read wherever its name is. `self`, `cls` and `_`-prefixed
 parameters are exempt from the parameter check: an interface may need a
 slot its implementation does not read.
 """
@@ -95,15 +96,35 @@ def _definitions(tree):
             yield node.lineno, node.target.id
 
 
-def _unread(sources: dict, checked) -> list:
+def _dataclass_fields(tree):
+    """(line, "Class.field") of the annotated fields of every class
+    decorated with dataclass, called or not."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in decorators):
+            yield from ((sub.lineno, f"{node.name}.{sub.target.id}")
+                        for sub in node.body
+                        if isinstance(sub, ast.AnnAssign)
+                        and isinstance(sub.target, ast.Name))
+
+
+def _unread(sources: dict, checked, definitions=_definitions,
+            readers=None) -> list:
     """(file, line, name) of every definition in the given {file: source}
-    set that `checked` selects and that no file of the set other than a
-    package __init__.py reads; a method is read wherever its name is."""
+    set that `checked` selects and that no reader file (by default the
+    set itself) other than a package __init__.py reads; a method or field
+    is read wherever its name is."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
-    read = set().union(*(_read_names(tree) for path, tree in trees.items()
+    readers = sources if readers is None else readers
+    read = set().union(*(_read_names(ast.parse(source))
+                         for path, source in readers.items()
                          if Path(path).name != "__init__.py"))
     return sorted((path, line, name) for path, tree in trees.items()
-                  for line, name in _definitions(tree)
+                  for line, name in definitions(tree)
                   if checked(name) and name.rpartition(".")[2] not in read)
 
 
@@ -118,6 +139,11 @@ def unread_public_names(sources: dict) -> list:
     """Public definitions and public methods no file reads."""
     return _unread(sources, lambda name:
                    not name.rpartition(".")[2].startswith("_"))
+
+
+def unread_fields(sources: dict, readers: dict) -> list:
+    """Dataclass fields of `sources` that no file of `readers` reads."""
+    return _unread(sources, lambda name: True, _dataclass_fields, readers)
 
 
 def unread_parameters(source: str) -> list:
@@ -225,6 +251,41 @@ def test_every_public_name_in_src_is_read_in_src():
     sources = {str(path.relative_to(ROOT)): path.read_text()
                for path in files}
     assert unread_public_names(sources) == []
+
+
+def test_field_scanner_finds_unread_fields():
+    sources = {
+        "pkg/a.py": ("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\n"
+                     "class Report:\n"
+                     "    iterations: int\n"
+                     "    method: str\n"
+                     "    LIMIT = 3\n"
+                     "@dataclass\n"
+                     "class Run:\n"
+                     "    notes: dict\n"
+                     "    def count(self) -> int:\n"
+                     "        return self.iterations\n"
+                     "class Plain:\n"
+                     "    hidden: int\n"),
+        "pkg/__init__.py": "x.method\n",
+    }
+    readers = {**sources, "bench/run.py": "print(report.notes)\n"}
+    assert unread_fields(sources, sources) == [
+        ("pkg/a.py", 5, "Report.method"), ("pkg/a.py", 9, "Run.notes")]
+    assert unread_fields(sources, readers) == [
+        ("pkg/a.py", 5, "Report.method")]
+
+
+def test_every_dataclass_field_in_src_is_read():
+    """A field that only tests read is state nothing uses; the benchmark
+    harness counts as a reader (it reads RunReport.notes)."""
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    readers = {**sources, **{str(path.relative_to(ROOT)): path.read_text()
+                             for path in sorted(
+                                 (ROOT / "perfbench").glob("*.py"))}}
+    assert unread_fields(sources, readers) == []
 
 
 def test_all_exports_no_submodule():
