@@ -48,7 +48,9 @@ class MatrixControlField:
     @cached_property
     def stiffness(self) -> GridSystem:
         """Eliminated stiffness K_q, assembled and checked definite once
-        (a failure raises CoefficientError and caches nothing)."""
+        (a failure raises CoefficientError and caches nothing). The one
+        place the boundary is pinned: every other system of q derives
+        from it by `pin` or `plus`."""
         return assemble_stiffness(self.mesh, self)
 
     @classmethod

@@ -172,10 +172,9 @@ def load_config(path=None, overrides: Sequence[str] = (),
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Rows of (gamma, err_u, err_q), ascending in gamma, plus metadata."""
+    """Rows of (gamma, err_u, err_q), ascending in gamma."""
 
     rows: Tuple[Tuple[float, float, float], ...]
-    meta: Dict
 
     def __post_init__(self):
         gammas = [row[0] for row in self.rows]
@@ -344,8 +343,7 @@ def run_example2(cfg: ExperimentConfig) -> RunReport:
         "barrier_violations": violations,
     })
     table = ResultTable(
-        rows=tuple((leg.gamma, leg.err_u, leg.err_q) for leg in legs),
-        meta=meta)
+        rows=tuple((leg.gamma, leg.err_u, leg.err_q) for leg in legs))
     outputs.append(table.write(outdir / "table.csv"))
     outputs.append(write_structured_vtk(outdir / "reference.vtk", mesh,
                                         _field_dict(reference)))

@@ -9,15 +9,15 @@ assembly writes its data by strided slice-adds. Homogeneous Dirichlet
 conditions, and every other pinned node, are imposed by symmetric
 row/column elimination with identity diagonal (a mask on that data), so
 all operators stay usable by symmetric solvers. An eliminated operator is
-a `GridSystem`, which knows its pinned nodes, reads its level off its size
-and builds the geometric multigrid preconditioner its solves use. The
+a `GridSystem`: stencil data and the mask of its pinned nodes. It derives
+the systems that pin more nodes or add data on the same stencil, and
+builds the geometric multigrid preconditioner its solves use. The
 consistent mass matrix is a Kronecker product of 1-D masses and is solved
 exactly along the grid axes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, TYPE_CHECKING
@@ -33,8 +33,10 @@ if TYPE_CHECKING:
     from .control import MatrixControlField
 
 MAX_LEVEL = 12
-# Gauss points per axis and cell of l2_error_vs_function
+# Gauss points per axis and cell of l2_error_vs_function, and the cells
+# it evaluates at once
 _ERROR_ORDER = 4
+_ERROR_BLOCK = 4096
 
 # local node order on the reference square [-1,1]^2, counter-clockwise
 _XI = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -63,11 +65,6 @@ def _shape_gradients(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def _outer(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-point outer products s[g, a] * t[g, b] as a (4, 16) array."""
     return (s[:, :, None] * t[:, None, :]).reshape(4, 16)
-
-
-def gauss_points_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(order)
 
 
 class StructuredMesh:
@@ -257,33 +254,17 @@ class StencilPattern:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
-    def compact(self, data: np.ndarray) -> sp.csr_matrix:
-        """CSR matrix of the nonzero entries of data, for a solver: pinned
-        rows and columns would otherwise cost matrix-vector work."""
-        keep = data != 0.0
-        counts = np.bincount(self.rows[keep], minlength=self.shape[0])
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        return sp.csr_matrix((data[keep], self.indices[keep], indptr),
-                             shape=self.shape)
-
-    def data_of(self, matrix: sp.csr_matrix) -> np.ndarray:
-        """The .data of a matrix assembled on this pattern."""
-        if not (sp.isspmatrix_csr(matrix) and matrix.nnz == self.nnz
-                and np.shares_memory(matrix.indices, self.indices)):
-            raise DimensionError("matrix is not on this mesh's stencil")
-        return matrix.data
-
-    def pin(self, data: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Data with the rows and columns flagged by mask zeroed and 1 on
-        their diagonal entries."""
+    def pinned(self, data: np.ndarray, mask: np.ndarray) -> sp.csr_matrix:
+        """CSR matrix of data with the rows and columns flagged by mask set
+        to identity, without its zero entries: pinned rows and columns
+        would otherwise cost matrix-vector work."""
         out = np.where(mask[self.rows] | mask[self.indices], 0.0, data)
         out[self.diagonal[mask]] = 1.0
-        return out
-
-    def system(self, data: np.ndarray, pinned: np.ndarray) -> "GridSystem":
-        """The grid system of data with the pinned rows and columns set to
-        identity, without its zero entries."""
-        return GridSystem(self.compact(self.pin(data, pinned)), pinned)
+        keep = out != 0.0
+        counts = np.bincount(self.rows[keep], minlength=self.shape[0])
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        return sp.csr_matrix((out[keep], self.indices[keep], indptr),
+                             shape=self.shape)
 
 
 class KroneckerMass:
@@ -377,29 +358,46 @@ _L1_CAP = 1.8
 class GridSystem:
     """SPD system on the nine-point stencil of the (2^L + 1)^2 grid nodes.
 
-    The rows and columns of the nodes in `dirichlet_mask` (boundary nodes,
-    and whatever else a solver pins) are identity; `solve_spd` zeroes the
-    right-hand side there, so the solution is exactly zero on them, and
-    solves the rest by conjugate gradients preconditioned with the
-    geometric multigrid V-cycle of `multigrid`.
+    Held as stencil data, unpinned, and the mask of the nodes it pins
+    (boundary nodes, and whatever else a solver pins). Its `matrix` has
+    identity rows and columns there; `solve_spd` zeroes the right-hand
+    side there, so the solution is exactly zero on them, and solves the
+    rest by conjugate gradients preconditioned with the geometric
+    multigrid V-cycle of `multigrid`. `pin` and `plus` derive the systems
+    the solvers need from one stiffness: each keeps every node its source
+    pins.
     """
 
-    matrix: sp.csr_matrix
+    stencil: StencilPattern
+    data: np.ndarray
     dirichlet_mask: np.ndarray
 
     def __post_init__(self):
-        n_nodes = (2 ** self.level + 1) ** 2
-        if not sp.isspmatrix_csr(self.matrix) \
-                or self.matrix.shape != (n_nodes, n_nodes) \
-                or self.dirichlet_mask.shape != (n_nodes,):
+        if self.data.shape != (self.stencil.nnz,) \
+                or self.dirichlet_mask.shape != (self.stencil.shape[0],):
             raise DimensionError(
-                "a grid system is a CSR matrix on the (2^L + 1)^2 nodes of "
-                "a grid with a mask of them")
+                "a grid system is data on a mesh's stencil with a mask of "
+                "its nodes")
 
     @property
     def level(self) -> int:
-        """The refinement level L, read off the matrix size."""
-        return (math.isqrt(self.matrix.shape[0]) - 1).bit_length() - 1
+        """The refinement level L of the stencil's grid."""
+        return self.stencil.cells_per_side.bit_length() - 1
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The pinned CSR matrix, without its zero entries."""
+        return self.stencil.pinned(self.data, self.dirichlet_mask)
+
+    def pin(self, mask: np.ndarray) -> "GridSystem":
+        """This system with the nodes of mask pinned too, on the same
+        data."""
+        return GridSystem(self.stencil, self.data, self.dirichlet_mask | mask)
+
+    def plus(self, data: np.ndarray) -> "GridSystem":
+        """The system of the sum with other data on the stencil, pinned on
+        the same nodes."""
+        return GridSystem(self.stencil, self.data + data, self.dirichlet_mask)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -538,8 +536,7 @@ def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
     stencil = mesh.stencil
     data = stencil.assemble(ke)
     if eliminate:
-        mask = mesh.boundary_mask
-        return GridSystem(stencil.matrix(stencil.pin(data, mask)), mask)
+        return GridSystem(stencil, data, mesh.boundary_mask)
     return stencil.matrix(data)
 
 
@@ -568,16 +565,22 @@ def l2_error_vs_function(field: ScalarField, exact: Callable) -> float:
 
     Evaluates the bilinear interpolant and the exact function on a 4x4
     tensor Gauss rule per cell, so the discretization error of the field
-    itself dominates the result.
+    itself dominates the result. The per-cell integrals are filled in
+    blocks of _ERROR_BLOCK cells, which bounds the temporaries, and summed
+    once.
     """
     mesh = field.mesh
-    pts, wts = gauss_points_1d(_ERROR_ORDER)
+    pts, wts = np.polynomial.legendre.leggauss(_ERROR_ORDER)
     xi, eta = np.meshgrid(pts, pts)
     xi, eta = xi.ravel(), eta.ravel()
     w2 = np.outer(wts, wts).ravel() * mesh.h * mesh.h / 4.0
     shape = _shape_values(xi, eta)
-    uh = field.values[mesh.cells] @ shape.T
-    xg = shape @ mesh.nodes[mesh.cells]
-    ue = exact(xg[:, :, 0], xg[:, :, 1])
-    err2 = ((uh - ue) ** 2 @ w2).sum()
+    per_cell = np.empty(mesh.n_cells)
+    for start in range(0, mesh.n_cells, _ERROR_BLOCK):
+        cells = mesh.cells[start:start + _ERROR_BLOCK]
+        uh = field.values[cells] @ shape.T
+        xg = shape @ mesh.nodes[cells]
+        ue = exact(xg[:, :, 0], xg[:, :, 1])
+        per_cell[start:start + len(cells)] = (uh - ue) ** 2 @ w2
+    err2 = per_cell.sum()
     return float(np.sqrt(max(err2, 0.0)))

@@ -2,8 +2,9 @@
 
 `solve_spd` takes one of the two operators the package builds. Every
 system assembled on a mesh's nine-point stencil is a `GridSystem`: the
-Dirichlet stiffness, the active-set, VI-adjoint and cone systems with
-their pinned rows, and the Newton/adjoint matrices K + D. Conjugate
+Dirichlet stiffness K of a control, the active-set, VI-adjoint and cone
+systems that pin more of its nodes (`K.pin`), and the Newton/adjoint
+matrices K + D (`K.plus`). Conjugate
 gradients solve it with a geometric multigrid V-cycle as preconditioner,
 whose coarsest grid (at most 32 cells per side) is an exact banded
 Cholesky solve, so the iteration count does not grow with the level and a
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolverError
-from .fem import GridSystem, KroneckerMass, ScalarField
+from .fem import GridSystem, KroneckerMass
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
         LinearSolveReport(max_iters, res))
 
 
-def solve_spd(A: Union[GridSystem, KroneckerMass],
-              b: Union[ScalarField, np.ndarray],
+def solve_spd(A: Union[GridSystem, KroneckerMass], b: np.ndarray,
               tol: float = 1e-12,
               x0: Optional[np.ndarray] = None):
     """Solve the SPD system A x = b.
@@ -97,13 +97,12 @@ def solve_spd(A: Union[GridSystem, KroneckerMass],
     solution is exactly zero there. A `KroneckerMass` is solved exactly
     (banded Cholesky along each grid axis), b may then hold several
     columns, shape (n, k), and x0 does not apply; the residual of every
-    column is checked against tol. The returned solution mirrors the type
-    of b.
+    column is checked against tol.
 
     Parameters
     ----------
     A : GridSystem or KroneckerMass
-    b : ScalarField or ndarray
+    b : ndarray
     tol : float
         Relative residual target ||Ax - b|| <= tol * ||b||. Every
         stiffness, active-set and Newton solve of the package uses the
@@ -131,18 +130,14 @@ def solve_spd(A: Union[GridSystem, KroneckerMass],
                         f"not {type(A).__name__}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    rhs = b.values if isinstance(b, ScalarField) else np.asarray(b, float)
+    rhs = np.asarray(b, float)
     if not np.isfinite(rhs).all():
         raise SolverError("right-hand side has non-finite entries")
     if x0 is not None and not np.isfinite(x0).all():
         raise SolverError("initial guess has non-finite entries")
     if isinstance(A, KroneckerMass):
-        x, report = _solve_mass(A, rhs, tol)
-    else:
-        x, report = _solve_grid(A, rhs, tol, x0)
-    if isinstance(b, ScalarField):
-        return ScalarField(b.mesh, x), report
-    return x, report
+        return _solve_mass(A, rhs, tol)
+    return _solve_grid(A, rhs, tol, x0)
 
 
 def _solve_grid(A: GridSystem, rhs, tol, x0):

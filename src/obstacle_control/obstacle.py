@@ -59,38 +59,34 @@ class VISolution:
 
 def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
                       rhs: np.ndarray, upper: np.ndarray,
-                      pinned: np.ndarray,
                       active0: Optional[np.ndarray] = None,
                       u0: Optional[np.ndarray] = None):
     """Primal-dual active set loop for min 1/2 u'Ku - rhs'u, u <= upper.
 
-    Nodes flagged by `pinned` are held at zero throughout (Dirichlet
-    nodes and, for cone problems, strongly-active nodes). The
-    upper bound applies wherever `upper` is finite; +inf entries are
-    unconstrained. K must be assembled on `mesh`. The loop starts from
-    the active set `active0` (default empty) and the first sweep's CG
-    from `u0` (default zero); each later sweep's CG starts from the state
-    of the one before. Returns (u, lam, active, iterations) with lam the
-    lumped nodal multiplier, supported on the final active set.
+    The nodes K pins are held at zero throughout (Dirichlet nodes and,
+    for cone problems, strongly-active nodes); each sweep solves K pinned
+    at its active nodes too. The upper bound applies wherever `upper` is
+    finite; +inf entries are unconstrained. K must be assembled on
+    `mesh`. The loop starts from the active set `active0` (default empty)
+    and the first sweep's CG from `u0` (default zero); each later sweep's
+    CG starts from the state of the one before. Returns (u, lam, active,
+    iterations) with lam the lumped nodal multiplier, supported on the
+    final active set.
     """
     n = rhs.shape[0]
-    constrained = np.isfinite(upper) & ~pinned
+    constrained = np.isfinite(upper) & ~K.dirichlet_mask
     active = np.zeros(n, dtype=bool)
     if active0 is not None:
         active = active0 & constrained
     seen = {active.tobytes()}
     u = np.zeros(n) if u0 is None else u0
     mat = K.matrix
-    stencil = mesh.stencil
-    k_data = stencil.data_of(mat)
     m_lump = mesh.lumped_mass
     for it in range(1, _MAX_ITERS + 1):
-        fixed = pinned | active
         u_fix = np.where(active, upper, 0.0)
-        # the free part solves the system pinned at the fixed nodes, where
-        # it is zero and u_fix (zero elsewhere) holds the values
-        system = stencil.system(k_data, fixed)
-        v, _ = solve_spd(system, rhs - mat @ u_fix, x0=u)
+        # the free part solves the system pinned at the active nodes too,
+        # where it is zero and u_fix (zero elsewhere) holds the values
+        v, _ = solve_spd(K.pin(active), rhs - mat @ u_fix, x0=u)
         u = v + u_fix
         lam = np.zeros(n)
         resid = rhs - mat @ u
@@ -177,12 +173,10 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     u0 = None
     if active0 is None and mesh.level > _COARSEST:
         active0, u0 = _nested_start(q, f_load, psi)
-    rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
     upper = np.full(mesh.n_nodes, psi)
-    m_lump = mesh.lumped_mass
     u, lam, active, its = _pdas_bound_solve(
-        mesh, K, rhs, upper, mesh.boundary_mask, active0, u0)
-    f_norm = _load_density_norm(f_load, m_lump)
+        mesh, K, f_load.values, upper, active0, u0)
+    f_norm = _load_density_norm(f_load, mesh.lumped_mass)
     strong = active & (lam > _ACTIVE_TOL * max(f_norm, 1e-300))
     return VISolution(ScalarField(mesh, u), ScalarField(mesh, lam),
                       active, strong, its, f_norm)

@@ -133,9 +133,7 @@ class OptIterate:
 class OptResult:
     q: MatrixControlField
     u: ScalarField
-    p: ScalarField
     multiplier: ScalarField
-    gradient: MatrixControlField
     value: float
     pg_residual: float
     history: tuple
@@ -254,11 +252,8 @@ def solve_vi_adjoint(q: MatrixControlField, sol: VISolution,
     vanishing multiplier) stay free.
     """
     mesh = q.mesh
-    pinned = mesh.boundary_mask | sol.strongly_active
-    stencil = mesh.stencil
-    system = stencil.system(stencil.data_of(q.stiffness.matrix), pinned)
     rhs = mesh.mass_matrix @ (sol.u.values - u_d.values)
-    vals, _ = solve_spd(system, rhs)
+    vals, _ = solve_spd(q.stiffness.pin(sol.strongly_active), rhs)
     return ScalarField(mesh, vals)
 
 
@@ -400,10 +395,9 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
             best, stalled = value, 0
         else:
             stalled += 1
-    return OptResult(q=q, u=u, p=p, multiplier=path.multiplier(sol),
-                     gradient=g, value=value, pg_residual=resid,
-                     history=tuple(history), converged=converged,
-                     iterations=it)
+    return OptResult(q=q, u=u, multiplier=path.multiplier(sol), value=value,
+                     pg_residual=resid, history=tuple(history),
+                     converged=converged, iterations=it)
 
 
 def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,

@@ -60,15 +60,6 @@ def _penalty_jacobian(mesh, gap: np.ndarray, gamma: float) -> np.ndarray:
     return mesh.stencil.assemble(local)
 
 
-def _penalized_system(mesh, K: GridSystem, gap: np.ndarray,
-                      gamma: float) -> GridSystem:
-    """Newton and adjoint matrix K + D(u), summed on the shared pattern
-    and pinned on the boundary."""
-    stencil = mesh.stencil
-    data = stencil.data_of(K.matrix) + _penalty_jacobian(mesh, gap, gamma)
-    return stencil.system(data, mesh.boundary_mask)
-
-
 def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
             u0: np.ndarray) -> np.ndarray:
     f_scale = max(float(np.linalg.norm(rhs)), 1e-300)
@@ -80,7 +71,7 @@ def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
     for _ in range(_NEWTON_MAX):
         if res_norm <= cfg.newton_tol * f_scale:
             return u
-        system = _penalized_system(mesh, K, gap, cfg.gamma)
+        system = K.plus(_penalty_jacobian(mesh, gap, cfg.gamma))
         delta, _ = solve_spd(system, -res)
         step = 1.0
         while True:
@@ -155,7 +146,7 @@ def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,
     if q.mesh is not mesh:
         raise DimensionError("coefficient lives on a different mesh")
     gap = _gap_at_quadrature(mesh, u.values, cfg.psi)
-    system = _penalized_system(mesh, q.stiffness, gap, cfg.gamma)
+    system = q.stiffness.plus(_penalty_jacobian(mesh, gap, cfg.gamma))
     rhs = mesh.mass_matrix @ (u.values - u_d.values)
     p, _ = solve_spd(system, rhs)
     return ScalarField(mesh, p)

@@ -72,12 +72,11 @@ def directional_derivative(q: MatrixControlField, d: MatrixControlField,
     mesh = q.mesh
     if d.mesh is not mesh or sol.u.mesh is not mesh:
         raise CoefficientError("direction and solution must share the mesh")
-    K = q.stiffness
     rhs = _direction_load(q, d, sol.u)
     upper = np.full(mesh.n_nodes, np.inf)
     upper[cone.nonpositive_nodes] = 0.0
-    pinned = mesh.boundary_mask | cone.zero_nodes
-    v, _, _, _ = _pdas_bound_solve(mesh, K, rhs, upper, pinned)
+    v, _, _, _ = _pdas_bound_solve(mesh, q.stiffness.pin(cone.zero_nodes),
+                                   rhs, upper)
     return ScalarField(mesh, v)
 
 

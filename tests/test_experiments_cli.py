@@ -117,7 +117,7 @@ def test_parse_config_text_unknown_key():
 
 def test_result_table_requires_ascending_gamma():
     with pytest.raises(ValueError):
-        ResultTable(rows=((1e3, 1.0, 1.0), (1e0, 2.0, 2.0)), meta={})
+        ResultTable(rows=((1e3, 1.0, 1.0), (1e0, 2.0, 2.0)))
 
 
 def test_problem_data_matches_reference_formulas():

@@ -8,7 +8,6 @@ import sympy
 from obstacle_control import (
     CapacityError,
     CoefficientError,
-    DimensionError,
     MatrixControlField,
     NonFiniteError,
     ScalarField,
@@ -475,22 +474,29 @@ def test_penalty_jacobian_matches_coo_reference():
 
 
 def test_operators_share_the_mesh_pattern():
+    """Assembled operators hold their data on the stencil's read-only
+    pattern; a pinned matrix keeps its column order."""
     mesh = build_mesh(3)
     q = random_admissible(mesh, np.random.default_rng(SEED + 6))
     stencil = mesh.stencil
-    for mat in (mesh.mass_matrix, assemble_stiffness(mesh, q, eliminate=False),
-                assemble_stiffness(mesh, q).matrix):
+    for mat in (mesh.mass_matrix, assemble_stiffness(mesh, q, eliminate=False)):
         assert mat.has_sorted_indices
-        assert stencil.data_of(mat) is mat.data
-    other = build_mesh(3).mass_matrix
-    with pytest.raises(DimensionError):
-        stencil.data_of(other)
+        assert np.shares_memory(mat.indices, stencil.indices)
+    K = assemble_stiffness(mesh, q)
+    assert K.stencil is stencil
+    assert K.data.shape == (stencil.nnz,)
+    assert K.matrix.has_sorted_indices
+    assert np.array_equal(
+        K.matrix.toarray(),
+        pin_reference(stencil.matrix(K.data), mesh.boundary_mask))
     with pytest.raises(ValueError):
         mesh.mass_matrix.indices[0] = 1
 
 
 @pytest.mark.parametrize("level", [1, 3])
 def test_pin_matches_keep_product(level):
+    """StencilPattern.pinned is keep @ A @ keep + diag(mask), with no
+    stored zeros."""
     mesh = build_mesh(level)
     rng = np.random.default_rng(SEED + 7)
     q = random_admissible(mesh, rng)
@@ -498,12 +504,35 @@ def test_pin_matches_keep_product(level):
     raw = assemble_stiffness(mesh, q, eliminate=False)
     for _ in range(3):
         mask = rng.random(mesh.n_nodes) < 0.3
-        pinned = stencil.pin(raw.data, mask)
-        want = pin_reference(raw, mask)
-        assert np.array_equal(stencil.matrix(pinned).toarray(), want)
-        compact = stencil.compact(pinned)
-        assert np.array_equal(compact.toarray(), want)
-        assert np.count_nonzero(compact.data) == compact.nnz
+        pinned = stencil.pinned(raw.data, mask)
+        assert np.array_equal(pinned.toarray(), pin_reference(raw, mask))
+        assert np.count_nonzero(pinned.data) == pinned.nnz
+        assert pinned.has_sorted_indices
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_derived_systems_keep_the_pinned_nodes(level):
+    """pin adds nodes to the source's mask on the same data; plus adds
+    data on the same mask; neither unpins a node of its source."""
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(SEED + 8)
+    K = assemble_stiffness(mesh, random_admissible(mesh, rng))
+    raw = mesh.stencil.matrix(K.data)
+    extra = rng.random(mesh.n_nodes) < 0.3
+    pinned = K.pin(extra)
+    assert pinned.data is K.data
+    assert np.array_equal(pinned.dirichlet_mask,
+                          mesh.boundary_mask | extra)
+    assert np.array_equal(pinned.matrix.toarray(),
+                          pin_reference(raw, mesh.boundary_mask | extra))
+    mass = mesh.mass_matrix
+    summed = pinned.plus(mass.data)
+    assert summed.dirichlet_mask is pinned.dirichlet_mask
+    assert np.array_equal(summed.data, K.data + mass.data)
+    assert np.array_equal(
+        summed.matrix.toarray(),
+        pin_reference(raw + mass, mesh.boundary_mask | extra))
+    assert np.array_equal(K.dirichlet_mask, mesh.boundary_mask)
 
 
 @pytest.mark.parametrize("level", [1, 4, 7])

@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 from obstacle_control import (
     DimensionError,
     MatrixControlField,
-    ScalarField,
     SolverError,
     assemble_load,
     assemble_stiffness,
@@ -20,7 +19,7 @@ from obstacle_control import (
 from obstacle_control import linsolve
 from obstacle_control.control import riesz_lift
 from obstacle_control.fem import GridSystem
-from obstacle_control.penalty import _gap_at_quadrature, _penalized_system
+from obstacle_control.penalty import _gap_at_quadrature, _penalty_jacobian
 
 from conftest import random_admissible
 
@@ -55,8 +54,10 @@ def no_multigrid(monkeypatch):
 def test_identity_system():
     mesh = build_mesh(2)
     n = mesh.n_nodes
-    identity = GridSystem(sp.identity(n, format="csr"),
-                          np.zeros(n, dtype=bool))
+    stencil = mesh.stencil
+    data = np.zeros(stencil.nnz)
+    data[stencil.diagonal] = 1.0
+    identity = GridSystem(stencil, data, np.zeros(n, dtype=bool))
     b = np.random.default_rng(SEED).standard_normal(n)
     x, report = solve_spd(identity, b, tol=1e-12)
     assert np.allclose(x, b, atol=1e-13)
@@ -67,12 +68,12 @@ def test_residual_contract_on_stiffness():
     mesh = build_mesh(3)
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q)
-    b = assemble_load(mesh, lambda x, y: np.ones_like(x))
+    b = assemble_load(mesh, lambda x, y: np.ones_like(x)).values
     x, report = solve_spd(K, b, tol=1e-10)
-    rhs = np.where(mesh.boundary_mask, 0.0, b.values)
-    res = np.linalg.norm(K @ x.values - rhs)
+    rhs = np.where(mesh.boundary_mask, 0.0, b)
+    res = np.linalg.norm(K @ x - rhs)
     assert res <= 1e-10 * np.linalg.norm(rhs)
-    assert isinstance(x, ScalarField)
+    assert isinstance(x, np.ndarray)
 
 
 def test_matches_dense_factorization_oracle():
@@ -92,10 +93,10 @@ def test_deterministic_solves():
     mesh = build_mesh(3)
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q)
-    b = assemble_load(mesh, lambda x, y: x + y ** 2)
+    b = assemble_load(mesh, lambda x, y: x + y ** 2).values
     x1, _ = solve_spd(K, b)
     x2, _ = solve_spd(K, b)
-    assert np.array_equal(x1.values, x2.values)
+    assert np.array_equal(x1, x2)
 
 
 def test_zero_rhs():
@@ -111,9 +112,9 @@ def test_boundary_values_zeroed():
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q)
     rng = np.random.default_rng(SEED + 2)
-    b = ScalarField(mesh, rng.standard_normal(mesh.n_nodes))
+    b = rng.standard_normal(mesh.n_nodes)
     x, _ = solve_spd(K, b)
-    assert np.array_equal(x.values[mesh.boundary_mask],
+    assert np.array_equal(x[mesh.boundary_mask],
                           np.zeros(mesh.boundary_mask.sum()))
 
 
@@ -124,7 +125,7 @@ def test_nonconvergence_raises_with_report(monkeypatch):
     mesh = build_mesh(7)
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q)
-    b = assemble_load(mesh, lambda x, y: np.ones_like(x))
+    b = assemble_load(mesh, lambda x, y: np.ones_like(x)).values
     with pytest.raises(SolverError, match="in 2 iterations") as err:
         solve_spd(K, b, tol=1e-12)
     assert err.value.report is not None
@@ -136,10 +137,10 @@ def test_direct_path_matches_pcg():
     mesh = build_mesh(3)
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q)
-    b = assemble_load(mesh, lambda x, y: x * y + 2.0)
+    b = assemble_load(mesh, lambda x, y: x * y + 2.0).values
     x_it, _ = solve_spd(K, b, tol=1e-13)
-    x_dir = scipy_lu(K.matrix, np.where(mesh.boundary_mask, 0.0, b.values))
-    assert np.allclose(x_it.values, x_dir, atol=1e-10)
+    x_dir = scipy_lu(K.matrix, np.where(mesh.boundary_mask, 0.0, b))
+    assert np.allclose(x_it, x_dir, atol=1e-10)
 
 
 # ------------------------------------------------- non-finite input
@@ -159,7 +160,7 @@ def test_non_finite_initial_guess_fails_before_iterating(no_multigrid):
     mesh = build_mesh(3)
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q)
-    b = assemble_load(mesh, lambda x, y: np.ones_like(x))
+    b = assemble_load(mesh, lambda x, y: np.ones_like(x)).values
     x0 = np.zeros(mesh.n_nodes)
     x0[10] = np.nan
     with pytest.raises(SolverError, match="initial guess"):
@@ -224,16 +225,17 @@ def test_kronecker_mass_solve_matches_pcg_and_direct(level, columns):
 
 
 def test_kronecker_mass_solve_of_a_field_and_zero_columns():
+    """The nodal values of one field solve as one column of several."""
     mesh = build_mesh(4)
-    b = ScalarField(mesh, _mass_rhs(mesh, None, SEED))
+    b = _mass_rhs(mesh, None, SEED)
     x, _ = solve_spd(mesh.mass_operator, b, tol=MASS_TOL)
-    assert isinstance(x, ScalarField)
-    _assert_mass_contract(mesh, x.values, b.values)
+    assert x.shape == (mesh.n_nodes,)
+    _assert_mass_contract(mesh, x, b)
     b3 = np.zeros((mesh.n_nodes, 3))
-    b3[:, 0] = b.values
+    b3[:, 0] = b
     x3, _ = solve_spd(mesh.mass_operator, b3, tol=MASS_TOL)
     assert np.array_equal(x3[:, 1:], np.zeros((mesh.n_nodes, 2)))
-    assert np.array_equal(x3[:, 0], x.values)
+    assert np.array_equal(x3[:, 0], x)
 
 
 # ------------------------------------- multigrid PCG on grid systems
@@ -251,24 +253,21 @@ def _grid_case(kind, level, seed):
     mesh = build_mesh(level)
     rng = np.random.default_rng(seed)
     x, y = mesh.nodes.T
-    stencil = mesh.stencil
     b = rng.standard_normal(mesh.n_nodes)
     lifted = np.zeros(mesh.n_nodes)
     if kind == "dirichlet":
         q = MatrixControlField.constant(mesh, [[4.0, 1.5], [1.5, 1.0]])
         return assemble_stiffness(mesh, q), b, lifted
     K = assemble_stiffness(mesh, initial_control(mesh))
-    data = stencil.data_of(K.matrix)
     if kind == "pdas":
         # a random active set pinned to psi, moved to the right-hand side
         # the way the active-set solver does it
         active = mesh.interior_mask & (rng.random(mesh.n_nodes) < 0.3)
         lifted = np.where(active, 0.5, 0.0)
-        system = stencil.system(data, mesh.boundary_mask | active)
-        return system, b - K.matrix @ lifted, lifted
+        return K.pin(active), b - K.matrix @ lifted, lifted
     if kind == "vi_adjoint":
         contact = (x - 0.4) ** 2 + y ** 2 < 0.1
-        return stencil.system(data, mesh.boundary_mask | contact), b, lifted
+        return K.pin(contact), b, lifted
     return _penalty_system(mesh, K), b, lifted
 
 
@@ -276,8 +275,8 @@ def _penalty_system(mesh, K):
     """K + D with the gamma = 1e12 penalty Jacobian of a bump state."""
     x, y = mesh.nodes.T
     u = PENALTY_PEAK * (1.0 - x ** 2) * (1.0 - y ** 2)
-    return _penalized_system(mesh, K, _gap_at_quadrature(mesh, u, 0.5),
-                             1e12)
+    return K.plus(_penalty_jacobian(
+        mesh, _gap_at_quadrature(mesh, u, 0.5), 1e12))
 
 
 def _true_residual(system, x, b):
@@ -318,10 +317,10 @@ def test_multigrid_iterations_do_not_grow_with_level(kind, cap):
         K = assemble_stiffness(mesh, MatrixControlField.constant(
             mesh, np.eye(2)))
         system = _penalty_system(mesh, K) if kind == "penalty" else K
-        b = assemble_load(mesh, lambda x, y: np.ones_like(x))
+        b = assemble_load(mesh, lambda x, y: np.ones_like(x)).values
         x, report = solve_spd(system, b, tol=1e-12)
         assert report.iterations <= cap, (level, report.iterations)
-        assert _true_residual(system, x.values, b.values) <= 1e-11
+        assert _true_residual(system, x, b) <= 1e-11
 
 
 @pytest.mark.parametrize("level", range(1, 6))
@@ -353,11 +352,11 @@ def test_plain_matrix_is_not_taken_for_a_grid(no_multigrid):
 def test_nan_on_the_multigrid_path_raises(level, monkeypatch):
     mesh = build_mesh(level)
     K = assemble_stiffness(mesh, initial_control(mesh))
-    data = mesh.stencil.data_of(K.matrix).copy()
-    off_diagonal = np.setdiff1d(np.arange(data.size),
+    bump = np.zeros(K.data.size)
+    off_diagonal = np.setdiff1d(np.arange(bump.size),
                                 mesh.stencil.diagonal)
-    data[off_diagonal[data.size // 3]] = np.nan
-    system = mesh.stencil.system(data, mesh.boundary_mask)
+    bump[off_diagonal[bump.size // 3]] = np.nan
+    system = K.plus(bump)
     b = np.where(mesh.boundary_mask, 0.0, 1.0)
     with pytest.raises(SolverError):
         solve_spd(system, b)
@@ -375,10 +374,8 @@ def test_failed_banded_factor_raises(level):
     Dirichlet eigenvalue of the square is about 4.93)."""
     mesh = build_mesh(level)
     K = assemble_stiffness(mesh, MatrixControlField.constant(
-        mesh, np.eye(2)), eliminate=False)
-    stencil = mesh.stencil
-    data = stencil.data_of(K) - 10.0 * mesh.mass_matrix.data
-    system = stencil.system(data, mesh.boundary_mask)
+        mesh, np.eye(2)))
+    system = K.plus(-10.0 * mesh.mass_matrix.data)
     assert np.all(system.matrix.diagonal() > 0.0)
     b = np.where(mesh.boundary_mask, 0.0, 1.0)
     with pytest.raises(SolverError, match="banded Cholesky"):
@@ -386,19 +383,16 @@ def test_failed_banded_factor_raises(level):
 
 
 def test_grid_system_checks_its_level():
-    """A grid system reads its level off its (2^L + 1)^2 nodes and
-    refuses any other size, a mask of another length and a matrix that
-    is not square CSR."""
+    """A grid system reads its level off its stencil and refuses data
+    that is not on the stencil and a mask of another length."""
     for level in (0, 1, 3):
         mesh = build_mesh(level)
         K = assemble_stiffness(mesh, initial_control(mesh))
-        assert GridSystem(K.matrix, K.dirichlet_mask).level == level
-    # not squares, or squares of 4 and 7 nodes per side (not 2^L + 1)
-    for n in (1, 10, 16, 49):
+        assert GridSystem(mesh.stencil, K.data, K.dirichlet_mask).level \
+            == level
+    other = build_mesh(2).stencil
+    for stencil, data, mask in ((other, K.data, K.dirichlet_mask),
+                                (mesh.stencil, K.data[:-1], K.dirichlet_mask),
+                                (mesh.stencil, K.data, K.dirichlet_mask[:-1])):
         with pytest.raises(DimensionError, match="grid system"):
-            GridSystem(sp.identity(n, format="csr"), np.zeros(n, dtype=bool))
-    for matrix, mask in ((K.matrix, K.dirichlet_mask[:-1]),
-                         (K.matrix[:, :25].tocsr(), K.dirichlet_mask),
-                         (K.matrix.tocoo(), K.dirichlet_mask)):
-        with pytest.raises(DimensionError, match="grid system"):
-            GridSystem(matrix, mask)
+            GridSystem(stencil, data, mask)

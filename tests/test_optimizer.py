@@ -125,7 +125,8 @@ def test_manufactured_optimum_terminates_immediately():
     f = assemble_load(mesh, manufactured_load)
     q_d = MatrixControlField.from_function(mesh, q_d_components)
     K = assemble_stiffness(mesh, q_d)
-    u_star, _ = solve_spd(K, f)
+    u_star, _ = solve_spd(K, f.values)
+    u_star = ScalarField(mesh, u_star)
     cfg = ObjectiveConfig(alpha=0.1, beta=0.0, u_d=u_star, q_d=q_d,
                           q_min=0.5, q_max=10.0, f_load=f)
     res = minimize(q_d, cfg, PenaltyConfig(gamma=0.0, psi=1e6))

@@ -1,17 +1,20 @@
 """Every imported name in src/ and tests/ is used in its module, every
 module-level private name in src/ is read somewhere in src/, every public
 function, class, constant and method in src/ is read somewhere in src/
-outside the package __init__.py, every dataclass field in src/ is read
-somewhere in src/ or perfbench/ outside an __init__.py, and every
-parameter of a function or lambda in src/ is read by its body. The package exports no submodule
-through __all__, and importing it does not load scipy.sparse.linalg.
+outside the package __init__.py, every dataclass field in src/ is read as
+an attribute somewhere in src/, perfbench/ or the acceptance gate outside
+an __init__.py, and every parameter of a function or lambda in src/ is
+read by its body. The package exports no submodule through __all__, and
+importing it does not load scipy.sparse.linalg.
 
 A package __init__.py is exempt from the import check: its imports are
 the public API. Names in string annotations count as used. A name counts
 as read where it is loaded, imported or taken as an attribute; a method
-or field counts as read wherever its name is. `self`, `cls` and `_`-prefixed
-parameters are exempt from the parameter check: an interface may need a
-slot its implementation does not read.
+counts as read wherever its name is. A field counts as read only where
+an attribute of its name is loaded, or fetched by getattr with a constant
+name: a local variable of the same name is not a read of it. `self`,
+`cls` and `_`-prefixed parameters are exempt from the parameter check:
+an interface may need a slot its implementation does not read.
 """
 
 import ast
@@ -76,6 +79,22 @@ def _read_names(tree):
     return names
 
 
+def _attribute_reads(tree):
+    """Attribute names a module loads, directly or by getattr with a
+    constant name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and len(node.args) >= 2 \
+                and isinstance(node.args[1], ast.Constant):
+            names.add(node.args[1].value)
+    return names
+
+
 def _definitions(tree):
     """(line, name) of the module-level functions, classes and constants
     of a module, and of the methods of its classes as "Class.method"."""
@@ -113,14 +132,14 @@ def _dataclass_fields(tree):
 
 
 def _unread(sources: dict, checked, definitions=_definitions,
-            readers=None) -> list:
+            readers=None, read_names=_read_names) -> list:
     """(file, line, name) of every definition in the given {file: source}
     set that `checked` selects and that no reader file (by default the
-    set itself) other than a package __init__.py reads; a method or field
-    is read wherever its name is."""
+    set itself) other than a package __init__.py reads, by the names
+    `read_names` finds in it; a method is read wherever its name is."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
     readers = sources if readers is None else readers
-    read = set().union(*(_read_names(ast.parse(source))
+    read = set().union(*(read_names(ast.parse(source))
                          for path, source in readers.items()
                          if Path(path).name != "__init__.py"))
     return sorted((path, line, name) for path, tree in trees.items()
@@ -142,8 +161,10 @@ def unread_public_names(sources: dict) -> list:
 
 
 def unread_fields(sources: dict, readers: dict) -> list:
-    """Dataclass fields of `sources` that no file of `readers` reads."""
-    return _unread(sources, lambda name: True, _dataclass_fields, readers)
+    """Dataclass fields of `sources` that no file of `readers` reads as
+    an attribute."""
+    return _unread(sources, lambda name: True, _dataclass_fields, readers,
+                   _attribute_reads)
 
 
 def unread_parameters(source: str) -> list:
@@ -277,14 +298,38 @@ def test_field_scanner_finds_unread_fields():
         ("pkg/a.py", 5, "Report.method")]
 
 
+def test_field_scanner_counts_only_attribute_reads():
+    """A local of the field's name, a keyword of the constructor and an
+    attribute store are no reads; getattr with a constant name is."""
+    sources = {
+        "pkg/a.py": ("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\n"
+                     "class Result:\n"
+                     "    p: float\n"
+                     "    meta: dict\n"
+                     "    value: float\n"
+                     "    margin: float\n"
+                     "def run(meta):\n"
+                     "    p = 1.0\n"
+                     "    r = Result(p=p, meta=meta, value=p, margin=p)\n"
+                     "    r.margin = 2.0\n"
+                     "    return getattr(r, 'value'), meta\n"),
+    }
+    assert unread_fields(sources, sources) == [
+        ("pkg/a.py", 4, "Result.p"), ("pkg/a.py", 5, "Result.meta"),
+        ("pkg/a.py", 7, "Result.margin")]
+
+
 def test_every_dataclass_field_in_src_is_read():
     """A field that only tests read is state nothing uses; the benchmark
-    harness counts as a reader (it reads RunReport.notes)."""
+    harness counts as a reader (it reads RunReport.notes), and so does
+    the acceptance gate (it reads VISolution.f_norm)."""
     sources = {str(path.relative_to(ROOT)): path.read_text()
                for path in sorted((ROOT / "src").rglob("*.py"))}
+    reader_paths = sorted((ROOT / "perfbench").glob("*.py")) \
+        + [ROOT / "tests" / "test_acceptance.py"]
     readers = {**sources, **{str(path.relative_to(ROOT)): path.read_text()
-                             for path in sorted(
-                                 (ROOT / "perfbench").glob("*.py"))}}
+                             for path in reader_paths}}
     assert unread_fields(sources, readers) == []
 
 
