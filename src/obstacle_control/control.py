@@ -47,10 +47,17 @@ class MatrixControlField:
 
     @cached_property
     def stiffness(self) -> GridSystem:
-        """Eliminated stiffness K_q, assembled and checked definite once
-        (a failure raises CoefficientError and caches nothing). The one
-        place the boundary is pinned: every other system of q derives
-        from it by `pin` or `plus`."""
+        """Dirichlet stiffness K_q, checked definite and assembled once.
+
+        q is positive definite at every node or raises CoefficientError
+        before anything is assembled or cached; on each cell q is a convex
+        combination of its four nodal matrices, so it is then definite
+        everywhere. The one place the boundary is pinned: every other
+        system of q derives from it by `pin` or `plus`."""
+        report = check_admissible(self, 0.0, np.inf)
+        if not report.admissible:
+            raise CoefficientError("coefficient not positive definite at "
+                                   f"node {report.worst_node}")
         return assemble_stiffness(self.mesh, self)
 
     @classmethod

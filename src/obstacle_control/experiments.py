@@ -21,8 +21,7 @@ import numpy as np
 from .control import MatrixControlField, check_admissible, control_inner
 from .errors import ConfigError
 from .fem import ScalarField, build_mesh, l2_error_vs_function, l2_norm
-from .obstacle import VISolution, _load_density_norm, \
-    complementarity_residuals, solve_vi
+from .obstacle import VISolution, complementarity_residuals, solve_vi
 from .optimize import LoopConfig, ObjectiveConfig, OptResult, \
     gamma_continuation, objective_value, reduced_gradient, \
     solve_vi_constrained
@@ -55,7 +54,6 @@ class ExperimentConfig:
     q_init: Tuple[float, float, float] = (2.0, -1.0, 2.0)
     grad_tol: float = 1e-8
     max_iters: int = 2000
-    newton_tol: float = 1e-11
     seed: int = 0
     output_dir: str = "results"
 
@@ -88,8 +86,6 @@ class ExperimentConfig:
             raise ConfigError("grad_tol must be nonnegative")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.newton_tol <= 0.0:
-            raise ConfigError("newton_tol must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
@@ -125,45 +121,45 @@ _PARSERS = {name: _field_parser(kind)
             for name, kind in get_type_hints(ExperimentConfig).items()}
 
 
+def _parse_item(text: str, malformed: str) -> Tuple[str, object]:
+    """Key and parsed value of one key=value item. Raises ConfigError with
+    the message `malformed` when it has no '=', and on an unknown key."""
+    if "=" not in text:
+        raise ConfigError(malformed)
+    key, val = (part.strip() for part in text.split("=", 1))
+    if key not in _PARSERS:
+        raise ConfigError(f"unknown config key: {key}")
+    return key, _PARSERS[key](val)
+
+
 def parse_config_text(text: str) -> Dict:
     """Parse flat key=value lines; # starts a comment, blanks are skipped."""
     values: Dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, "
-                              f"got {raw.strip()!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown config key: {key}")
-        values[key] = _PARSERS[key](val)
+        if line:
+            key, val = _parse_item(line, f"line {lineno}: expected "
+                                   f"key=value, got {raw.strip()!r}")
+            values[key] = val
     return values
 
 
 def load_config(path=None, overrides: Sequence[str] = (),
                 **direct) -> ExperimentConfig:
     """Build a config from an optional file, key=value overrides, and
-    direct keyword values (highest precedence). Unknown keys are errors."""
+    direct keyword values (highest precedence; None means not given).
+    Unknown keys are errors: a text key here, a keyword in the config's
+    constructor."""
     values: Dict = {}
     if path is not None:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
         values.update(parse_config_text(p.read_text()))
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, val = (part.strip() for part in item.split("=", 1))
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown config key: {key}")
-        values[key] = _PARSERS[key](val)
-    for key, val in direct.items():
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown config key: {key}")
-        if val is not None:
-            values[key] = val
+    values.update(_parse_item(item, f"override {item!r} is not key=value")
+                  for item in overrides)
+    values.update((key, val) for key, val in direct.items()
+                  if val is not None)
     try:
         return ExperimentConfig(**values)
     except TypeError as exc:
@@ -206,8 +202,7 @@ def _loop_config(cfg: ExperimentConfig) -> LoopConfig:
 
 
 def _penalty_config(cfg: ExperimentConfig, gamma: float) -> PenaltyConfig:
-    return PenaltyConfig(gamma=gamma, psi=cfg.psi,
-                         newton_tol=cfg.newton_tol)
+    return PenaltyConfig(gamma=gamma, psi=cfg.psi)
 
 
 def _setup(cfg: ExperimentConfig):
@@ -243,12 +238,6 @@ def _feasibility_violations(history) -> int:
     return sum(1 for it in history if not it.feasibility_margin > 0.0)
 
 
-def _multiplier_ratio(result: OptResult, obj: ObjectiveConfig,
-                      mesh) -> float:
-    f_norm = _load_density_norm(obj.f_load, mesh.lumped_mass)
-    return l2_norm(result.multiplier) / max(f_norm, 1e-300)
-
-
 _RATIO_BOUND = 4.5
 
 
@@ -276,8 +265,8 @@ def run_example1(cfg: ExperimentConfig) -> RunReport:
     outdir = Path(cfg.output_dir) / "example1"
     mesh, obj, q0 = _setup(cfg)
     result = solve_vi_constrained(q0, obj, cfg.psi, opt=_loop_config(cfg))
-    sol = solve_vi(result.q, obj.f_load, cfg.psi)
-    ratio = _multiplier_ratio(result, obj, mesh)
+    sol = result.solution
+    ratio = l2_norm(sol.lam) / max(sol.f_norm, 1e-300)
     feas_u, feas_lam, comp = complementarity_residuals(sol, cfg.psi)
     outputs = [
         write_structured_vtk(outdir / "solution.vtk", mesh,

@@ -8,7 +8,7 @@ on a mesh shares one cached CSR pattern of the nine-point stencil, and
 assembly writes its data by strided slice-adds. Homogeneous Dirichlet
 conditions, and every other pinned node, are imposed by symmetric
 row/column elimination with identity diagonal (a mask on that data), so
-all operators stay usable by symmetric solvers. An eliminated operator is
+all operators stay usable by symmetric solvers. A pinned operator is
 a `GridSystem`: stencil data and the mask of its pinned nodes. It derives
 the systems that pin more nodes or add data on the same stencil, and
 builds the geometric multigrid preconditioner its solves use. The
@@ -26,8 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import CapacityError, CoefficientError, DimensionError, \
-    NonFiniteError
+from .errors import CapacityError, DimensionError, NonFiniteError
 
 if TYPE_CHECKING:
     from .control import MatrixControlField
@@ -491,42 +490,22 @@ def _banded_cholesky(mat: sp.csr_matrix, bandwidth: int) -> np.ndarray:
     return cholesky_banded(bands, overwrite_ab=True, check_finite=False)
 
 
-def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
-                       eliminate: bool = True
-                       ) -> GridSystem | sp.csr_matrix:
-    """Assemble the stiffness operator of the form (q grad u, grad v).
+def assemble_stiffness(mesh: StructuredMesh,
+                       q: "MatrixControlField") -> GridSystem:
+    """Stiffness system of the form (q grad u, grad v), pinned on the
+    boundary.
 
-    The nodal matrix coefficient q is interpolated bilinearly to the 2x2
-    Gauss points of every cell.
-
-    Parameters
-    ----------
-    mesh : StructuredMesh
-    q : MatrixControlField
-        Nodal symmetric coefficient, components (q11, q22, q12).
-    eliminate : bool
-        Assemble the state operator: raise CoefficientError if q is not
-        positive definite at some quadrature point, and apply homogeneous
-        Dirichlet elimination on the boundary. Without it, q may be any
-        symmetric field, such as a sign-indefinite control direction.
-
-    Returns
-    -------
-    GridSystem with the boundary pinned when eliminating, otherwise the
-    raw CSR matrix.
+    The nodal matrix coefficient q (components q11, q22, q12) may be any
+    symmetric field, such as a sign-indefinite control direction; it is
+    interpolated bilinearly to the 2x2 Gauss points of every cell. Nothing
+    here checks that q is positive definite: a control's state operator is
+    `MatrixControlField.stiffness`, which does.
     """
     if q.mesh is not mesh:
         raise DimensionError("coefficient lives on a different mesh")
     _, grads, scale = mesh._reference
     qg = mesh.at_quadrature(q.comps)
     q11, q22, q12 = qg[:, :, 0], qg[:, :, 1], qg[:, :, 2]
-    if eliminate:
-        definite = (q11 * q22 - q12 * q12 > 0.0) & (q11 + q22 > 0.0)
-        if not definite.all():
-            cell = int(np.nonzero(~definite.all(axis=1))[0][0])
-            raise CoefficientError(
-                "coefficient not positive definite at a quadrature point "
-                f"of cell {cell}")
     gx, gy = grads[:, :, 0], grads[:, :, 1]
     # ke[c, a, b] = scale * sum_g grad phi_a . q(g) grad phi_b: one product
     # per component with the (g, a*b) outer products of the gradients
@@ -534,10 +513,7 @@ def assemble_stiffness(mesh: StructuredMesh, q: "MatrixControlField",
                   + q12 @ (_outer(gx, gy) + _outer(gy, gx)))
     ke = ke.reshape(mesh.n_cells, 4, 4)
     stencil = mesh.stencil
-    data = stencil.assemble(ke)
-    if eliminate:
-        return GridSystem(stencil, data, mesh.boundary_mask)
-    return stencil.matrix(data)
+    return GridSystem(stencil, stencil.assemble(ke), mesh.boundary_mask)
 
 
 def assemble_load(mesh: StructuredMesh, f: Callable) -> ScalarField:

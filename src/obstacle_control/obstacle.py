@@ -145,8 +145,8 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     ----------
     q : MatrixControlField
         Admissible coefficient on the mesh of f_load; the solve uses its
-        cached stiffness `q.stiffness`, whose assembly checks positive
-        definiteness at the quadrature points.
+        cached stiffness `q.stiffness`, which checks positive
+        definiteness at the nodes.
     f_load : ScalarField
         Assembled load vector.
     psi : float

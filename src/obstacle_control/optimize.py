@@ -131,9 +131,14 @@ class OptIterate:
 
 @dataclass(frozen=True)
 class OptResult:
+    """The returned iterate q with its state u, multiplier and the path's
+    solution there (a VISolution on the VI path, the state u on the
+    penalized path)."""
+
     q: MatrixControlField
     u: ScalarField
     multiplier: ScalarField
+    solution: VISolution | ScalarField
     value: float
     pg_residual: float
     history: tuple
@@ -264,8 +269,8 @@ class _PenalizedPath:
         self.cfg = cfg
         self.pen = pen
 
-    def state(self, q, carry):
-        u = solve_penalized(q, self.cfg.f_load, self.pen, u0=carry)
+    def state(self, q, prev):
+        u = solve_penalized(q, self.cfg.f_load, self.pen, u0=prev)
         return u, u
 
     def adjoint(self, q, sol):
@@ -273,9 +278,6 @@ class _PenalizedPath:
 
     def multiplier(self, sol):
         return penalty_residual_as_multiplier(sol, self.pen)
-
-    def carry(self, sol):
-        return sol
 
 
 class _VIPath:
@@ -285,8 +287,9 @@ class _VIPath:
         self.cfg = cfg
         self.psi = psi
 
-    def state(self, q, carry):
-        sol = solve_vi(q, self.cfg.f_load, self.psi, active0=carry)
+    def state(self, q, prev):
+        active0 = None if prev is None else prev.active_set
+        sol = solve_vi(q, self.cfg.f_load, self.psi, active0=active0)
         return sol.u, sol
 
     def adjoint(self, q, sol):
@@ -294,9 +297,6 @@ class _VIPath:
 
     def multiplier(self, sol):
         return sol.lam
-
-    def carry(self, sol):
-        return sol.active_set
 
 
 def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
@@ -309,9 +309,10 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     [_STEP_MIN, _STEP_MAX] and _STEP_MAX when <s,y> <= 0. Exits and
     guarantees are those stated in minimize.
 
-    The path gives state(q, carry) -> (u, sol), adjoint(q, sol),
-    multiplier(sol) and carry(sol), the next warm start. Each control is
-    evaluated once: an accepted trial keeps its objective terms.
+    The path gives state(q, prev) -> (u, sol), warm started from the
+    solution prev of the current point (None for a cold start),
+    adjoint(q, sol) and multiplier(sol). Each control is evaluated once:
+    an accepted trial keeps its objective terms.
     """
     report = check_admissible(q0, cfg.q_min, cfg.q_max)
     if not report.admissible:
@@ -372,7 +373,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
             trial_report = check_admissible(trial_q, cfg.q_min, cfg.q_max)
             trial_bar = _barrier_term(trial_q, cfg, trial_report)
             if trial_bar < np.inf:
-                trial_u, trial_sol = path.state(trial_q, path.carry(sol))
+                trial_u, trial_sol = path.state(trial_q, sol)
                 trial_track, trial_tik = _fit_terms(trial_q, trial_u, cfg)
                 trial_value = trial_track + trial_tik + trial_bar
                 if trial_value <= reference - _SIGMA * step * gnorm2:
@@ -395,9 +396,10 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
             best, stalled = value, 0
         else:
             stalled += 1
-    return OptResult(q=q, u=u, multiplier=path.multiplier(sol), value=value,
-                     pg_residual=resid, history=tuple(history),
-                     converged=converged, iterations=it)
+    return OptResult(q=q, u=u, multiplier=path.multiplier(sol),
+                     solution=sol, value=value, pg_residual=resid,
+                     history=tuple(history), converged=converged,
+                     iterations=it)
 
 
 def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,

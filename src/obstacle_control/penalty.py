@@ -24,15 +24,15 @@ _WARMUP_THRESHOLD = 1e6
 _WARMUP_FACTOR = 1e2
 # the damped Newton step fails below this step length
 _STEP_MIN = 2.0 ** -20
-# Newton steps per solve
+# Newton steps per solve, and the residual target relative to the load
 _NEWTON_MAX = 60
+_NEWTON_TOL = 1e-11
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
     gamma: float
     psi: float = 0.5
-    newton_tol: float = 1e-11
 
     def __post_init__(self):
         if self.gamma < 0.0:
@@ -69,7 +69,7 @@ def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
     res_norm = float(np.linalg.norm(res))
     history = [res_norm]
     for _ in range(_NEWTON_MAX):
-        if res_norm <= cfg.newton_tol * f_scale:
+        if res_norm <= _NEWTON_TOL * f_scale:
             return u
         system = K.plus(_penalty_jacobian(mesh, gap, cfg.gamma))
         delta, _ = solve_spd(system, -res)
@@ -87,7 +87,7 @@ def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
                     "Newton line search hit the step floor", history)
         u, gap, res, res_norm = trial, gap_t, res_t, norm_t
         history.append(res_norm)
-    if res_norm <= cfg.newton_tol * f_scale:
+    if res_norm <= _NEWTON_TOL * f_scale:
         return u
     raise NewtonError(
         f"Newton did not converge in {_NEWTON_MAX} iterations "
@@ -101,7 +101,8 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
 
     A cold start at large gamma first walks an internal geometric
     continuation (decades below gamma) so the final Newton leg starts close;
-    passing u0 skips the warm-up entirely.
+    passing u0 skips the warm-up entirely. At gamma = 0 the penalty term
+    and its Jacobian vanish, and Newton solves the linear equation.
 
     Parameters
     ----------
@@ -126,11 +127,6 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
                 g *= _WARMUP_FACTOR
     else:
         u = u0.values.copy()
-    if cfg.gamma == 0.0:
-        if u0 is None:
-            return ScalarField(mesh, u)
-        sol, _ = solve_spd(K, rhs, x0=u)
-        return ScalarField(mesh, sol)
     return ScalarField(mesh, _newton(mesh, K, rhs, cfg, u))
 
 

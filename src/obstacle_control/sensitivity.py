@@ -52,9 +52,9 @@ def build_critical_cone(sol: VISolution) -> CriticalCone:
 
 def _direction_load(q: MatrixControlField, d: MatrixControlField,
                     u: ScalarField) -> np.ndarray:
-    """Right side -(d grad u, grad phi) of the derivative VI."""
-    k_d = assemble_stiffness(q.mesh, d, eliminate=False)
-    return -(k_d @ u.values)
+    """Right side -(d grad u, grad phi) of the derivative VI; its
+    boundary rows are those of the pinned system, which no solve reads."""
+    return -(assemble_stiffness(q.mesh, d) @ u.values)
 
 
 def directional_derivative(q: MatrixControlField, d: MatrixControlField,

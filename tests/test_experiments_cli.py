@@ -76,6 +76,7 @@ def test_config_default_parses_back(name):
     "q_min=10,",
     "q_min=11",
     "c=-1",
+    "newton_tol=1e-11",
     "q_init=1,2",
     "gamma_list=1e3,1e0",
     "gamma_list=",
@@ -113,6 +114,15 @@ def test_config_file_and_override_precedence(tmp_path):
 def test_parse_config_text_unknown_key():
     with pytest.raises(ConfigError, match="unknown"):
         parse_config_text("nonsense = 1\n")
+
+
+def test_config_errors_name_their_source():
+    with pytest.raises(ConfigError, match="line 2: expected key=value"):
+        parse_config_text("level = 4\nlevel 4\n")
+    with pytest.raises(ConfigError, match="override 'level' is not"):
+        load_config(None, ["level"])
+    with pytest.raises(ConfigError, match="no_such_key"):
+        load_config(None, [], no_such_key=1)
 
 
 def test_result_table_requires_ascending_gamma():

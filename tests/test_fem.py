@@ -158,7 +158,7 @@ def test_mesh_cell_connectivity_counterclockwise():
 def test_stiffness_constant_kernel():
     mesh = build_mesh(2)
     q = MatrixControlField.constant(mesh, np.eye(2))
-    K = assemble_stiffness(mesh, q, eliminate=False)
+    K = mesh.stencil.matrix(assemble_stiffness(mesh, q).data)
     rowsums = np.asarray(K.sum(axis=1)).ravel()
     assert np.abs(rowsums).max() <= 1e-13
 
@@ -167,8 +167,8 @@ def test_stiffness_linear_in_q():
     mesh = build_mesh(2)
     q1 = MatrixControlField.constant(mesh, np.eye(2))
     q2 = MatrixControlField.constant(mesh, 2.0 * np.eye(2))
-    k1 = assemble_stiffness(mesh, q1, eliminate=False)
-    k2 = assemble_stiffness(mesh, q2, eliminate=False)
+    k1 = mesh.stencil.matrix(assemble_stiffness(mesh, q1).data)
+    k2 = mesh.stencil.matrix(assemble_stiffness(mesh, q2).data)
     assert np.array_equal(k2.toarray(), 2.0 * k1.toarray())
 
 
@@ -208,22 +208,36 @@ def test_stiffness_rejects_indefinite_coefficient():
     comps = np.tile([1.0, 1.0, 0.0], (mesh.n_nodes, 1))
     comps[12] = [1.0, 1.0, 5.0]  # det < 0 at one interior node
     q = MatrixControlField(mesh, comps)
-    with pytest.raises(CoefficientError, match="cell"):
-        assemble_stiffness(mesh, q)
+    with pytest.raises(CoefficientError, match="node 12"):
+        q.stiffness
+
+
+def test_stiffness_checks_definiteness_at_the_nodes():
+    """q12 = 1.2 at one interior node makes det = 1 - 1.44 < 0 there, but
+    at every Gauss point q12 is at most 1.2 * (2 + sqrt 3) / 6 < 0.75,
+    so det > 0: a Gauss-point test passes the field, the nodal one
+    refuses it."""
+    mesh = build_mesh(2)
+    comps = np.tile([1.0, 1.0, 0.0], (mesh.n_nodes, 1))
+    comps[12, 2] = 1.2
+    q = MatrixControlField(mesh, comps)
+    qg = mesh.at_quadrature(q.comps)
+    assert (qg[..., 0] * qg[..., 1] - qg[..., 2] ** 2 > 0.0).all()
+    with pytest.raises(CoefficientError, match="node 12"):
+        q.stiffness
 
 
 def test_raw_stiffness_of_indefinite_direction():
-    """A control direction may be indefinite: its raw operator is the
-    plain CSR matrix on the stencil, while as a state operator it is
-    refused."""
+    """A control direction may be indefinite: assemble_stiffness builds
+    its system on the stencil unchecked, while as a control's state
+    operator it is refused."""
     mesh = build_mesh(3)
     d = random_direction(mesh, np.random.default_rng(SEED + 3))
-    raw = assemble_stiffness(mesh, d, eliminate=False)
-    assert sp.isspmatrix_csr(raw)
+    raw = mesh.stencil.matrix(assemble_stiffness(mesh, d).data)
     assert np.shares_memory(raw.indices, mesh.stencil.indices)
     assert abs(raw - raw.T).max() <= 1e-15 * abs(raw).max()
-    with pytest.raises(CoefficientError, match="cell"):
-        assemble_stiffness(mesh, d)
+    with pytest.raises(CoefficientError, match="node"):
+        d.stiffness
 
 
 def test_stiffness_spectral_sandwich():
@@ -385,7 +399,7 @@ def test_restricted_load_is_the_coarse_load():
 
 def test_stiffness_rejects_non_finite_coefficient():
     """The coefficient field itself refuses NaN and inf, so no stiffness
-    is assembled from one, checked or not."""
+    is assembled from one, by q.stiffness or not."""
     mesh = build_mesh(4)
     comps = np.tile([1.0, 1.0, 0.0], (mesh.n_nodes, 1))
     for bad in (np.nan, np.inf):
@@ -393,8 +407,7 @@ def test_stiffness_rejects_non_finite_coefficient():
         with pytest.raises(CoefficientError, match="non-finite.*node 40"):
             assemble_stiffness(mesh, MatrixControlField(mesh, comps))
         with pytest.raises(CoefficientError, match="non-finite"):
-            assemble_stiffness(mesh, MatrixControlField(mesh, comps),
-                               eliminate=False)
+            MatrixControlField(mesh, comps).stiffness
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -439,10 +452,9 @@ def test_stiffness_matches_coo_reference(level):
                      np.stack([qg[..., 2], qg[..., 1]], -1)], -2)
     local = scale * np.einsum("gad,cgde,gbe->cab", grads, qmat, grads)
     want = coo_reference(mesh, local)
-    raw = assemble_stiffness(mesh, q, eliminate=False)
-    assert sp.isspmatrix_csr(raw)
-    assert_close_relative(raw.toarray(), want)
     pinned = assemble_stiffness(mesh, q)
+    raw = mesh.stencil.matrix(pinned.data)
+    assert_close_relative(raw.toarray(), want)
     assert_close_relative(
         pinned.matrix.toarray(),
         pin_reference(sp.csr_matrix(want), mesh.boundary_mask))
@@ -456,7 +468,7 @@ def test_constant_operators_match_coo_reference(level):
                           coo_reference(mesh, scale * shape.T @ shape))
     unit = MatrixControlField.constant(mesh, np.eye(2))
     assert_close_relative(
-        assemble_stiffness(mesh, unit, eliminate=False).toarray(),
+        mesh.stencil.matrix(assemble_stiffness(mesh, unit).data).toarray(),
         coo_reference(mesh,
                       scale * np.einsum("gad,gbd->ab", grads, grads)))
 
@@ -479,7 +491,8 @@ def test_operators_share_the_mesh_pattern():
     mesh = build_mesh(3)
     q = random_admissible(mesh, np.random.default_rng(SEED + 6))
     stencil = mesh.stencil
-    for mat in (mesh.mass_matrix, assemble_stiffness(mesh, q, eliminate=False)):
+    for mat in (mesh.mass_matrix,
+                stencil.matrix(assemble_stiffness(mesh, q).data)):
         assert mat.has_sorted_indices
         assert np.shares_memory(mat.indices, stencil.indices)
     K = assemble_stiffness(mesh, q)
@@ -501,7 +514,7 @@ def test_pin_matches_keep_product(level):
     rng = np.random.default_rng(SEED + 7)
     q = random_admissible(mesh, rng)
     stencil = mesh.stencil
-    raw = assemble_stiffness(mesh, q, eliminate=False)
+    raw = stencil.matrix(assemble_stiffness(mesh, q).data)
     for _ in range(3):
         mask = rng.random(mesh.n_nodes) < 0.3
         pinned = stencil.pinned(raw.data, mask)

@@ -250,7 +250,7 @@ def test_indefinite_coefficient_refused_before_coarse_work(vi_levels):
     # det < 0 at the odd node (1, 1), which no coarse grid holds
     comps[mesh.cells_per_side + 2] = [1.0, 1.0, 5.0]
     q = MatrixControlField(mesh, comps)
-    with pytest.raises(CoefficientError, match="cell"):
+    with pytest.raises(CoefficientError, match="node 66"):
         obstacle.solve_vi(q, assemble_load(mesh, manufactured_load), 0.5)
     assert vi_levels == [6]
 

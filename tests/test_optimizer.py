@@ -19,10 +19,11 @@ from obstacle_control import (
     l2_norm,
     solve_spd,
 )
-from obstacle_control import optimize
+from obstacle_control import experiments, obstacle, optimize
 from obstacle_control.experiments import load_config, run_example1
 from obstacle_control.obstacle import complementarity_residuals, solve_vi
 from obstacle_control.penalty import PenaltyConfig, solve_penalized
+from obstacle_control.problems import example_objective
 from obstacle_control.optimize import (
     _MEMORY,
     _SIGMA,
@@ -365,3 +366,31 @@ def test_stall_exit_example1_level6(tmp_path):
     with pytest.raises(StagnationError, match="no new minimum") as err:
         run_example1(cfg)
     assert len(err.value.history) < 200
+
+
+def test_example1_solves_each_control_once(monkeypatch, tmp_path):
+    """run_example1 reads the optimum's contact sets and complementarity
+    from the descent's own VI solution: solve_vi runs once per evaluated
+    control, and the optimum is not solved again. A cold solve there
+    finds the same sets."""
+    controls = []
+    solve = obstacle.solve_vi
+
+    def recorded(q, *args, **kwargs):
+        controls.append(q)
+        return solve(q, *args, **kwargs)
+
+    for module in (optimize, experiments):
+        monkeypatch.setattr(module, "solve_vi", recorded)
+    cfg = load_config(None, [], output_dir=str(tmp_path), level=3)
+    report = run_example1(cfg)
+    result = report.result
+    assert len({id(q) for q in controls}) == len(controls)
+    assert sum(q is result.q for q in controls) == 1
+    sol = result.solution
+    assert sol.u is result.u and sol.lam is result.multiplier
+    assert report.notes["contact_nodes"] == int(sol.active_set.sum())
+    f_load = example_objective(result.q.mesh).f_load
+    cold = solve(result.q, f_load, cfg.psi)
+    assert np.array_equal(cold.active_set, sol.active_set)
+    assert np.array_equal(cold.strongly_active, sol.strongly_active)
