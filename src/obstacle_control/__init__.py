@@ -70,7 +70,9 @@ from .optimize import (
 from .sensitivity import (
     CriticalCone,
     build_critical_cone,
+    cone_derivative,
     derivative_complementarity_check,
+    direction_load,
     directional_derivative,
 )
 from .problems import (

@@ -110,9 +110,11 @@ class AdmissibilityReport:
 
 @dataclass(frozen=True)
 class BarrierEval:
+    """Barrier value and its gradient density at the 2x2 Gauss points,
+    (n_cells, 4, 3); value +inf and density None off the admissible set."""
+
     value: float
-    gradient: Optional[MatrixControlField]
-    feasible: bool
+    density: Optional[np.ndarray]
 
 
 def _shifted_tests(comps: np.ndarray, q_min: float,
@@ -148,29 +150,24 @@ def check_admissible(q: MatrixControlField, q_min: float,
 
 
 def barrier(q: MatrixControlField, q_min: float, q_max: float,
-            with_gradient: bool = True,
             admissibility: Optional[AdmissibilityReport] = None
             ) -> BarrierEval:
-    """Logarithmic barrier of the spectral bounds and its L2 gradient.
+    """Logarithmic barrier of the spectral bounds and its gradient density.
 
     value = -integral[ log det(q - q_min I) + log det(q_max I - q) ],
-    evaluated by interpolating q to the 2x2 Gauss points. The gradient is
-    the Riesz representative (through the control mass matrix) of the exact
-    directional derivative of that quadrature value, with per-node density
-    (q_max I - q)^{-1} - (q - q_min I)^{-1}. Pass with_gradient=False to
-    skip the mass solves when only the value is needed (line searches).
-
-    Infeasible q (nodal determinant/trace test, which is authoritative even
-    where the log arguments happen to be positive) yields value = +inf,
-    gradient = None, feasible = False. A caller that already ran
+    evaluated by interpolating q to the 2x2 Gauss points; the density
+    (q_max I - q)^{-1} - (q - q_min I)^{-1} at those points, components
+    (11, 22, 12), lifts by riesz_lift to the exact L2 gradient of that
+    quadrature value. Infeasible q (nodal determinant/trace test, which is
+    authoritative even where the log arguments happen to be positive)
+    yields value = +inf, density = None. A caller that already ran
     check_admissible(q, q_min, q_max) passes its report as `admissibility`.
     """
     mesh = q.mesh
     if admissibility is None:
         admissibility = check_admissible(q, q_min, q_max)
     if not admissibility.admissible:
-        return BarrierEval(np.inf, None, False)
-    _, _, scale = mesh._reference
+        return BarrierEval(np.inf, None)
     qg = mesh.at_quadrature(q.comps)
     a = qg[:, :, 0] - q_min
     b = qg[:, :, 1] - q_min
@@ -182,17 +179,13 @@ def barrier(q: MatrixControlField, q_min: float, q_max: float,
     # nodal feasibility implies quadrature feasibility by convexity; guard
     # against roundoff at extreme margins anyway
     if np.any(det_lo <= 0.0) or np.any(det_hi <= 0.0):
-        return BarrierEval(np.inf, None, False)
-    value = -scale * float(np.sum(np.log(det_lo) + np.log(det_hi)))
-    if not with_gradient:
-        return BarrierEval(value, None, True)
+        return BarrierEval(np.inf, None)
+    value = -mesh.integral(np.log(det_lo) + np.log(det_hi))
     # inverse of [[a, c], [c, b]] is [[b, -c], [-c, a]] / det, so the
     # diagonal entries swap; the off-diagonal of q_max I - q is -q12
-    g11 = bh / det_hi - b / det_lo
-    g22 = ah / det_hi - a / det_lo
-    g12 = c / det_hi + c / det_lo
-    grad_comps = riesz_lift(mesh, np.stack((g11, g22, g12), axis=-1))
-    return BarrierEval(value, MatrixControlField(mesh, grad_comps), True)
+    return BarrierEval(value, np.stack((bh / det_hi - b / det_lo,
+                                        ah / det_hi - a / det_lo,
+                                        c / det_hi + c / det_lo), axis=-1))
 
 
 def riesz_lift(mesh: StructuredMesh, densities: np.ndarray) -> np.ndarray:

@@ -26,9 +26,11 @@ from .optimize import LoopConfig, ObjectiveConfig, OptResult, \
     gamma_continuation, objective_value, reduced_gradient, \
     solve_vi_constrained
 from .penalty import PenaltyConfig, solve_adjoint, solve_penalized
-from .problems import example_objective, initial_control, target_state
+from .problems import ALPHA, BETA, Q_INIT, Q_MAX, Q_MIN, \
+    example_objective, initial_control, target_state
 from .sensitivity import CriticalCone, build_critical_cone, \
-    derivative_complementarity_check, directional_derivative
+    cone_derivative, derivative_complementarity_check, direction_load, \
+    directional_derivative
 from .vtkio import write_csv, write_meta, write_structured_vtk
 
 
@@ -44,14 +46,14 @@ class ExperimentConfig:
 
     level: int = 5
     levels: Tuple[int, ...] = (3, 4, 5)
-    alpha: float = 0.1
-    beta: float = 1e-4
+    alpha: float = ALPHA
+    beta: float = BETA
     gamma: float = 1e3
     gamma_list: Tuple[float, ...] = (1e0, 1e3, 1e6, 1e9, 1e12)
     psi: float = 0.5
-    q_min: float = 0.5
-    q_max: float = 10.0
-    q_init: Tuple[float, float, float] = (2.0, -1.0, 2.0)
+    q_min: float = Q_MIN
+    q_max: float = Q_MAX
+    q_init: Tuple[float, float, float] = Q_INIT
     grad_tol: float = 1e-8
     max_iters: int = 2000
     seed: int = 0
@@ -417,24 +419,26 @@ def _difference_quotients(cfg: ExperimentConfig, obj: ObjectiveConfig,
                           q0: MatrixControlField, sol: VISolution,
                           cone: CriticalCone, rng: np.random.Generator
                           ) -> List[tuple]:
-    """(d, u', errors) for three random directions d at q0, each halved
-    once if q0 + d is not admissible: u' is the cone derivative of the
-    solution map along d, and the errors are the L2 distances of the
-    quotients (u(q0 + t d) - u(q0)) / t to it at _QUOTIENT_STEPS."""
+    """(load, u', errors) for three random directions d at q0, each
+    halved once if q0 + d is not admissible: load is the direction_load
+    of d, u' the cone derivative of the solution map along d, and the
+    errors are the L2 distances of the quotients (u(q0 + t d) - u(q0)) / t
+    to it at _QUOTIENT_STEPS."""
     mesh = q0.mesh
     out = []
     for _ in range(3):
         d = _random_direction(mesh, rng, scale=0.1)
         if not check_admissible(q0 + d, cfg.q_min, cfg.q_max).admissible:
             d = 0.5 * d
-        ut = directional_derivative(q0, d, sol, cone)
+        load = direction_load(q0, d, sol.u)
+        ut = cone_derivative(q0, load, cone)
         errs = []
         for t in _QUOTIENT_STEPS:
             solt = solve_vi(q0 + t * d, obj.f_load, cfg.psi,
                             active0=sol.active_set)
             quot = (solt.u.values - sol.u.values) / t
             errs.append(l2_norm(ScalarField(mesh, quot - ut.values)))
-        out.append((d, ut, errs))
+        out.append((load, ut, errs))
     return out
 
 
@@ -538,9 +542,9 @@ def run_sensitivity(cfg: ExperimentConfig) -> RunReport:
     passed = True
     worst_residual = 0.0
     quotients = _difference_quotients(cfg, obj, q0, sol, cone, rng)
-    for direction, (d, ut, errs) in enumerate(quotients):
+    for direction, (load, ut, errs) in enumerate(quotients):
         feas, polar, comp = derivative_complementarity_check(
-            ut, cone, q0, d, sol.u)
+            ut, cone, q0, load)
         worst_residual = max(worst_residual, feas, polar, comp)
         rows.extend((direction, t, err, feas, polar, comp)
                     for t, err in zip(_QUOTIENT_STEPS, errs))

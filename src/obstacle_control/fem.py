@@ -139,10 +139,6 @@ class StructuredMesh:
         """Shared CSR pattern of every assembled operator on this mesh."""
         return StencilPattern(self.cells_per_side)
 
-    def quad_coords(self) -> np.ndarray:
-        """Physical coordinates of the 2x2 Gauss points; (n_cells, 4, 2)."""
-        return self.at_quadrature(self.nodes)
-
     def at_quadrature(self, values: np.ndarray) -> np.ndarray:
         """Nodal values (n_nodes, ...) interpolated to the 2x2 Gauss points
         of every cell; shape (n_cells, 4, ...)."""
@@ -150,6 +146,24 @@ class StructuredMesh:
         corners = values[self.cells]
         flat = corners.reshape(self.n_cells, 4, -1)
         return np.matmul(shape, flat).reshape(corners.shape)
+
+    def gradients_at_quadrature(self, values: np.ndarray) -> np.ndarray:
+        """Physical gradients of nodal values (n_nodes,) at the 2x2 Gauss
+        points of every cell; shape (n_cells, 4, 2)."""
+        _, grads, _ = self._reference
+        return np.tensordot(values[self.cells], grads, axes=(1, 1))
+
+    def integral(self, density: np.ndarray) -> float:
+        """Integral of a density given at the 2x2 Gauss points."""
+        _, _, scale = self._reference
+        return scale * float(np.sum(density))
+
+    def weighted_mass(self, weight: np.ndarray) -> np.ndarray:
+        """Stencil data of the mass matrix with a weight given at the 2x2
+        Gauss points, (n_cells, 4), without boundary elimination."""
+        shape, _, scale = self._reference
+        local = (scale * weight) @ _outer(shape, shape)
+        return self.stencil.assemble(local.reshape(self.n_cells, 4, 4))
 
     def integrate(self, density: np.ndarray) -> np.ndarray:
         """Load vector integral(f phi_i) of densities f given at the 2x2
@@ -346,8 +360,8 @@ def interpolate(mesh: StructuredMesh, f: Callable) -> ScalarField:
 
 
 # the multigrid hierarchy ends in an exact banded Cholesky solve on the
-# first grid with at most 2**_COARSEST cells per side
-_COARSEST = 5
+# first grid with at most 2**COARSEST_LEVEL cells per side
+COARSEST_LEVEL = 5
 # Jacobi damping of the smoother, capped per row below 2 / (row l1-norm)
 _OMEGA = 0.8
 _L1_CAP = 1.8
@@ -417,7 +431,7 @@ class GridSystem:
         """
         mat, pinned, level = self.matrix, self.dirichlet_mask, self.level
         grids = []
-        while level > _COARSEST:
+        while level > COARSEST_LEVEL:
             n1 = 2 ** level + 1
             coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
             p = prolongation(level)
@@ -518,7 +532,7 @@ def assemble_stiffness(mesh: StructuredMesh,
 
 def assemble_load(mesh: StructuredMesh, f: Callable) -> ScalarField:
     """Load vector with components integral(f * phi_i), 2x2 Gauss per cell."""
-    xg = mesh.quad_coords()
+    xg = mesh.at_quadrature(mesh.nodes)
     fg = f(xg[:, :, 0], xg[:, :, 1])
     fg = np.broadcast_to(np.asarray(fg, dtype=float), xg.shape[:2])
     return ScalarField(mesh, mesh.integrate(fg))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .control import MatrixControlField
 from .errors import DimensionError, NonconvergenceError
-from .fem import _COARSEST, GridSystem, ScalarField, StructuredMesh, \
+from .fem import COARSEST_LEVEL, GridSystem, ScalarField, StructuredMesh, \
     build_mesh, prolongation
 from .linsolve import solve_spd
 
@@ -57,7 +57,7 @@ class VISolution:
     f_norm: float
 
 
-def _pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
+def pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
                       rhs: np.ndarray, upper: np.ndarray,
                       active0: Optional[np.ndarray] = None,
                       u0: Optional[np.ndarray] = None):
@@ -154,7 +154,7 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     active0 : ndarray of bool, optional
         Warm-start active set; the first sweep then starts from the zero
         state. Without it, a mesh finer than the multigrid's coarsest grid
-        (level > fem._COARSEST) starts from the active set and state of
+        (level > fem.COARSEST_LEVEL) starts from the active set and state of
         the solution one level down: a recursive solve_vi call per level.
 
     Returns
@@ -171,10 +171,10 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
         raise DimensionError("coefficient lives on a different mesh")
     K = q.stiffness
     u0 = None
-    if active0 is None and mesh.level > _COARSEST:
+    if active0 is None and mesh.level > COARSEST_LEVEL:
         active0, u0 = _nested_start(q, f_load, psi)
     upper = np.full(mesh.n_nodes, psi)
-    u, lam, active, its = _pdas_bound_solve(
+    u, lam, active, its = pdas_bound_solve(
         mesh, K, f_load.values, upper, active0, u0)
     f_norm = _load_density_norm(f_load, mesh.lumped_mass)
     strong = active & (lam > _ACTIVE_TOL * max(f_norm, 1e-300))

@@ -32,6 +32,7 @@ import numpy as np
 
 from .control import (
     AdmissibilityReport,
+    BarrierEval,
     MatrixControlField,
     barrier,
     check_admissible,
@@ -158,81 +159,83 @@ class GammaLeg:
 
 def _tracking_gradient(mesh, u_vals: np.ndarray,
                        p_vals: np.ndarray) -> np.ndarray:
-    """Riesz representative of the tracking term's control derivative.
-
-    The directional derivative of the tracking part along a control
-    perturbation d is -(d grad u, grad p), assembled here against the
-    bilinear control basis and lifted through the component mass matrix.
-    The off-diagonal component carries half the assembled moment because
-    the control inner product counts it twice.
+    """Gauss-point density of the tracking term's control gradient, whose
+    derivative along d is -(d grad u, grad p); the off-diagonal component
+    carries half its moment, as the control inner product counts it twice.
     """
-    _, grads, _ = mesh._reference
-    # physical gradients at the Gauss points, (n_cells, 4, 2)
-    gu = np.tensordot(u_vals[mesh.cells], grads, axes=(1, 1))
-    gp = np.tensordot(p_vals[mesh.cells], grads, axes=(1, 1))
-    d11 = gu[:, :, 0] * gp[:, :, 0]
-    d22 = gu[:, :, 1] * gp[:, :, 1]
+    gu = mesh.gradients_at_quadrature(u_vals)
+    gp = mesh.gradients_at_quadrature(p_vals)
     d12 = gu[:, :, 0] * gp[:, :, 1] + gu[:, :, 1] * gp[:, :, 0]
-    out = riesz_lift(mesh, -np.stack((d11, d22, d12), axis=-1))
-    out[:, 2] *= 0.5
-    return out
+    return -np.stack((gu[:, :, 0] * gp[:, :, 0], gu[:, :, 1] * gp[:, :, 1],
+                      0.5 * d12), axis=-1)
 
 
 def reduced_gradient(q: MatrixControlField, u: ScalarField, p: ScalarField,
                      cfg: ObjectiveConfig,
-                     admissibility: Optional[AdmissibilityReport] = None
-                     ) -> MatrixControlField:
+                     bar: Optional[BarrierEval] = None) -> MatrixControlField:
     """Mass-weighted L2 gradient of the reduced objective at (q, u, p).
 
-    Sum of alpha (q - q_d), beta times the barrier gradient, and the
-    tracking term -sym(grad u x grad p) lifted to nodal components. The
-    result pairs with control_inner to give exact directional derivatives
-    of the discrete objective. u and p must belong to q. A caller that
-    already ran check_admissible(q, cfg.q_min, cfg.q_max) passes its report
-    as `admissibility`.
+    alpha (q - q_d) plus one Riesz lift of the tracking density
+    -sym(grad u x grad p) plus beta times the barrier density. It pairs
+    with control_inner to give exact directional derivatives of the
+    discrete objective. u and p must belong to q; `bar` is
+    barrier(q, cfg.q_min, cfg.q_max) when the caller has it. Raises
+    CoefficientError when q violates the spectral bounds.
     """
-    comps = cfg.alpha * (q.comps - cfg.q_d.comps)
-    if cfg.beta > 0.0:
-        be = barrier(q, cfg.q_min, cfg.q_max, admissibility=admissibility)
-        if not be.feasible:
-            raise CoefficientError("control violates the spectral bounds; "
-                                   "barrier gradient undefined")
-        comps = comps + cfg.beta * be.gradient.comps
-    comps = comps + _tracking_gradient(q.mesh, u.values, p.values)
+    if bar is None:
+        bar = barrier(q, cfg.q_min, cfg.q_max)
+    if bar.density is None:
+        raise CoefficientError("control violates the spectral bounds; "
+                               "barrier gradient undefined")
+    density = _tracking_gradient(q.mesh, u.values, p.values) \
+        + cfg.beta * bar.density
+    comps = cfg.alpha * (q.comps - cfg.q_d.comps) \
+        + riesz_lift(q.mesh, density)
     return MatrixControlField(q.mesh, comps)
 
 
-def _barrier_term(q: MatrixControlField, cfg: ObjectiveConfig,
-                  report: AdmissibilityReport) -> float:
-    """beta B(q) of a control whose check_admissible report is given;
-    +inf when q is inadmissible or its barrier infeasible."""
-    if not report.admissible:
-        return np.inf
-    if cfg.beta == 0.0:
-        return 0.0
-    return cfg.beta * barrier(q, cfg.q_min, cfg.q_max, with_gradient=False,
-                              admissibility=report).value
+@dataclass(frozen=True)
+class _Point:
+    """A control evaluated by _evaluate, with the path's solution sol."""
+
+    q: MatrixControlField
+    report: AdmissibilityReport
+    bar: BarrierEval
+    u: ScalarField
+    sol: VISolution | ScalarField
+    tracking: float
+    tikhonov: float
+    barrier_term: float
+    value: float
 
 
-def _fit_terms(q: MatrixControlField, u: ScalarField,
-               cfg: ObjectiveConfig) -> tuple[float, float]:
-    """Tracking and Tikhonov terms 1/2 ||u - u_d||^2, alpha/2 ||q - q_d||^2."""
-    return (0.5 * l2_norm(u - cfg.u_d) ** 2,
-            0.5 * cfg.alpha * control_norm(q - cfg.q_d) ** 2)
+def _evaluate(q: MatrixControlField, cfg: ObjectiveConfig, path,
+              prev) -> Optional[_Point]:
+    """The objective at q, with the state from path.state(q, prev); None,
+    before any state solve, when q violates the spectral bounds. Serves
+    the start of the descent, each of its trials and objective_value."""
+    report = check_admissible(q, cfg.q_min, cfg.q_max)
+    bar = barrier(q, cfg.q_min, cfg.q_max, report)
+    if bar.density is None:
+        return None
+    u, sol = path.state(q, prev)
+    track = 0.5 * l2_norm(u - cfg.u_d) ** 2
+    tik = 0.5 * cfg.alpha * control_norm(q - cfg.q_d) ** 2
+    # 0 times a negative barrier is -0.0: adding 0.0 gives beta = 0 a +0.0
+    bar_term = cfg.beta * bar.value + 0.0
+    return _Point(q, report, bar, u, sol, track, tik, bar_term,
+                  track + tik + bar_term)
 
 
 def objective_value(q: MatrixControlField, cfg: ObjectiveConfig,
                     pen: PenaltyConfig) -> float:
     """Reduced objective through the penalized state, for external checks;
-    raises CoefficientError when beta > 0 and q violates the bounds."""
-    u = solve_penalized(q, cfg.f_load, pen)
-    track, tik = _fit_terms(q, u, cfg)
-    bar = 0.0
-    if cfg.beta > 0.0:
-        bar = _barrier_term(q, cfg, check_admissible(q, cfg.q_min, cfg.q_max))
-        if bar == np.inf:
-            raise CoefficientError("control violates the spectral bounds")
-    return float(track + tik + bar)
+    raises CoefficientError, at every beta, when q violates the spectral
+    bounds, as the descent refuses such a control."""
+    point = _evaluate(q, cfg, _PenalizedPath(cfg, pen), None)
+    if point is None:
+        raise CoefficientError("control violates the spectral bounds")
+    return float(point.value)
 
 
 def stationarity_residual(q: MatrixControlField, grad: MatrixControlField,
@@ -311,28 +314,21 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
 
     The path gives state(q, prev) -> (u, sol), warm started from the
     solution prev of the current point (None for a cold start),
-    adjoint(q, sol) and multiplier(sol). Each control is evaluated once:
-    an accepted trial keeps its objective terms.
+    adjoint(q, sol) and multiplier(sol). Each control is evaluated once,
+    by _evaluate: an accepted trial keeps its barrier and objective terms.
     """
-    report = check_admissible(q0, cfg.q_min, cfg.q_max)
-    if not report.admissible:
-        raise CoefficientError(
-            f"initial control violates the spectral bounds at node "
-            f"{report.worst_node} (margin {report.worst_value:.3e})")
-    q = q0
-    u, sol = path.state(q, None)
-    track, tik = _fit_terms(q, u, cfg)
-    bar_term = _barrier_term(q, cfg, report)
-    value = track + tik + bar_term
-    recent = deque([value], maxlen=_MEMORY)
-    best = value
+    cur = _evaluate(q0, cfg, path, None)
+    if cur is None:
+        raise CoefficientError("initial control violates the spectral bounds")
+    recent = deque([cur.value], maxlen=_MEMORY)
+    best = cur.value
     stalled = 0
     first_step = _STEP_INIT
     history = []
     it = 0
     while True:
-        p = path.adjoint(q, sol)
-        g = reduced_gradient(q, u, p, cfg, report)
+        q = cur.q
+        g = reduced_gradient(q, cur.u, path.adjoint(q, cur.sol), cfg, cur.bar)
         resid = stationarity_residual(q, g, cfg.q_min, cfg.q_max)
         if it == 0:
             tol = opt.grad_tol_rel * (1.0 + resid)
@@ -342,18 +338,19 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
             first_step = _STEP_MAX if sy <= 0.0 else min(
                 max(control_inner(s, s) / sy, _STEP_MIN), _STEP_MAX)
         gnorm = control_norm(g)
-        entry = OptIterate(iteration=it, tracking=track, tikhonov=tik,
-                           barrier_term=bar_term, objective=value,
-                           grad_norm=gnorm, pg_residual=resid,
-                           step=0.0, backtracks=0,
-                           feasibility_margin=report.worst_value)
+        entry = OptIterate(iteration=it, tracking=cur.tracking,
+                           tikhonov=cur.tikhonov,
+                           barrier_term=cur.barrier_term,
+                           objective=cur.value, grad_norm=gnorm,
+                           pg_residual=resid, step=0.0, backtracks=0,
+                           feasibility_margin=cur.report.worst_value)
         if resid <= tol or it >= opt.max_iters:
             converged = resid <= tol
             history.append(entry)
-            if converged and value - best > _NOISE * abs(best):
+            if converged and cur.value - best > _NOISE * abs(best):
                 raise StagnationError(
                     f"stationary at iteration {it} by the gradient, but "
-                    f"{value - best:.1e} above the best accepted "
+                    f"{cur.value - best:.1e} above the best accepted "
                     f"objective {best:.6e}: the gradient does not match "
                     f"the objective", tuple(history))
             break
@@ -365,39 +362,27 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
         gnorm2 = gnorm ** 2
         reference = max(recent)
         step = first_step
-        accepted = None
-        bt = 0
         for bt in range(_MAX_BACKTRACKS + 1):
-            trial_q = project_spectral(q - step * g, cfg.q_min, cfg.q_max,
-                                       _MARGIN)
-            trial_report = check_admissible(trial_q, cfg.q_min, cfg.q_max)
-            trial_bar = _barrier_term(trial_q, cfg, trial_report)
-            if trial_bar < np.inf:
-                trial_u, trial_sol = path.state(trial_q, sol)
-                trial_track, trial_tik = _fit_terms(trial_q, trial_u, cfg)
-                trial_value = trial_track + trial_tik + trial_bar
-                if trial_value <= reference - _SIGMA * step * gnorm2:
-                    accepted = (trial_q, trial_report, trial_u, trial_sol,
-                                trial_track, trial_tik, trial_bar,
-                                trial_value)
-                    break
+            trial = _evaluate(project_spectral(q - step * g, cfg.q_min,
+                                               cfg.q_max, _MARGIN),
+                              cfg, path, cur.sol)
+            if trial is not None \
+                    and trial.value <= reference - _SIGMA * step * gnorm2:
+                break
             step *= _BACKTRACK
-        if accepted is None:
+        else:
             history.append(entry)
             raise StagnationError(
                 f"line search stalled at iteration {it} after "
                 f"{_MAX_BACKTRACKS} backtracks", tuple(history))
         history.append(replace(entry, step=step, backtracks=bt))
-        q_prev, g_prev = q, g
-        q, report, u, sol, track, tik, bar_term, value = accepted
+        q_prev, g_prev, cur = q, g, trial
         it += 1
-        recent.append(value)
-        if value < best:
-            best, stalled = value, 0
-        else:
-            stalled += 1
-    return OptResult(q=q, u=u, multiplier=path.multiplier(sol),
-                     solution=sol, value=value, pg_residual=resid,
+        recent.append(cur.value)
+        stalled = 0 if cur.value < best else stalled + 1
+        best = min(best, cur.value)
+    return OptResult(q=cur.q, u=cur.u, multiplier=path.multiplier(cur.sol),
+                     solution=cur.sol, value=cur.value, pg_residual=resid,
                      history=tuple(history), converged=converged,
                      iterations=it)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .control import MatrixControlField
 from .errors import DimensionError, NewtonError
-from .fem import GridSystem, ScalarField, _outer
+from .fem import GridSystem, ScalarField
 from .linsolve import solve_spd
 
 # cold starts at gamma above this run an internal continuation first
@@ -54,10 +54,7 @@ def _penalty_vector(mesh, gap: np.ndarray, gamma: float) -> np.ndarray:
 def _penalty_jacobian(mesh, gap: np.ndarray, gamma: float) -> np.ndarray:
     """Stencil data of the weighted mass from 3*gamma*max(u-psi,0)^2,
     without boundary elimination."""
-    shape, _, scale = mesh._reference
-    w = scale * 3.0 * gamma * gap ** 2
-    local = (w @ _outer(shape, shape)).reshape(mesh.n_cells, 4, 4)
-    return mesh.stencil.assemble(local)
+    return mesh.weighted_mass(3.0 * gamma * gap ** 2)
 
 
 def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,

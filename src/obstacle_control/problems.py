@@ -35,8 +35,9 @@ def target_coefficient(x, _y):
     return 1.0 + x * x, np.ones_like(x), np.zeros_like(x)
 
 
-# starting control for the example optimizations, eigenvalues 1 and 3,
-# stored as the triple (q11, q12, q22)
+# the benchmark's weights, bounds and starting control (q11, q12, q22),
+# eigenvalues 1 and 3: the defaults here and of ExperimentConfig
+ALPHA, BETA, Q_MIN, Q_MAX = 0.1, 1e-4, 0.5, 10.0
 Q_INIT = (2.0, -1.0, 2.0)
 
 
@@ -47,9 +48,9 @@ def initial_control(mesh: StructuredMesh,
                                        np.array([[q11, q12], [q12, q22]]))
 
 
-def example_objective(mesh: StructuredMesh, alpha: float = 0.1,
-                      beta: float = 1e-4, q_min: float = 0.5,
-                      q_max: float = 10.0) -> ObjectiveConfig:
+def example_objective(mesh: StructuredMesh, alpha: float = ALPHA,
+                      beta: float = BETA, q_min: float = Q_MIN,
+                      q_max: float = Q_MAX) -> ObjectiveConfig:
     """Objective data of the benchmark on a given mesh."""
     return ObjectiveConfig(
         alpha=alpha, beta=beta,

@@ -18,7 +18,7 @@ import numpy as np
 from .control import MatrixControlField
 from .errors import CoefficientError
 from .fem import ScalarField, assemble_stiffness
-from .obstacle import VISolution, _pdas_bound_solve
+from .obstacle import VISolution, pdas_bound_solve
 
 
 @dataclass(frozen=True)
@@ -50,43 +50,46 @@ def build_critical_cone(sol: VISolution) -> CriticalCone:
     return CriticalCone(zero, nonpos, free)
 
 
-def _direction_load(q: MatrixControlField, d: MatrixControlField,
-                    u: ScalarField) -> np.ndarray:
-    """Right side -(d grad u, grad phi) of the derivative VI; its
+def direction_load(q: MatrixControlField, d: MatrixControlField,
+                   u: ScalarField) -> np.ndarray:
+    """Right side -(d grad u, grad phi) of the derivative VI along d; its
     boundary rows are those of the pinned system, which no solve reads."""
+    if d.mesh is not q.mesh or u.mesh is not q.mesh:
+        raise CoefficientError("direction and solution must share the mesh")
     return -(assemble_stiffness(q.mesh, d) @ u.values)
 
 
 def directional_derivative(q: MatrixControlField, d: MatrixControlField,
                            sol: VISolution,
                            cone: CriticalCone) -> ScalarField:
-    """Derivative of the solution map at q in the control direction d.
+    """Derivative of the solution map at q in the control direction d:
+    the cone derivative of its direction_load, positively homogeneous in
+    d. The theory reads d as a feasible perturbation (q + d admissible);
+    that is the caller's precondition, the solve only needs q elliptic."""
+    return cone_derivative(q, direction_load(q, d, sol.u), cone)
 
-    Solves the cone-constrained VI: minimize 1/2 v' K_q v + (K_d u)' v over
-    v = 0 on zero_nodes, v <= 0 on nonpositive_nodes, by the same active-set
-    iteration as the forward obstacle solve. Positively homogeneous in d for
-    a fixed cone. The theory reads d as a feasible perturbation (q + d stays
-    admissible); that is the caller's precondition, the solve itself only
-    needs q elliptic.
+
+def cone_derivative(q: MatrixControlField, load: np.ndarray,
+                    cone: CriticalCone) -> ScalarField:
+    """Solution of the cone-constrained VI with a load from direction_load.
+
+    Minimizes 1/2 v' K_q v - load' v over v = 0 on zero_nodes, v <= 0 on
+    nonpositive_nodes, by the same active-set iteration as the forward
+    obstacle solve.
     """
     mesh = q.mesh
-    if d.mesh is not mesh or sol.u.mesh is not mesh:
-        raise CoefficientError("direction and solution must share the mesh")
-    rhs = _direction_load(q, d, sol.u)
     upper = np.full(mesh.n_nodes, np.inf)
     upper[cone.nonpositive_nodes] = 0.0
-    v, _, _, _ = _pdas_bound_solve(mesh, q.stiffness.pin(cone.zero_nodes),
-                                   rhs, upper)
+    v, _, _, _ = pdas_bound_solve(mesh, q.stiffness.pin(cone.zero_nodes),
+                                  load, upper)
     return ScalarField(mesh, v)
 
 
-def _derivative_multiplier(q: MatrixControlField, d: MatrixControlField,
-                           u: ScalarField,
+def _derivative_multiplier(q: MatrixControlField, load: np.ndarray,
                            u_tilde: ScalarField) -> ScalarField:
     """Lumped nodal multiplier of the derivative VI, from its residual."""
     mesh = q.mesh
-    rhs = _direction_load(q, d, u)
-    resid = rhs - q.stiffness.matrix @ u_tilde.values
+    resid = load - q.stiffness.matrix @ u_tilde.values
     lam = resid / mesh.lumped_mass
     lam[mesh.boundary_mask] = 0.0
     return ScalarField(mesh, lam)
@@ -95,9 +98,9 @@ def _derivative_multiplier(q: MatrixControlField, d: MatrixControlField,
 def derivative_complementarity_check(u_tilde: ScalarField,
                                      cone: CriticalCone,
                                      q: MatrixControlField,
-                                     d: MatrixControlField,
-                                     u: ScalarField) -> tuple:
-    """Residual triple (feasibility, polarity, orthogonality).
+                                     load: np.ndarray) -> tuple:
+    """Residual triple (feasibility, polarity, orthogonality) of the cone
+    derivative u_tilde of the given direction_load.
 
     feasibility: worst cone violation of the derivative (|value| on
     zero_nodes, positive part on nonpositive_nodes). polarity: worst sign
@@ -107,7 +110,7 @@ def derivative_complementarity_check(u_tilde: ScalarField,
     """
     mesh = u_tilde.mesh
     v = u_tilde.values
-    lam = _derivative_multiplier(q, d, u, u_tilde).values
+    lam = _derivative_multiplier(q, load, u_tilde).values
     feas = 0.0
     if cone.zero_nodes.any():
         feas = float(np.abs(v[cone.zero_nodes]).max())

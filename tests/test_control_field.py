@@ -17,18 +17,25 @@ from obstacle_control import (
     project_spectral,
 )
 from obstacle_control import control, fem
+from obstacle_control.control import riesz_lift
 from obstacle_control.obstacle import solve_vi
 from obstacle_control.optimize import solve_vi_adjoint
 from obstacle_control.penalty import PenaltyConfig, solve_adjoint, \
     solve_penalized
 from obstacle_control.sensitivity import build_critical_cone, \
-    derivative_complementarity_check, directional_derivative
+    derivative_complementarity_check, direction_load, directional_derivative
 
 from conftest import random_admissible, random_direction
 from test_fem import desired_state, manufactured_load
 
 SEED = 910
 Q_MIN, Q_MAX = 0.5, 10.0
+
+
+def barrier_gradient(q):
+    """The barrier's L2 gradient: the Riesz lift of its density."""
+    density = barrier(q, Q_MIN, Q_MAX).density
+    return MatrixControlField(q.mesh, riesz_lift(q.mesh, density))
 
 
 def node_matrices(q):
@@ -108,7 +115,6 @@ def test_barrier_constant_field_closed_form():
     q = MatrixControlField.constant(mesh, np.eye(2))
     ev = barrier(q, Q_MIN, Q_MAX)
     expected = -4.0 * (2.0 * np.log(0.5) + 2.0 * np.log(9.0))
-    assert ev.feasible
     assert ev.value == pytest.approx(expected, rel=1e-12)
 
 
@@ -116,17 +122,16 @@ def test_barrier_midpoint_gradient_vanishes():
     mesh = build_mesh(2)
     mid = 0.5 * (Q_MIN + Q_MAX)
     q = MatrixControlField.constant(mesh, mid * np.eye(2))
-    ev = barrier(q, Q_MIN, Q_MAX)
-    assert np.abs(ev.gradient.comps).max() <= 1e-12
+    assert np.abs(barrier(q, Q_MIN, Q_MAX).density).max() <= 1e-12
+    assert np.abs(barrier_gradient(q).comps).max() <= 1e-12
 
 
 def test_barrier_infeasible_sentinel():
     mesh = build_mesh(1)
     q = MatrixControlField.constant(mesh, np.diag([0.3, 0.3]))
     ev = barrier(q, Q_MIN, Q_MAX)
-    assert not ev.feasible
     assert ev.value == np.inf
-    assert ev.gradient is None
+    assert ev.density is None
 
 
 def test_barrier_gradient_matches_central_difference():
@@ -138,8 +143,7 @@ def test_barrier_gradient_matches_central_difference():
     up = barrier(q + step * d, Q_MIN, Q_MAX).value
     dn = barrier(q + (-step) * d, Q_MIN, Q_MAX).value
     fd = (up - dn) / (2.0 * step)
-    grad = barrier(q, Q_MIN, Q_MAX).gradient
-    dd = control_inner(grad, d)
+    dd = control_inner(barrier_gradient(q), d)
     assert dd == pytest.approx(fd, rel=1e-6)
 
 
@@ -149,7 +153,7 @@ def test_barrier_gradient_finite_difference_order():
     for _ in range(3):
         q = random_admissible(mesh, rng, margin=0.1)
         d = random_direction(mesh, rng)
-        dd = control_inner(barrier(q, Q_MIN, Q_MAX).gradient, d)
+        dd = control_inner(barrier_gradient(q), d)
         errs = []
         for step in (1e-2, 1e-3):
             up = barrier(q + step * d, Q_MIN, Q_MAX).value
@@ -272,7 +276,8 @@ def test_vi_solve_adjoint_and_derivatives_assemble_once(
     directional_derivative(q, random_direction(mesh, rng, scale=0.1), sol,
                            cone)
     u_t = directional_derivative(q, d, sol, cone)
-    derivative_complementarity_check(u_t, cone, q, d, sol.u)
+    derivative_complementarity_check(u_t, cone, q,
+                                     direction_load(q, d, sol.u))
     assert stiffness_assemblies() == 1
     assert q.stiffness is q.stiffness
 

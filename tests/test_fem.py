@@ -19,6 +19,7 @@ from obstacle_control import (
     l2_norm,
 )
 
+from obstacle_control import fem
 from obstacle_control.fem import prolongation
 
 from conftest import random_admissible, random_direction
@@ -483,6 +484,26 @@ def test_penalty_jacobian_matches_coo_reference():
     local = np.einsum("cg,ga,gb->cab", w, shape, shape)
     got = mesh.stencil.matrix(_penalty_jacobian(mesh, gap, 1e6))
     assert_close_relative(got.toarray(), coo_reference(mesh, local))
+
+
+def test_quadrature_primitives_repeat_the_arithmetic_they_replace():
+    """Gauss-point gradients, the weighted mass and the integral of a
+    density give the bits of the inline code their callers had."""
+    mesh = build_mesh(4)
+    rng = np.random.default_rng(SEED + 6)
+    shape, grads, scale = mesh._reference
+    vals = rng.standard_normal(mesh.n_nodes)
+    assert np.array_equal(mesh.gradients_at_quadrature(vals),
+                          np.tensordot(vals[mesh.cells], grads,
+                                       axes=(1, 1)))
+    gap = np.maximum(rng.standard_normal((mesh.n_cells, 4)), 0.0)
+    gamma = 1.7e6
+    w = scale * 3.0 * gamma * gap ** 2
+    local = (w @ fem._outer(shape, shape)).reshape(mesh.n_cells, 4, 4)
+    assert np.array_equal(mesh.weighted_mass(3.0 * gamma * gap ** 2),
+                          mesh.stencil.assemble(local))
+    logs = np.log1p(gap)
+    assert -mesh.integral(logs) == -scale * float(np.sum(logs))
 
 
 def test_operators_share_the_mesh_pattern():

@@ -19,7 +19,7 @@ from obstacle_control.fem import prolongation
 from obstacle_control.obstacle import (
     _ACTIVE_TOL,
     VISolution,
-    _pdas_bound_solve,
+    pdas_bound_solve,
     complementarity_residuals,
     solve_vi,
 )
@@ -351,7 +351,7 @@ def test_nested_start_matches_cold_loop(problem, level):
     mesh = build_mesh(level)
     q, f, psi = problem(mesh)
     sol = solve_vi(q, f, psi)
-    u, lam, active, _ = _pdas_bound_solve(
+    u, lam, active, _ = pdas_bound_solve(
         mesh, assemble_stiffness(mesh, q),
         np.where(mesh.boundary_mask, 0.0, f.values),
         np.full(mesh.n_nodes, psi), mesh.boundary_mask)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from obstacle_control import (
+    CoefficientError,
     MatrixControlField,
     ScalarField,
     StagnationError,
@@ -19,7 +20,7 @@ from obstacle_control import (
     l2_norm,
     solve_spd,
 )
-from obstacle_control import experiments, obstacle, optimize
+from obstacle_control import control, experiments, obstacle, optimize
 from obstacle_control.experiments import load_config, run_example1
 from obstacle_control.obstacle import complementarity_residuals, solve_vi
 from obstacle_control.penalty import PenaltyConfig, solve_penalized
@@ -31,6 +32,7 @@ from obstacle_control.optimize import (
     ObjectiveConfig,
     gamma_continuation,
     minimize,
+    objective_value,
     reduced_gradient,
     solve_vi_adjoint,
     solve_vi_constrained,
@@ -65,8 +67,7 @@ def total_objective(q, cfg, pen):
     value = 0.5 * l2_norm(u - cfg.u_d) ** 2 \
         + 0.5 * cfg.alpha * control_norm(q - cfg.q_d) ** 2
     if cfg.beta > 0.0:
-        value += cfg.beta * barrier(q, cfg.q_min, cfg.q_max,
-                                    with_gradient=False).value
+        value += cfg.beta * barrier(q, cfg.q_min, cfg.q_max).value
     return value
 
 
@@ -134,6 +135,19 @@ def test_manufactured_optimum_terminates_immediately():
     assert res.converged
     assert res.iterations <= 2
     assert res.pg_residual <= 1e-10
+    # beta = 0 drops the (here negative) barrier as +0.0, not -0.0
+    assert all(np.copysign(1.0, e.barrier_term) == 1.0 for e in res.history)
+
+
+def test_objective_value_refuses_inadmissible_control_at_every_beta():
+    """Definite, but below q_min: the descent refuses such a control as a
+    start or a trial, and so does objective_value, whatever beta is."""
+    mesh = build_mesh(2)
+    q = MatrixControlField.constant(mesh, np.diag([0.3, 2.0]))
+    pen = PenaltyConfig(gamma=1e3, psi=0.5)
+    for beta in (0.0, 1e-4):
+        with pytest.raises(CoefficientError, match="spectral bounds"):
+            objective_value(q, example_config(mesh, beta=beta), pen)
 
 
 def test_objective_monotone_armijo_and_violation():
@@ -340,8 +354,8 @@ def _flipped_tracking(monkeypatch):
 def _dropped_barrier(monkeypatch):
     gradient = optimize.reduced_gradient
 
-    def without_barrier(q, u, p, cfg, admissibility):
-        return gradient(q, u, p, replace(cfg, beta=0.0), admissibility)
+    def without_barrier(q, u, p, cfg, bar):
+        return gradient(q, u, p, replace(cfg, beta=0.0), bar)
 
     monkeypatch.setattr(optimize, "reduced_gradient", without_barrier)
 
@@ -394,3 +408,35 @@ def test_example1_solves_each_control_once(monkeypatch, tmp_path):
     cold = solve(result.q, f_load, cfg.psi)
     assert np.array_equal(cold.active_set, sol.active_set)
     assert np.array_equal(cold.strongly_active, sol.strongly_active)
+
+
+def test_each_control_runs_the_barrier_once_and_each_gradient_one_lift(
+        monkeypatch, tmp_path):
+    """run_example1 at level 3: the barrier runs once per evaluated control
+    (the controls the state is solved at, each once), and each reduced
+    gradient makes one mass solve, its Riesz lift, reusing the barrier of
+    its control."""
+    events = []
+
+    def record(module, name, tag):
+        fn = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            events.append((tag, args[0]))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(optimize, "barrier", "barrier")
+    record(optimize, "solve_vi", "state")
+    record(optimize, "reduced_gradient", "gradient")
+    record(control, "solve_spd", "mass")
+    run_example1(load_config(None, [], output_dir=str(tmp_path), level=3))
+    barriers = [q for tag, q in events if tag == "barrier"]
+    states = [q for tag, q in events if tag == "state"]
+    assert len(barriers) == len(states) == len({id(q) for q in states})
+    assert all(b is s for b, s in zip(barriers, states))
+    tags = [tag for tag, _ in events]
+    assert tags.count("mass") == tags.count("gradient") == len(states)
+    assert all(tags[i - 1] == "gradient"
+               for i, tag in enumerate(tags) if tag == "mass")

@@ -17,6 +17,9 @@ from obstacle_control import (
     l2_inner,
     l2_norm,
 )
+from obstacle_control import sensitivity
+from obstacle_control.control import riesz_lift
+from obstacle_control.experiments import load_config, run_sensitivity
 from obstacle_control.obstacle import solve_vi
 from obstacle_control.optimize import ObjectiveConfig, solve_vi_constrained
 from obstacle_control.sensitivity import (
@@ -24,6 +27,7 @@ from obstacle_control.sensitivity import (
     _derivative_multiplier,
     build_critical_cone,
     derivative_complementarity_check,
+    direction_load,
     directional_derivative,
 )
 
@@ -64,15 +68,16 @@ def primal_first_order_check(q_star, candidates, cfg, sol):
     to solver tolerances; a clearly negative minimum certifies descent.
     """
     cone = build_critical_cone(sol)
-    be = barrier(q_star, cfg.q_min, cfg.q_max)
-    assert be.feasible
+    density = barrier(q_star, cfg.q_min, cfg.q_max).density
+    grad_b = MatrixControlField(q_star.mesh,
+                                riesz_lift(q_star.mesh, density))
     values = []
     for cand in candidates:
         d = cand - q_star
         u_t = directional_derivative(q_star, d, sol, cone)
         values.append(l2_inner(sol.u - cfg.u_d, u_t)
                       + cfg.alpha * control_inner(q_star - cfg.q_d, d)
-                      + cfg.beta * control_inner(be.gradient, d))
+                      + cfg.beta * control_inner(grad_b, d))
     return min(values)
 
 
@@ -192,7 +197,8 @@ def test_derivative_respects_cone_constraints():
     ut = directional_derivative(q, d, sol, cone)
     assert np.all(ut.values[cone.zero_nodes] == 0.0)
     assert np.all(ut.values[mesh.boundary_mask] == 0.0)
-    lam_t = _derivative_multiplier(q, d, sol.u, ut)
+    load = direction_load(q, d, sol.u)
+    lam_t = _derivative_multiplier(q, load, ut)
     assert lam_t.values[cone.zero_nodes].min() > 0.0
 
     # reclassify the contact nodes as biactive: the sign constraint alone
@@ -203,10 +209,10 @@ def test_derivative_respects_cone_constraints():
         free_nodes=cone.free_nodes)
     us = directional_derivative(q, d, sol, sign_cone)
     assert np.all(us.values[sign_cone.nonpositive_nodes] <= 1e-12)
-    lam_s = _derivative_multiplier(q, d, sol.u, us)
+    lam_s = _derivative_multiplier(q, load, us)
     assert lam_s.values[sign_cone.nonpositive_nodes].max() > 0.0
     feas, polar, comp = derivative_complementarity_check(
-        us, sign_cone, q, d, sol.u)
+        us, sign_cone, q, load)
     assert feas <= 1e-8
     assert polar <= 1e-8
     assert comp <= 1e-8
@@ -220,7 +226,7 @@ def test_complementarity_residuals_converged_solve():
         d = random_direction(mesh, rng, scale=0.1)
         ut = directional_derivative(q, d, sol, cone)
         feas, polar, comp = derivative_complementarity_check(
-            ut, cone, q, d, sol.u)
+            ut, cone, q, direction_load(q, d, sol.u))
         assert feas <= 1e-8
         assert polar <= 1e-8
         assert comp <= 1e-8
@@ -235,11 +241,12 @@ def test_complementarity_multiplier_vanishes_without_contact():
     cone = build_critical_cone(sol)
     d = random_direction(mesh, rng, scale=0.3)
     ut = directional_derivative(q, d, sol, cone)
-    lam_t = _derivative_multiplier(q, d, sol.u, ut)
+    load = direction_load(q, d, sol.u)
+    lam_t = _derivative_multiplier(q, load, ut)
     # cone is the whole space, so the multiplier is pure solver residual
     assert np.abs(lam_t.values).max() <= 1e-8
     feas, polar, comp = derivative_complementarity_check(
-        ut, cone, q, d, sol.u)
+        ut, cone, q, load)
     assert feas == 0.0
     assert polar <= 1e-8
     assert comp <= 1e-8
@@ -268,10 +275,11 @@ def test_hand_multiplier_single_interior_node():
     d = MatrixControlField.constant(mesh, delta * np.eye(2))
     ut = directional_derivative(q, d, sol, cone)
     assert np.array_equal(ut.values, np.zeros(mesh.n_nodes))
-    lam_t = _derivative_multiplier(q, d, sol.u, ut)
+    load = direction_load(q, d, sol.u)
+    lam_t = _derivative_multiplier(q, load, ut)
     assert np.isclose(lam_t.values[c], -4.0 / 15.0, rtol=1e-12)
     feas, polar, comp = derivative_complementarity_check(
-        ut, cone, q, d, sol.u)
+        ut, cone, q, load)
     assert feas == 0.0 and polar == 0.0 and comp == 0.0
 
 
@@ -303,3 +311,21 @@ def test_primal_check_descends_at_start():
     rng = np.random.default_rng(SEED)
     cands = [random_admissible(mesh, rng) for _ in range(12)] + [cfg.q_d]
     assert primal_first_order_check(q0, cands, cfg, sol) < 0.0
+
+
+def test_run_sensitivity_assembles_each_direction_once(monkeypatch,
+                                                       tmp_path):
+    """The derivative solve and its complementarity check share each
+    direction's load: three directions, three assemblies."""
+    directions = []
+    assemble = sensitivity.assemble_stiffness
+
+    def counted(mesh, d):
+        directions.append(d)
+        return assemble(mesh, d)
+
+    monkeypatch.setattr(sensitivity, "assemble_stiffness", counted)
+    report = run_sensitivity(
+        load_config(None, [], output_dir=str(tmp_path), level=3))
+    assert report.passed
+    assert len(directions) == 3

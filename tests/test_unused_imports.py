@@ -1,5 +1,6 @@
 """Every imported name in src/ and tests/ is used in its module, every
-module-level private name in src/ is read somewhere in src/, every public
+module-level private name in src/ is read somewhere in src/, a private
+name that one module of src/ defines is read in no other, every public
 function, class, constant and method in src/ is read somewhere in src/
 outside the package __init__.py, every dataclass field in src/ is read as
 an attribute somewhere in src/, perfbench/ or the acceptance gate outside
@@ -154,6 +155,32 @@ def unread_private_names(sources: dict) -> list:
                    and not name.startswith("__") and "." not in name)
 
 
+def _private_definitions(tree):
+    """Private, non-dunder names a module defines: module-level functions,
+    classes and constants, class members, and attributes it assigns."""
+    names = {name.rpartition(".")[2] for _, name in _definitions(tree)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)}
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def foreign_private_reads(sources: dict) -> list:
+    """(file, name) of every private name a file reads that another file
+    of the set defines and it does not; names match by spelling, so a
+    file that defines a private name of its own may read it."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    defined = {path: _private_definitions(tree)
+               for path, tree in trees.items()}
+    found = []
+    for path, tree in trees.items():
+        foreign = set().union(*(names for other, names in defined.items()
+                                if other != path)) - defined[path]
+        found += [(path, name) for name in _read_names(tree) & foreign]
+    return sorted(found)
+
+
 def unread_public_names(sources: dict) -> list:
     """Public definitions and public methods no file reads."""
     return _unread(sources, lambda name:
@@ -237,6 +264,35 @@ def test_every_private_name_in_src_is_read_in_src():
     sources = {str(path.relative_to(ROOT)): path.read_text()
                for path in files}
     assert unread_private_names(sources) == []
+
+
+def test_foreign_private_scanner_finds_cross_module_reads():
+    sources = {
+        "pkg/a.py": ("_LIMIT = 3\n"
+                     "class Mesh:\n"
+                     "    def _cache(self):\n"
+                     "        self._store = _LIMIT\n"
+                     "        return self._store\n"
+                     "def _check():\n"
+                     "    return 1\n"),
+        "pkg/b.py": ("from .a import _LIMIT, Mesh\n"
+                     "def f(m: Mesh) -> int:\n"
+                     "    return m._cache() + m._store + _LIMIT\n"),
+        "pkg/c.py": ("def _check():\n"
+                     "    return 2\n"
+                     "def g(m) -> int:\n"
+                     "    return _check() + m.__len__()\n"),
+    }
+    assert foreign_private_reads(sources) == [
+        ("pkg/b.py", "_LIMIT"), ("pkg/b.py", "_cache"), ("pkg/b.py", "_store")]
+
+
+def test_private_names_stay_in_their_module():
+    """fem's quadrature data, the multigrid's coarsest level and the PDAS
+    loop are read through public names outside their module."""
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert foreign_private_reads(sources) == []
 
 
 def test_public_scanner_finds_unread_definitions():
