@@ -363,12 +363,13 @@ def run_convergence(cfg: ExperimentConfig) -> RunReport:
         obj = example_objective(mesh, cfg.alpha, cfg.beta, cfg.q_min,
                                 cfg.q_max)
         sol = solve_vi(obj.q_d, obj.f_load, cfg.psi)
-        # the cached stiffness of obj.q_d would outlive the solve through
-        # the error integral, the largest allocation of the level
-        del obj
-        err = l2_error_vs_function(sol.u, target_state)
+        u = sol.u
         contact = contact or bool(sol.active_set.any())
         sweeps.append(sol.iterations)
+        # q_d's cached stiffness and sol's last system would outlive the
+        # solve through the error integral, the largest allocation
+        del obj, sol
+        err = l2_error_vs_function(u, target_state)
         hs.append(mesh.h)
         errors.append(err)
         if len(errors) > 1:

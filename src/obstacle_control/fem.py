@@ -7,11 +7,13 @@ coefficient, consistent and lumped mass, and load vectors. Every operator
 on a mesh shares one cached CSR pattern of the nine-point stencil, and
 assembly writes its data by strided slice-adds. Homogeneous Dirichlet
 conditions, and every other pinned node, are imposed by symmetric
-row/column elimination with identity diagonal (a mask on that data), so
-all operators stay usable by symmetric solvers. A pinned operator is
-a `GridSystem`: stencil data and the mask of its pinned nodes. It derives
-the systems that pin more nodes or add data on the same stencil, and
-builds the geometric multigrid preconditioner its solves use. The
+row/column elimination with identity diagonal (a mask on that data, whose
+eliminated entries stay on the shared pattern as zeros), so all operators
+stay usable by symmetric solvers. A pinned operator is a `GridSystem`:
+stencil data and the mask of its pinned nodes. It derives the systems
+that pin more nodes or add data on the same stencil, and builds once the
+geometric multigrid preconditioner its solves use, whose coarsest grid
+is factored from a band written straight from stencil data. The
 consistent mass matrix is a Kronecker product of 1-D masses and is solved
 exactly along the grid axes.
 """
@@ -26,7 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import CapacityError, DimensionError, NonFiniteError
+from .errors import CapacityError, DimensionError, NonFiniteError, \
+    SolverError
 
 if TYPE_CHECKING:
     from .control import MatrixControlField
@@ -269,15 +272,36 @@ class StencilPattern:
 
     def pinned(self, data: np.ndarray, mask: np.ndarray) -> sp.csr_matrix:
         """CSR matrix of data with the rows and columns flagged by mask set
-        to identity, without its zero entries: pinned rows and columns
-        would otherwise cost matrix-vector work."""
-        out = np.where(mask[self.rows] | mask[self.indices], 0.0, data)
+        to identity, on this shared pattern: the pinned entries stay as
+        explicit zeros, which leave every matrix-vector product's bits
+        as they are."""
+        pinned = np.take(mask, self.rows) | np.take(mask, self.indices)
+        out = np.where(pinned, 0.0, data)
         out[self.diagonal[mask]] = 1.0
-        keep = out != 0.0
-        counts = np.bincount(self.rows[keep], minlength=self.shape[0])
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        return sp.csr_matrix((out[keep], self.indices[keep], indptr),
-                             shape=self.shape)
+        return self.matrix(out)
+
+    def band(self, data: np.ndarray) -> np.ndarray:
+        """LAPACK upper band storage (kd = n + 2) of the symmetric matrix
+        with this data: the diagonal and the four upper stencil slots, each
+        added as one slice (at level 0 two slots share a diagonal)."""
+        n1 = self.cells_per_side + 1
+        size, kd = n1 * n1, n1 + 1
+        grid = np.zeros(self.valid.shape)
+        grid[self.valid] = data
+        grid = grid.reshape(size, 9)
+        bands = np.zeros((kd + 1, size))
+        for slot, offset in ((4, 0), (5, 1), (6, n1 - 1), (7, n1),
+                             (8, n1 + 1)):
+            bands[kd - offset, offset:] += grid[:size - offset, slot]
+        return bands
+
+    def gather(self, mat: sp.csr_matrix) -> np.ndarray:
+        """Data on this pattern of a CSR matrix; raises DimensionError when
+        the matrix has nonzero entries off the pattern."""
+        data = np.asarray(mat[self.rows, self.indices]).ravel()
+        if np.count_nonzero(data) != mat.count_nonzero():
+            raise DimensionError("matrix entries lie off the stencil")
+        return data
 
 
 class KroneckerMass:
@@ -373,12 +397,13 @@ class GridSystem:
 
     Held as stencil data, unpinned, and the mask of the nodes it pins
     (boundary nodes, and whatever else a solver pins). Its `matrix` has
-    identity rows and columns there; `solve_spd` zeroes the right-hand
-    side there, so the solution is exactly zero on them, and solves the
-    rest by conjugate gradients preconditioned with the geometric
-    multigrid V-cycle of `multigrid`. `pin` and `plus` derive the systems
-    the solvers need from one stiffness: each keeps every node its source
-    pins.
+    identity rows and columns there, on the stencil's shared pattern;
+    `solve_spd` zeroes the right-hand side there, so the solution is
+    exactly zero on them, and solves the rest by conjugate gradients
+    preconditioned with the geometric multigrid V-cycle of `multigrid`,
+    both cached: one set-up per system. `pin` and `plus` derive the
+    systems the solvers need from one stiffness: each keeps every node its
+    source pins.
     """
 
     stencil: StencilPattern
@@ -399,7 +424,7 @@ class GridSystem:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The pinned CSR matrix, without its zero entries."""
+        """The pinned CSR matrix on the stencil's shared pattern."""
         return self.stencil.pinned(self.data, self.dirichlet_mask)
 
     def pin(self, mask: np.ndarray) -> "GridSystem":
@@ -415,8 +440,10 @@ class GridSystem:
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
 
+    @cached_property
     def multigrid(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Symmetric V-cycle r -> z approximating the inverse of the matrix.
+        """Symmetric V-cycle r -> z approximating the inverse of the matrix,
+        set up once per system.
 
         Each grid above the coarsest is smoothed by two damped-Jacobi
         sweeps before and after its coarse correction. The coarse operator
@@ -426,10 +453,15 @@ class GridSystem:
         free coarse node keeps its own free fine node and P'AP stays
         positive definite; pinned coarse nodes get identity rows.
         The coarsest grid (at most 32 cells per side) is solved exactly by
-        banded Cholesky, so below level 6 the V-cycle is a direct solve.
-        Raises numpy.linalg.LinAlgError when that factorization fails.
+        banded Cholesky, its band written from stencil data (P'AP of a
+        nine-point operator is nine-point), so below level 6 the V-cycle
+        is a direct solve. Raises SolverError on a nonpositive diagonal
+        entry and numpy.linalg.LinAlgError when the factorization fails.
         """
         mat, pinned, level = self.matrix, self.dirichlet_mask, self.level
+        if not np.all(mat.diagonal() > 0.0):
+            raise SolverError("matrix has a nonpositive diagonal entry")
+        stencil, data = self.stencil, mat.data
         grids = []
         while level > COARSEST_LEVEL:
             n1 = 2 ** level + 1
@@ -445,7 +477,11 @@ class GridSystem:
                    + sp.diags(coarse.astype(float))).tocsr()
             pinned = coarse
             level -= 1
-        factor = (_banded_cholesky(mat, 2 ** level + 2), False)
+        if grids:
+            stencil = StencilPattern(2 ** level)
+            data = stencil.gather(mat)
+        factor = (cholesky_banded(stencil.band(data), overwrite_ab=True,
+                                  check_finite=False), False)
 
         def vcycle(r: np.ndarray) -> np.ndarray:
             # down: smooth from zero, restrict the residual; up: correct
@@ -487,21 +523,6 @@ def prolongation(level: int) -> sp.csr_matrix:
          (np.r_[fine, odd], np.r_[fine // 2, odd // 2 + 1])),
         shape=(n + 1, n // 2 + 1))
     return sp.kron(p1, p1, format="csr")
-
-
-def _banded_cholesky(mat: sp.csr_matrix, bandwidth: int) -> np.ndarray:
-    """Upper banded Cholesky factor of a symmetric CSR matrix whose entries
-    lie within `bandwidth` of the diagonal."""
-    n = mat.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    offset = mat.indices - rows
-    upper = offset >= 0
-    band = bandwidth - offset[upper]
-    if band.size and band.min() < 0:
-        raise DimensionError("matrix entries lie outside the band")
-    bands = np.zeros((bandwidth + 1, n))
-    bands[band, mat.indices[upper]] = mat.data[upper]
-    return cholesky_banded(bands, overwrite_ab=True, check_finite=False)
 
 
 def assemble_stiffness(mesh: StructuredMesh,

@@ -9,6 +9,8 @@ gradients solve it with a geometric multigrid V-cycle as preconditioner,
 whose coarsest grid (at most 32 cells per side) is an exact banded
 Cholesky solve, so the iteration count does not grow with the level and a
 system on at most 32 cells per side converges in one iteration. The
+V-cycle is set up once per system and kept with it: the VI adjoint solves
+the last active-set sweep's system again without a new factor. The
 consistent mass matrix of a structured mesh (`KroneckerMass`) is solved
 exactly by banded Cholesky along each grid axis, for several right-hand
 sides at once, and each result is checked against the same residual
@@ -147,10 +149,8 @@ def _solve_grid(A: GridSystem, rhs, tol, x0):
     rhs = np.where(mask, 0.0, rhs)
     if x0 is not None:
         x0 = np.where(mask, 0.0, x0)
-    if not np.all(mat.diagonal() > 0.0):
-        raise SolverError("matrix has a nonpositive diagonal entry")
     try:
-        precondition = A.multigrid()
+        precondition = A.multigrid
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             "banded Cholesky factorization of the coarsest grid "

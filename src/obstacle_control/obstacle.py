@@ -47,6 +47,8 @@ class VISolution:
     strongly_active holds the active nodes whose multiplier exceeds
     _ACTIVE_TOL times f_norm, the lumped L2 norm of the load density; the
     VI adjoint pins them and the critical cone fixes the derivative there.
+    system is the last sweep's `K.pin(active_set)` with its multigrid set
+    up, which the VI adjoint solves again when no active node is biactive.
     """
 
     u: ScalarField
@@ -55,6 +57,7 @@ class VISolution:
     strongly_active: np.ndarray
     iterations: int
     f_norm: float
+    system: GridSystem
 
 
 def pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
@@ -70,8 +73,8 @@ def pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
     `mesh`. The loop starts from the active set `active0` (default empty)
     and the first sweep's CG from `u0` (default zero); each later sweep's
     CG starts from the state of the one before. Returns (u, lam, active,
-    iterations) with lam the lumped nodal multiplier, supported on the
-    final active set.
+    iterations, system): lam the lumped multiplier, on the final active
+    set, and system the last sweep's K.pin(active), with its set-up.
     """
     n = rhs.shape[0]
     constrained = np.isfinite(upper) & ~K.dirichlet_mask
@@ -85,15 +88,17 @@ def pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
     for it in range(1, _MAX_ITERS + 1):
         u_fix = np.where(active, upper, 0.0)
         # the free part solves the system pinned at the active nodes too,
-        # where it is zero and u_fix (zero elsewhere) holds the values
-        v, _ = solve_spd(K.pin(active), rhs - mat @ u_fix, x0=u)
+        # where it is zero and u_fix (zero elsewhere) holds the values;
+        # rebinding frees the last sweep's set-up before this one's
+        system = K.pin(active)
+        v, _ = solve_spd(system, rhs - mat @ u_fix, x0=u)
         u = v + u_fix
         lam = np.zeros(n)
         resid = rhs - mat @ u
         lam[active] = resid[active] / m_lump[active]
         new_active = constrained & np.where(active, lam > 0.0, u > upper)
         if np.array_equal(new_active, active):
-            return u, lam, active, it
+            return u, lam, active, it, system
         key = new_active.tobytes()
         if key in seen:
             raise NonconvergenceError(
@@ -174,12 +179,12 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     if active0 is None and mesh.level > COARSEST_LEVEL:
         active0, u0 = _nested_start(q, f_load, psi)
     upper = np.full(mesh.n_nodes, psi)
-    u, lam, active, its = pdas_bound_solve(
+    u, lam, active, its, system = pdas_bound_solve(
         mesh, K, f_load.values, upper, active0, u0)
     f_norm = _load_density_norm(f_load, mesh.lumped_mass)
     strong = active & (lam > _ACTIVE_TOL * max(f_norm, 1e-300))
     return VISolution(ScalarField(mesh, u), ScalarField(mesh, lam),
-                      active, strong, its, f_norm)
+                      active, strong, its, f_norm, system)
 
 
 def complementarity_residuals(sol: VISolution,

@@ -257,11 +257,15 @@ def solve_vi_adjoint(q: MatrixControlField, sol: VISolution,
     blows up exactly on the contact region, so p is pinned to zero on the
     strongly active nodes and solves K_q p = M (u - u_d) elsewhere, with
     K_q the cached stiffness `q.stiffness`. Biactive nodes (active with
-    vanishing multiplier) stay free.
+    vanishing multiplier) stay free; without them this is the system, set
+    up already, of the last sweep of sol, the VI solution at q.
     """
     mesh = q.mesh
     rhs = mesh.mass_matrix @ (sol.u.values - u_d.values)
-    vals, _ = solve_spd(q.stiffness.pin(sol.strongly_active), rhs)
+    system = sol.system
+    if not np.array_equal(sol.strongly_active, sol.active_set):
+        system = q.stiffness.pin(sol.strongly_active)
+    vals, _ = solve_spd(system, rhs)
     return ScalarField(mesh, vals)
 
 

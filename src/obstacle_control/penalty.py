@@ -116,7 +116,8 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
     K = q.stiffness
     rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
     if u0 is None:
-        u, _ = solve_spd(K, rhs)
+        # a system of its own: its set-up dies with this solve, not with q
+        u, _ = solve_spd(K.pin(mesh.boundary_mask), rhs)
         if cfg.gamma > _WARMUP_THRESHOLD:
             g = _WARMUP_THRESHOLD
             while g < cfg.gamma:

@@ -80,8 +80,8 @@ def cone_derivative(q: MatrixControlField, load: np.ndarray,
     mesh = q.mesh
     upper = np.full(mesh.n_nodes, np.inf)
     upper[cone.nonpositive_nodes] = 0.0
-    v, _, _, _ = pdas_bound_solve(mesh, q.stiffness.pin(cone.zero_nodes),
-                                  load, upper)
+    v = pdas_bound_solve(mesh, q.stiffness.pin(cone.zero_nodes), load,
+                         upper)[0]
     return ScalarField(mesh, v)
 
 

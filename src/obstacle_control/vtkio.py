@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -43,6 +44,13 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+@lru_cache(maxsize=1)
+def _points(level: int) -> str:
+    """The POINTS lines of the mesh at a level, which they depend on."""
+    return "\n".join(f"{_fmt(x)} {_fmt(y)} 0"
+                     for x, y in StructuredMesh(level).nodes)
+
+
 def write_structured_vtk(path, mesh: StructuredMesh,
                          point_data: Mapping[str, np.ndarray]) -> Path:
     """Write nodal scalars on the structured mesh as a legacy VTK file.
@@ -58,10 +66,9 @@ def write_structured_vtk(path, mesh: StructuredMesh,
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {n_side} {n_side} 1",
         f"POINTS {mesh.n_nodes} double",
+        _points(mesh.level),
+        f"POINT_DATA {mesh.n_nodes}",
     ]
-    for x, y in mesh.nodes:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
-    lines.append(f"POINT_DATA {mesh.n_nodes}")
     for name, values in point_data.items():
         values = np.asarray(values, dtype=float)
         if values.shape != (mesh.n_nodes,):

@@ -13,6 +13,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
 
 from obstacle_control import MatrixControlField  # noqa: E402
 
@@ -40,6 +41,34 @@ def random_direction(mesh, rng, scale=1.0):
     """Random symmetric nodal direction field with O(scale) entries."""
     comps = rng.standard_normal((mesh.n_nodes, 3)) * scale
     return MatrixControlField(mesh, comps)
+
+
+def compacted_pin(stencil, data, mask):
+    """Reference pin: the CSR matrix of stencil data with the rows and
+    columns flagged by mask set to identity and every zero entry dropped,
+    on a pattern of its own."""
+    out = np.where(mask[stencil.rows] | mask[stencil.indices], 0.0, data)
+    out[stencil.diagonal[mask]] = 1.0
+    keep = out != 0.0
+    counts = np.bincount(stencil.rows[keep], minlength=stencil.shape[0])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    return sp.csr_matrix((out[keep], stencil.indices[keep], indptr),
+                         shape=stencil.shape)
+
+
+def scatter_band(mat, bandwidth):
+    """Reference band: the upper entries of a symmetric CSR matrix within
+    `bandwidth` of the diagonal, scattered through their coordinates into
+    LAPACK upper band storage."""
+    n = mat.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    offset = mat.indices - rows
+    upper = offset >= 0
+    band = bandwidth - offset[upper]
+    assert band.min() >= 0, "matrix entries lie outside the band"
+    bands = np.zeros((bandwidth + 1, n))
+    bands[band, mat.indices[upper]] = mat.data[upper]
+    return bands
 
 
 def oracle_active_set_enumeration(K, f, psi, tol=1e-11):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
+from scipy.linalg import cholesky_banded
 
 from obstacle_control import (
     CapacityError,
     CoefficientError,
+    DimensionError,
     MatrixControlField,
     NonFiniteError,
     ScalarField,
@@ -20,9 +22,10 @@ from obstacle_control import (
 )
 
 from obstacle_control import fem
-from obstacle_control.fem import prolongation
+from obstacle_control.fem import COARSEST_LEVEL, prolongation
 
-from conftest import random_admissible, random_direction
+from conftest import compacted_pin, random_admissible, random_direction, \
+    scatter_band
 
 SEED = 20260819
 
@@ -529,8 +532,9 @@ def test_operators_share_the_mesh_pattern():
 
 @pytest.mark.parametrize("level", [1, 3])
 def test_pin_matches_keep_product(level):
-    """StencilPattern.pinned is keep @ A @ keep + diag(mask), with no
-    stored zeros."""
+    """StencilPattern.pinned is keep @ A @ keep + diag(mask) on the
+    stencil's shared pattern, and its products have the bits of the
+    compacted reference's."""
     mesh = build_mesh(level)
     rng = np.random.default_rng(SEED + 7)
     q = random_admissible(mesh, rng)
@@ -540,8 +544,92 @@ def test_pin_matches_keep_product(level):
         mask = rng.random(mesh.n_nodes) < 0.3
         pinned = stencil.pinned(raw.data, mask)
         assert np.array_equal(pinned.toarray(), pin_reference(raw, mask))
-        assert np.count_nonzero(pinned.data) == pinned.nnz
+        assert np.shares_memory(pinned.indices, stencil.indices)
+        assert np.shares_memory(pinned.indptr, stencil.indptr)
+        v = rng.standard_normal((mesh.n_nodes, 2))
+        compact = compacted_pin(stencil, raw.data, mask)
+        assert np.array_equal(pinned @ v, compact @ v)
+        assert np.array_equal(pinned @ v[:, 0], compact @ v[:, 0])
         assert pinned.has_sorted_indices
+
+
+def assert_band_matches_scatter(stencil, data, reference):
+    """The stencil-slot band of data, and its banded Cholesky factor, are
+    bitwise those of the coordinate scatter of the reference matrix."""
+    band = stencil.band(data)
+    want = scatter_band(reference, stencil.cells_per_side + 2)
+    assert np.array_equal(band, want)
+    assert np.array_equal(cholesky_banded(band, check_finite=False),
+                          cholesky_banded(want, check_finite=False))
+
+
+@pytest.mark.parametrize("level", range(0, 6))
+def test_stencil_band_matches_coordinate_scatter(level):
+    """The band of unpinned (singular, so not factored) stiffness data,
+    where at level 0 two slots share a diagonal, and the band and factor
+    of three random pins."""
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(SEED + 9 + level)
+    K = assemble_stiffness(mesh, random_admissible(mesh, rng))
+    raw = mesh.stencil.matrix(K.data)
+    assert np.array_equal(mesh.stencil.band(K.data),
+                          scatter_band(raw, mesh.cells_per_side + 2))
+    for _ in range(3):
+        system = K.pin(rng.random(mesh.n_nodes) < 0.3)
+        assert_band_matches_scatter(
+            mesh.stencil, system.matrix.data,
+            compacted_pin(mesh.stencil, K.data, system.dirichlet_mask))
+
+
+def galerkin_reference(system):
+    """The coarsest Galerkin operator of the multigrid hierarchy, computed
+    from the compacted pinned matrix."""
+    mat = compacted_pin(system.stencil, system.data, system.dirichlet_mask)
+    pinned, level = system.dirichlet_mask, system.level
+    while level > COARSEST_LEVEL:
+        n1 = 2 ** level + 1
+        coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
+        p = prolongation(level)
+        rows = np.repeat(pinned, np.diff(p.indptr))
+        p.data[rows | coarse[p.indices]] = 0.0
+        mat = (p.T.tocsr() @ (mat @ p)
+               + sp.diags(coarse.astype(float))).tocsr()
+        pinned = coarse
+        level -= 1
+    return mat
+
+
+def test_galerkin_band_matches_coordinate_scatter(monkeypatch):
+    """A level-7 system pinned on a contact disc: its coarsest Galerkin
+    operator, read back onto the level-5 stencil, gives the band and the
+    factor of the coordinate scatter of the reference hierarchy's."""
+    mesh = build_mesh(7)
+    x, y = mesh.nodes.T
+    K = assemble_stiffness(
+        mesh, random_admissible(mesh, np.random.default_rng(SEED + 15)))
+    system = K.pin((x - 0.4) ** 2 + y ** 2 < 0.1)
+    bands = []
+    band = fem.StencilPattern.band
+
+    def recorded(stencil, data):
+        bands.append((stencil, data))
+        return band(stencil, data)
+
+    monkeypatch.setattr(fem.StencilPattern, "band", recorded)
+    assert system.multigrid is system.multigrid
+    (stencil, data), = bands
+    assert stencil.cells_per_side == 2 ** COARSEST_LEVEL
+    assert_band_matches_scatter(stencil, data, galerkin_reference(system))
+
+
+def test_gather_refuses_entries_off_the_stencil():
+    stencil = build_mesh(2).stencil
+    data = np.arange(1.0, stencil.nnz + 1.0)
+    assert np.array_equal(stencil.gather(stencil.matrix(data)), data)
+    off = sp.lil_matrix(stencil.shape)
+    off[0, 2] = 1.0
+    with pytest.raises(DimensionError, match="off the stencil"):
+        stencil.gather(off.tocsr())
 
 
 @pytest.mark.parametrize("level", [1, 3])

@@ -42,13 +42,13 @@ def scipy_jacobi_cg(matrix, rhs, tol):
 
 @pytest.fixture
 def no_multigrid(monkeypatch):
-    """A solve that passes its input checks builds the multigrid; here
-    that raises, so an error raised instead shows the input was refused
-    before any work."""
+    """A solve that passes its input checks sets up the multigrid, a
+    cached property of the system; here that raises, so an error raised
+    instead shows the input was refused before any work."""
     def refuse(self):
         raise AssertionError("multigrid built")
 
-    monkeypatch.setattr(GridSystem, "multigrid", refuse)
+    monkeypatch.setattr(GridSystem, "multigrid", property(refuse))
 
 
 def test_identity_system():
@@ -360,8 +360,8 @@ def test_nan_on_the_multigrid_path_raises(level, monkeypatch):
     b = np.where(mesh.boundary_mask, 0.0, 1.0)
     with pytest.raises(SolverError):
         solve_spd(system, b)
-    monkeypatch.setattr(GridSystem, "multigrid",
-                        lambda self: lambda r: np.full_like(r, np.nan))
+    nan_cycle = property(lambda self: lambda r: np.full_like(r, np.nan))
+    monkeypatch.setattr(GridSystem, "multigrid", nan_cycle)
     # refused at the curvature test of the first step, before an update
     with pytest.raises(SolverError, match="not positive definite") as err:
         solve_spd(K, b)

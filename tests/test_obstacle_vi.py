@@ -140,7 +140,7 @@ def test_complementarity_residuals_hand_cases():
     over = ScalarField(mesh, np.full(mesh.n_nodes, psi + 0.1))
     zl = ScalarField(mesh, np.zeros(mesh.n_nodes))
     empty = np.zeros(mesh.n_nodes, dtype=bool)
-    sol = VISolution(over, zl, empty, empty, 0, 1.0)
+    sol = VISolution(over, zl, empty, empty, 0, 1.0, None)
     feas_u, feas_lam, comp = complementarity_residuals(sol, psi)
     assert feas_u == pytest.approx(0.1, abs=1e-15)
     assert feas_lam == 0.0
@@ -150,7 +150,7 @@ def test_complementarity_residuals_hand_cases():
     lam_vals[12] = -0.2
     u_vals = np.full(mesh.n_nodes, psi)
     sol2 = VISolution(ScalarField(mesh, u_vals), ScalarField(mesh, lam_vals),
-                      empty, empty, 0, 1.0)
+                      empty, empty, 0, 1.0, None)
     _, feas_lam2, _ = complementarity_residuals(sol2, psi)
     assert feas_lam2 == pytest.approx(0.2, abs=1e-15)
     lam_vals2 = np.zeros(mesh.n_nodes)
@@ -158,7 +158,8 @@ def test_complementarity_residuals_hand_cases():
     u_vals2 = np.full(mesh.n_nodes, psi)
     u_vals2[12] = psi + 0.05
     sol3 = VISolution(ScalarField(mesh, u_vals2),
-                      ScalarField(mesh, lam_vals2), empty, empty, 0, 1.0)
+                      ScalarField(mesh, lam_vals2), empty, empty, 0, 1.0,
+                      None)
     _, _, comp3 = complementarity_residuals(sol3, psi)
     assert comp3 == pytest.approx(2.0 * mesh.lumped_mass[12] * 0.05,
                                   rel=1e-12)
@@ -351,7 +352,7 @@ def test_nested_start_matches_cold_loop(problem, level):
     mesh = build_mesh(level)
     q, f, psi = problem(mesh)
     sol = solve_vi(q, f, psi)
-    u, lam, active, _ = pdas_bound_solve(
+    u, lam, active, _, _ = pdas_bound_solve(
         mesh, assemble_stiffness(mesh, q),
         np.where(mesh.boundary_mask, 0.0, f.values),
         np.full(mesh.n_nodes, psi), mesh.boundary_mask)

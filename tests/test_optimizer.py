@@ -20,7 +20,8 @@ from obstacle_control import (
     l2_norm,
     solve_spd,
 )
-from obstacle_control import control, experiments, obstacle, optimize
+from obstacle_control import control, experiments, fem, linsolve, obstacle, \
+    optimize
 from obstacle_control.experiments import load_config, run_example1
 from obstacle_control.obstacle import complementarity_residuals, solve_vi
 from obstacle_control.penalty import PenaltyConfig, solve_penalized
@@ -440,3 +441,47 @@ def test_each_control_runs_the_barrier_once_and_each_gradient_one_lift(
     assert tags.count("mass") == tags.count("gradient") == len(states)
     assert all(tags[i - 1] == "gradient"
                for i, tag in enumerate(tags) if tag == "mass")
+
+
+def test_vi_adjoint_reuses_the_last_sweeps_set_up(monkeypatch, tmp_path):
+    """run_example1 at level 3 makes 23 stiffness solves but sets up the
+    multigrid (one band each, below level 6) only for its 14 PDAS sweeps:
+    every VI adjoint solves its state's last sweep's system again."""
+    counts = {"solves": 0, "set-ups": 0}
+    solve_grid, band = linsolve._solve_grid, fem.StencilPattern.band
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve_grid(*args)
+
+    def counted_band(*args):
+        counts["set-ups"] += 1
+        return band(*args)
+
+    monkeypatch.setattr(linsolve, "_solve_grid", counted_solve)
+    monkeypatch.setattr(fem.StencilPattern, "band", counted_band)
+    run_example1(load_config(None, [], output_dir=str(tmp_path), level=3))
+    assert counts == {"solves": 23, "set-ups": 14}
+
+
+def test_vi_adjoint_with_biactive_nodes_pins_only_the_strong_ones():
+    """Without biactive nodes the adjoint has the bits of a solve on a
+    newly pinned system; with some, it frees them as that solve does,
+    although the last sweep's system pins them."""
+    mesh = build_mesh(3)
+    cfg = example_config(mesh)
+    q0 = MatrixControlField.constant(mesh, Q_INIT)
+    sol = solve_vi(q0, cfg.f_load, 0.5)
+    assert np.array_equal(sol.strongly_active, sol.active_set)
+    assert sol.active_set.sum() >= 2
+    rhs = mesh.mass_matrix @ (sol.u.values - cfg.u_d.values)
+    p = solve_vi_adjoint(q0, sol, cfg.u_d).values
+    fresh, _ = solve_spd(q0.stiffness.pin(sol.strongly_active), rhs)
+    assert np.array_equal(p, fresh)
+    strong = sol.active_set.copy()
+    strong[np.flatnonzero(strong)[0]] = False
+    biactive = replace(sol, strongly_active=strong)
+    p_bi = solve_vi_adjoint(q0, biactive, cfg.u_d).values
+    fresh_bi, _ = solve_spd(q0.stiffness.pin(strong), rhs)
+    assert np.array_equal(p_bi, fresh_bi)
+    assert np.any(p_bi[sol.active_set & ~strong] != 0.0)

@@ -42,6 +42,17 @@ def test_gamma_zero_is_linear_solve():
     assert np.array_equal(u.values, expected)
 
 
+def test_cold_start_leaves_no_set_up_on_the_control():
+    """The linear solve that starts a cold solve sets up a system of its
+    own: the control's stiffness, which lives as long as the control,
+    keeps no multigrid."""
+    mesh = build_mesh(3)
+    q = MatrixControlField.constant(mesh, Q_INIT)
+    f = assemble_load(mesh, manufactured_load)
+    solve_penalized(q, f, PenaltyConfig(gamma=1e6, psi=0.5))
+    assert "multigrid" not in vars(q.stiffness)
+
+
 def test_large_gamma_enforces_obstacle():
     mesh = build_mesh(5)
     q = MatrixControlField.constant(mesh, Q_INIT)
