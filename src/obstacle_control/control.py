@@ -20,9 +20,6 @@ from .errors import CoefficientError, DimensionError
 from .fem import GridSystem, StructuredMesh, assemble_stiffness
 from .linsolve import solve_spd
 
-# relative residual target of the mass solves in every Riesz lift
-_MASS_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class MatrixControlField:
@@ -62,17 +59,14 @@ class MatrixControlField:
 
     @classmethod
     def constant(cls, mesh: StructuredMesh, mat) -> "MatrixControlField":
-        """Constant field from a symmetric 2x2 matrix or (q11, q22, q12)."""
+        """Constant field of a symmetric 2x2 matrix."""
         m = np.asarray(mat, dtype=float)
-        if m.shape == (2, 2):
-            if abs(m[0, 1] - m[1, 0]) > 1e-14 * (1.0 + abs(m[0, 1])):
-                raise ValueError("constant control matrix must be symmetric")
-            triple = np.array([m[0, 0], m[1, 1], m[0, 1]])
-        elif m.shape == (3,):
-            triple = m
-        else:
-            raise ValueError("expected a 2x2 matrix or a component triple")
-        return cls(mesh, np.tile(triple, (mesh.n_nodes, 1)))
+        if m.shape != (2, 2):
+            raise ValueError("expected a symmetric 2x2 matrix")
+        if abs(m[0, 1] - m[1, 0]) > 1e-14 * (1.0 + abs(m[0, 1])):
+            raise ValueError("constant control matrix must be symmetric")
+        return cls(mesh, np.tile([m[0, 0], m[1, 1], m[0, 1]],
+                                 (mesh.n_nodes, 1)))
 
     @classmethod
     def from_function(cls, mesh: StructuredMesh,
@@ -196,7 +190,7 @@ def riesz_lift(mesh: StructuredMesh, densities: np.ndarray) -> np.ndarray:
     all in one exact mass solve. Returns shape (n_nodes, k).
     """
     loads = mesh.integrate(densities)
-    lifted, _ = solve_spd(mesh.mass_operator, loads, tol=_MASS_TOL)
+    lifted, _ = solve_spd(mesh.mass_operator, loads)
     return lifted
 
 

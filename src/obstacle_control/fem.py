@@ -456,7 +456,7 @@ class GridSystem:
         banded Cholesky, its band written from stencil data (P'AP of a
         nine-point operator is nine-point), so below level 6 the V-cycle
         is a direct solve. Raises SolverError on a nonpositive diagonal
-        entry and numpy.linalg.LinAlgError when the factorization fails.
+        entry and when the coarsest grid's factorization fails.
         """
         mat, pinned, level = self.matrix, self.dirichlet_mask, self.level
         if not np.all(mat.diagonal() > 0.0):
@@ -480,8 +480,12 @@ class GridSystem:
         if grids:
             stencil = StencilPattern(2 ** level)
             data = stencil.gather(mat)
-        factor = (cholesky_banded(stencil.band(data), overwrite_ab=True,
-                                  check_finite=False), False)
+        try:
+            factor = (cholesky_banded(stencil.band(data), overwrite_ab=True,
+                                      check_finite=False), False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("banded Cholesky factorization of the coarsest "
+                              f"grid failed: {exc}") from exc
 
         def vcycle(r: np.ndarray) -> np.ndarray:
             # down: smooth from zero, restrict the residual; up: correct

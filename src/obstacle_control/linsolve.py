@@ -4,18 +4,18 @@
 system assembled on a mesh's nine-point stencil is a `GridSystem`: the
 Dirichlet stiffness K of a control, the active-set, VI-adjoint and cone
 systems that pin more of its nodes (`K.pin`), and the Newton/adjoint
-matrices K + D (`K.plus`). Conjugate
-gradients solve it with a geometric multigrid V-cycle as preconditioner,
-whose coarsest grid (at most 32 cells per side) is an exact banded
-Cholesky solve, so the iteration count does not grow with the level and a
-system on at most 32 cells per side converges in one iteration. The
-V-cycle is set up once per system and kept with it: the VI adjoint solves
-the last active-set sweep's system again without a new factor. The
-consistent mass matrix of a structured mesh (`KroneckerMass`) is solved
-exactly by banded Cholesky along each grid axis, for several right-hand
-sides at once, and each result is checked against the same residual
-contract ||Ax - b|| <= tol * ||b|| that CG iterates to. Any other operator
-and any non-finite input are refused before any work.
+matrices K + D (`K.plus`). Conjugate gradients solve it to
+||Ax - b|| <= 1e-12 ||b|| with a geometric multigrid V-cycle as
+preconditioner, whose coarsest grid (at most 32 cells per side) is an
+exact banded Cholesky solve, so the iteration count does not grow with
+the level and a system on at most 32 cells per side converges in one
+iteration. The V-cycle is set up once per system and kept with it: the VI
+adjoint solves the last active-set sweep's system again without a new
+factor. The consistent mass matrix of a structured mesh (`KroneckerMass`)
+is solved exactly by banded Cholesky along each grid axis, for several
+right-hand sides at once, and each result is checked against
+||Ax - b|| <= 1e-13 ||b||. Any other operator and any non-finite input
+are refused before any work.
 """
 
 from __future__ import annotations
@@ -37,16 +37,23 @@ class LinearSolveReport:
     residual_norm: float
 
 
-def _cg_cap(n: int) -> int:
-    """Iteration cap of CG on n unknowns."""
-    return max(1000, 4 * n)
+# relative residual target of CG on a grid system, and the check of an
+# exact mass solve: ||Ax - b|| <= target * ||b||
+_GRID_TOL = 1e-12
+_MASS_TOL = 1e-13
+# Measured maximum of the multigrid-preconditioned CG over the runners'
+# solves: 13 iterations (the level-7 Newton steps of example2 at
+# gamma = 1e12), 9 at level 6, 7 on the convergence run at levels 6-8 and
+# 1 up to level 5. A CG preconditioned by the identity instead takes about
+# 200 at level 7, so a broken V-cycle fails here rather than converging
+# slowly.
+_CG_MAX_ITERS = 100
 
 
-def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
-         x0: Optional[np.ndarray],
+def _pcg(mat: sp.csr_matrix, b: np.ndarray, x0: Optional[np.ndarray],
          precondition: Callable[[np.ndarray], np.ndarray]
          ) -> tuple[np.ndarray, int, float]:
-    """Preconditioned conjugate gradients to ||Ax-b|| <= tol*||b||.
+    """Preconditioned conjugate gradients to ||Ax-b|| <= _GRID_TOL*||b||.
 
     `precondition` maps a residual to the preconditioned one; it must be
     symmetric positive definite. The comparisons are written so that NaN
@@ -55,7 +62,7 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), 0, 0.0
-    target = tol * b_norm
+    target = _GRID_TOL * b_norm
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - mat @ x
     res = math.sqrt(r @ r)
@@ -64,8 +71,7 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
-    max_iters = _cg_cap(b.shape[0])
-    for k in range(1, max_iters + 1):
+    for k in range(1, _CG_MAX_ITERS + 1):
         ap = mat @ p
         pap = float(p @ ap)
         if not pap > 0.0:
@@ -83,32 +89,27 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, tol: float,
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(
-        f"pcg did not reach tolerance {tol:g} in {max_iters} iterations "
-        f"(residual {res:.3e}, target {target:.3e})",
-        LinearSolveReport(max_iters, res))
+        f"pcg did not reach tolerance {_GRID_TOL:g} in {_CG_MAX_ITERS} "
+        f"iterations (residual {res:.3e}, target {target:.3e})",
+        LinearSolveReport(_CG_MAX_ITERS, res))
 
 
 def solve_spd(A: Union[GridSystem, KroneckerMass], b: np.ndarray,
-              tol: float = 1e-12,
               x0: Optional[np.ndarray] = None):
     """Solve the SPD system A x = b.
 
-    A `GridSystem` is solved by multigrid-preconditioned CG, at most
-    max(1000, 4n) iterations on n unknowns; the right-hand side and the
-    initial guess are zeroed on the rows of its Dirichlet mask, so the
-    solution is exactly zero there. A `KroneckerMass` is solved exactly
-    (banded Cholesky along each grid axis), b may then hold several
-    columns, shape (n, k), and x0 does not apply; the residual of every
-    column is checked against tol.
+    A `GridSystem` is solved by multigrid-preconditioned CG to
+    ||Ax - b|| <= 1e-12 ||b||, in at most 100 iterations; the right-hand
+    side and the initial guess are zeroed on the rows of its Dirichlet
+    mask, so the solution is exactly zero there. A `KroneckerMass` is
+    solved exactly (banded Cholesky along each grid axis), b may then
+    hold several columns, shape (n, k), and x0 does not apply; every
+    column's residual is checked against ||Ax - b|| <= 1e-13 ||b||.
 
     Parameters
     ----------
     A : GridSystem or KroneckerMass
     b : ndarray
-    tol : float
-        Relative residual target ||Ax - b|| <= tol * ||b||. Every
-        stiffness, active-set and Newton solve of the package uses the
-        default.
     x0 : ndarray, optional
         Warm-start vector of CG.
 
@@ -121,8 +122,8 @@ def solve_spd(A: Union[GridSystem, KroneckerMass], b: np.ndarray,
     TypeError
         When A is neither a GridSystem nor a KroneckerMass.
     SolverError
-        On a non-finite b or x0 (before any iteration), on a nonpositive
-        diagonal, when the coarsest multigrid grid has no Cholesky factor,
+        On a non-finite b or x0 (before any iteration), when the
+        system's multigrid set-up fails (see `GridSystem.multigrid`),
         when CG meets a direction of nonpositive (or NaN) curvature, when
         CG hits its iteration cap, or when a mass solve misses the
         residual target.
@@ -130,37 +131,28 @@ def solve_spd(A: Union[GridSystem, KroneckerMass], b: np.ndarray,
     if not isinstance(A, (GridSystem, KroneckerMass)):
         raise TypeError("solve_spd takes a GridSystem or a KroneckerMass, "
                         f"not {type(A).__name__}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     rhs = np.asarray(b, float)
     if not np.isfinite(rhs).all():
         raise SolverError("right-hand side has non-finite entries")
     if x0 is not None and not np.isfinite(x0).all():
         raise SolverError("initial guess has non-finite entries")
     if isinstance(A, KroneckerMass):
-        return _solve_mass(A, rhs, tol)
-    return _solve_grid(A, rhs, tol, x0)
+        return _solve_mass(A, rhs)
+    return _solve_grid(A, rhs, x0)
 
 
-def _solve_grid(A: GridSystem, rhs, tol, x0):
+def _solve_grid(A: GridSystem, rhs, x0):
     mat, mask = A.matrix, A.dirichlet_mask
     if rhs.shape[0] != mat.shape[0]:
         raise ValueError("dimension mismatch between operator and rhs")
     rhs = np.where(mask, 0.0, rhs)
     if x0 is not None:
         x0 = np.where(mask, 0.0, x0)
-    try:
-        precondition = A.multigrid
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            "banded Cholesky factorization of the coarsest grid "
-            f"failed: {exc}", LinearSolveReport(0, math.nan)
-        ) from exc
-    x, its, res = _pcg(mat, rhs, tol, x0, precondition)
+    x, its, res = _pcg(mat, rhs, x0, A.multigrid)
     return x, LinearSolveReport(its, res)
 
 
-def _solve_mass(A: KroneckerMass, rhs, tol):
+def _solve_mass(A: KroneckerMass, rhs):
     """Exact mass solve of one or several columns, residual checked."""
     mat = A.matrix
     if rhs.shape[0] != mat.shape[0] or rhs.ndim > 2:
@@ -169,8 +161,8 @@ def _solve_mass(A: KroneckerMass, rhs, tol):
     res = np.linalg.norm(mat @ x - rhs, axis=0)
     report = LinearSolveReport(0, float(np.max(res)))
     # written so that a NaN residual fails it
-    if not np.all(res <= tol * np.linalg.norm(rhs, axis=0)):
+    if not np.all(res <= _MASS_TOL * np.linalg.norm(rhs, axis=0)):
         raise SolverError(
-            f"mass solve missed the residual target {tol:g} "
+            f"mass solve missed the residual target {_MASS_TOL:g} "
             f"(residual {report.residual_norm:.3e})", report)
     return x, report

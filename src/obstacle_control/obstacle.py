@@ -83,7 +83,6 @@ def pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
         active = active0 & constrained
     seen = {active.tobytes()}
     u = np.zeros(n) if u0 is None else u0
-    mat = K.matrix
     m_lump = mesh.lumped_mass
     for it in range(1, _MAX_ITERS + 1):
         u_fix = np.where(active, upper, 0.0)
@@ -91,10 +90,10 @@ def pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
         # where it is zero and u_fix (zero elsewhere) holds the values;
         # rebinding frees the last sweep's set-up before this one's
         system = K.pin(active)
-        v, _ = solve_spd(system, rhs - mat @ u_fix, x0=u)
+        v, _ = solve_spd(system, rhs - K @ u_fix, x0=u)
         u = v + u_fix
         lam = np.zeros(n)
-        resid = rhs - mat @ u
+        resid = rhs - K @ u
         lam[active] = resid[active] / m_lump[active]
         new_active = constrained & np.where(active, lam > 0.0, u > upper)
         if np.array_equal(new_active, active):

@@ -89,7 +89,7 @@ def _derivative_multiplier(q: MatrixControlField, load: np.ndarray,
                            u_tilde: ScalarField) -> ScalarField:
     """Lumped nodal multiplier of the derivative VI, from its residual."""
     mesh = q.mesh
-    resid = load - q.stiffness.matrix @ u_tilde.values
+    resid = load - q.stiffness @ u_tilde.values
     lam = resid / mesh.lumped_mass
     lam[mesh.boundary_mask] = 0.0
     return ScalarField(mesh, lam)

@@ -16,7 +16,7 @@ from obstacle_control import (
     interpolate,
     project_spectral,
 )
-from obstacle_control import control, fem
+from obstacle_control import control, fem, problems
 from obstacle_control.control import riesz_lift
 from obstacle_control.obstacle import solve_vi
 from obstacle_control.optimize import solve_vi_adjoint
@@ -81,6 +81,16 @@ def test_initial_control_admissible():
     assert check_admissible(q, Q_MIN, Q_MAX).admissible
     eigs = np.linalg.eigvalsh(node_matrices(q))
     assert np.allclose(eigs[:, 0], 1.0) and np.allclose(eigs[:, 1], 3.0)
+
+
+def test_constant_takes_only_a_symmetric_matrix():
+    """A component triple is refused: the config's (q11, q12, q22) order
+    of Q_INIT read as the storage order (q11, q22, q12) would build
+    q22 = -1."""
+    mesh = build_mesh(1)
+    for bad in (problems.Q_INIT, np.eye(3), [[1.0, 0.5], [0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            MatrixControlField.constant(mesh, bad)
 
 
 def test_negative_definite_slack_rejected_despite_positive_determinant():

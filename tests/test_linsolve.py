@@ -59,7 +59,7 @@ def test_identity_system():
     data[stencil.diagonal] = 1.0
     identity = GridSystem(stencil, data, np.zeros(n, dtype=bool))
     b = np.random.default_rng(SEED).standard_normal(n)
-    x, report = solve_spd(identity, b, tol=1e-12)
+    x, report = solve_spd(identity, b)
     assert np.allclose(x, b, atol=1e-13)
     assert report.residual_norm <= 1e-12 * np.linalg.norm(b)
 
@@ -69,11 +69,22 @@ def test_residual_contract_on_stiffness():
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q)
     b = assemble_load(mesh, lambda x, y: np.ones_like(x)).values
-    x, report = solve_spd(K, b, tol=1e-10)
+    x, report = solve_spd(K, b)
     rhs = np.where(mesh.boundary_mask, 0.0, b)
     res = np.linalg.norm(K @ x - rhs)
-    assert res <= 1e-10 * np.linalg.norm(rhs)
+    assert res <= 1e-12 * np.linalg.norm(rhs)
     assert isinstance(x, np.ndarray)
+
+
+def test_residual_target_is_not_an_option():
+    """The operator fixes the target: 1e-12 for a grid system, 1e-13 for
+    the mass check."""
+    mesh = build_mesh(2)
+    K = assemble_stiffness(mesh, initial_control(mesh))
+    b = np.ones(mesh.n_nodes)
+    for op in (K, mesh.mass_operator):
+        with pytest.raises(TypeError, match="tol"):
+            solve_spd(op, b, tol=1e-10)
 
 
 def test_matches_dense_factorization_oracle():
@@ -85,7 +96,7 @@ def test_matches_dense_factorization_oracle():
     b = rng.standard_normal(mesh.n_nodes)
     rhs = np.where(mesh.boundary_mask, 0.0, b)
     expected = np.linalg.solve(K.matrix.toarray(), rhs)
-    x, _ = solve_spd(K, b, tol=1e-14)
+    x, _ = solve_spd(K, b)
     assert np.allclose(x, expected, atol=1e-10)
 
 
@@ -121,15 +132,30 @@ def test_boundary_values_zeroed():
 def test_nonconvergence_raises_with_report(monkeypatch):
     """CG stops at its cap, here lowered to 2. The level is 7: at level 3
     the multigrid is an exact solve and converges in one iteration."""
-    monkeypatch.setattr(linsolve, "_cg_cap", lambda n: 2)
+    monkeypatch.setattr(linsolve, "_CG_MAX_ITERS", 2)
     mesh = build_mesh(7)
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q)
     b = assemble_load(mesh, lambda x, y: np.ones_like(x)).values
     with pytest.raises(SolverError, match="in 2 iterations") as err:
-        solve_spd(K, b, tol=1e-12)
+        solve_spd(K, b)
     assert err.value.report is not None
     assert err.value.report.iterations == 2
+
+
+def test_identity_preconditioner_hits_the_cap(monkeypatch):
+    """Without its V-cycle a level-7 CG needs about 200 iterations, 20
+    times the multigrid's count: the cap of 100 turns that into an error
+    instead of a slow success."""
+    identity = property(lambda self: lambda r: r)
+    monkeypatch.setattr(GridSystem, "multigrid", identity)
+    mesh = build_mesh(7)
+    K = assemble_stiffness(mesh, MatrixControlField.constant(
+        mesh, np.eye(2)))
+    b = assemble_load(mesh, lambda x, y: np.ones_like(x)).values
+    with pytest.raises(SolverError, match="in 100 iterations") as err:
+        solve_spd(K, b)
+    assert err.value.report.iterations == 100
 
 
 def test_direct_path_matches_pcg():
@@ -138,7 +164,7 @@ def test_direct_path_matches_pcg():
     q = MatrixControlField.constant(mesh, np.eye(2))
     K = assemble_stiffness(mesh, q)
     b = assemble_load(mesh, lambda x, y: x * y + 2.0).values
-    x_it, _ = solve_spd(K, b, tol=1e-13)
+    x_it, _ = solve_spd(K, b)
     x_dir = scipy_lu(K.matrix, np.where(mesh.boundary_mask, 0.0, b))
     assert np.allclose(x_it, x_dir, atol=1e-10)
 
@@ -182,10 +208,10 @@ def test_mass_residual_check_rejects_a_nan_solution(monkeypatch):
     b = np.ones(mesh.n_nodes)
     monkeypatch.setattr(op, "solve", lambda rhs: np.full(rhs.shape, np.nan))
     with pytest.raises(SolverError, match="residual target"):
-        solve_spd(op, b, tol=1e-13)
+        solve_spd(op, b)
     monkeypatch.setattr(op, "solve", lambda rhs: 1.001 * rhs)
     with pytest.raises(SolverError, match="residual target"):
-        solve_spd(op, b, tol=1e-13)
+        solve_spd(op, b)
 
 
 # ------------------------------------- exact Kronecker mass solves
@@ -209,7 +235,7 @@ def _assert_mass_contract(mesh, x, b):
 def test_kronecker_mass_solve_matches_pcg_and_direct(level, columns):
     mesh = build_mesh(level)
     b = _mass_rhs(mesh, columns, SEED + level)
-    x, report = solve_spd(mesh.mass_operator, b, tol=MASS_TOL)
+    x, report = solve_spd(mesh.mass_operator, b)
     assert x.shape == b.shape
     assert report.iterations == 0
     _assert_mass_contract(mesh, x, b)
@@ -228,12 +254,12 @@ def test_kronecker_mass_solve_of_a_field_and_zero_columns():
     """The nodal values of one field solve as one column of several."""
     mesh = build_mesh(4)
     b = _mass_rhs(mesh, None, SEED)
-    x, _ = solve_spd(mesh.mass_operator, b, tol=MASS_TOL)
+    x, _ = solve_spd(mesh.mass_operator, b)
     assert x.shape == (mesh.n_nodes,)
     _assert_mass_contract(mesh, x, b)
     b3 = np.zeros((mesh.n_nodes, 3))
     b3[:, 0] = b
-    x3, _ = solve_spd(mesh.mass_operator, b3, tol=MASS_TOL)
+    x3, _ = solve_spd(mesh.mass_operator, b3)
     assert np.array_equal(x3[:, 1:], np.zeros((mesh.n_nodes, 2)))
     assert np.array_equal(x3[:, 0], x)
 
@@ -291,7 +317,7 @@ def test_multigrid_matches_jacobi_and_direct(kind, level):
     system, b, lifted = _grid_case(kind, level, SEED + level)
     pinned = system.dirichlet_mask
     x0 = np.random.default_rng(SEED).standard_normal(b.shape)
-    x, report = solve_spd(system, b, tol=GRID_TOL, x0=x0)
+    x, report = solve_spd(system, b, x0=x0)
     # pinned entries are exactly their prescribed values, whatever b and
     # x0 hold there
     assert np.array_equal(x[pinned], np.zeros(pinned.sum()))
@@ -318,7 +344,7 @@ def test_multigrid_iterations_do_not_grow_with_level(kind, cap):
             mesh, np.eye(2)))
         system = _penalty_system(mesh, K) if kind == "penalty" else K
         b = assemble_load(mesh, lambda x, y: np.ones_like(x)).values
-        x, report = solve_spd(system, b, tol=1e-12)
+        x, report = solve_spd(system, b)
         assert report.iterations <= cap, (level, report.iterations)
         assert _true_residual(system, x, b) <= 1e-11
 
@@ -328,7 +354,7 @@ def test_multigrid_iterations_do_not_grow_with_level(kind, cap):
                                   "penalty"])
 def test_multigrid_is_a_direct_solve_up_to_level_5(kind, level):
     system, b, _ = _grid_case(kind, level, SEED)
-    x, report = solve_spd(system, b, tol=1e-12)
+    x, report = solve_spd(system, b)
     assert report.iterations <= 1
     assert _true_residual(system, x, b) <= 1e-12
 
@@ -371,12 +397,16 @@ def test_nan_on_the_multigrid_path_raises(level, monkeypatch):
 @pytest.mark.parametrize("level", [4, 7])
 def test_failed_banded_factor_raises(level):
     """K - 10 M has a positive diagonal but is indefinite (the first
-    Dirichlet eigenvalue of the square is about 4.93)."""
+    Dirichlet eigenvalue of the square is about 4.93). The multigrid
+    set-up itself reports the failed factor, as it does a nonpositive
+    diagonal."""
     mesh = build_mesh(level)
     K = assemble_stiffness(mesh, MatrixControlField.constant(
         mesh, np.eye(2)))
     system = K.plus(-10.0 * mesh.mass_matrix.data)
     assert np.all(system.matrix.diagonal() > 0.0)
+    with pytest.raises(SolverError, match="banded Cholesky"):
+        system.multigrid
     b = np.where(mesh.boundary_mask, 0.0, 1.0)
     with pytest.raises(SolverError, match="banded Cholesky"):
         solve_spd(system, b)

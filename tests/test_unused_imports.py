@@ -5,8 +5,10 @@ function, class, constant and method in src/ is read somewhere in src/
 outside the package __init__.py, every dataclass field in src/ is read as
 an attribute somewhere in src/, perfbench/ or the acceptance gate outside
 an __init__.py, and every parameter of a function or lambda in src/ is
-read by its body. The package exports no submodule through __all__, and
-importing it does not load scipy.sparse.linalg.
+read by its body. The package exports no submodule through __all__,
+importing it does not load scipy.sparse.linalg, and no module of src/
+other than fem.py and linsolve.py reads an attribute named `matrix`:
+every other product with a grid system is `K @ v`.
 
 A package __init__.py is exempt from the import check: its imports are
 the public API. Names in string annotations count as used. A name counts
@@ -213,6 +215,21 @@ def unread_parameters(source: str) -> list:
                   if a.arg not in read and a.arg not in ("self", "cls")
                   and not a.arg.startswith("_")]
     return sorted(found)
+
+
+# the modules that build an operator's assembled matrix and solve with it
+_MATRIX_OWNERS = ("fem.py", "linsolve.py")
+
+
+def matrix_reads(sources: dict) -> list:
+    """(file, line) of every load of an attribute named `matrix` in a file
+    of the set other than fem.py and linsolve.py."""
+    return sorted((path, node.lineno) for path, source in sources.items()
+                  if Path(path).name not in _MATRIX_OWNERS
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "matrix"
+                  and isinstance(node.ctx, ast.Load))
 
 
 def test_scanner_finds_unused_and_keeps_used():
@@ -431,3 +448,26 @@ def test_every_parameter_in_src_is_read():
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line, name, param in unread_parameters(path.read_text())]
     assert found == []
+
+
+def test_matrix_scanner_finds_reads_outside_the_owners():
+    sources = {
+        "pkg/fem.py": ("class GridSystem:\n"
+                       "    def __matmul__(self, v):\n"
+                       "        return self.matrix @ v\n"),
+        "pkg/linsolve.py": "def solve(A, b):\n    return A.matrix, b\n",
+        "pkg/obstacle.py": ("def sweep(K, u, rhs):\n"
+                            "    mat = K.matrix\n"
+                            "    return rhs - mat @ u - K @ u\n"),
+        "pkg/other.py": ("def f(q, matrix):\n"
+                         "    q.matrix = matrix\n"
+                         "    return getattr(q, 'data'), q.stiffness.matrix\n"),
+    }
+    assert matrix_reads(sources) == [("pkg/obstacle.py", 2),
+                                     ("pkg/other.py", 3)]
+
+
+def test_only_fem_and_linsolve_read_a_matrix():
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert matrix_reads(sources) == []
