@@ -75,23 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    direct = {}
-    if args.out is not None:
-        direct["output_dir"] = args.out
-    if args.level is not None:
-        direct["level"] = args.level
-    if args.seed is not None:
-        direct["seed"] = args.seed
     try:
-        if args.gamma is not None:
-            gammas = tuple(float(g) for g in args.gamma.split(",")
-                           if g.strip())
-            if not gammas:
-                raise ConfigError("--gamma needs at least one value")
-            direct["gamma_list"] = gammas
-            if len(gammas) == 1:
-                direct["gamma"] = gammas[0]
-        cfg = load_config(args.config, args.overrides, **direct)
+        gammas = None if args.gamma is None else tuple(
+            float(g) for g in args.gamma.split(",") if g.strip())
+        cfg = load_config(args.config, args.overrides,
+                          output_dir=args.out, level=args.level,
+                          seed=args.seed, gamma_list=gammas,
+                          gamma=gammas[0] if len(gammas or ()) == 1
+                          else None)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,24 @@
 """Experiment pipelines with reproducible file artifacts.
 
 Each runner takes an ExperimentConfig, solves the requested problem, and
-writes its outputs (VTK fields, CSV tables, JSON metadata) into a
-subdirectory of cfg.output_dir. Given identical config and seed the CSV
-outputs are byte-identical between runs; timestamps live only in the
-metadata files.
+writes its VTK fields and CSV tables into a subdirectory of
+cfg.output_dir. One tail, _report, then writes the run's meta.json there
+(every config field as "parameters", the "started" and "finished"
+timestamps and the runner's own numbers) and returns the RunReport whose
+notes are that record. Given identical config and seed the CSV and VTK
+outputs are byte-identical between runs; timestamps live only in
+meta.json.
 """
 
 from __future__ import annotations
 
 import datetime
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, \
-    get_args, get_origin, get_type_hints
+from typing import Dict, List, Optional, Sequence, Tuple, get_args, \
+    get_origin, get_type_hints
 
 import numpy as np
 
@@ -41,7 +45,8 @@ class ExperimentConfig:
     q_init is the triple (q11, q12, q22) of the constant starting control;
     gamma is the single penalty weight used by the check commands while
     gamma_list drives the continuation of the second example; levels is
-    the mesh sequence of the convergence study.
+    the mesh sequence of the convergence study. Every float, tuple entries
+    included, must be finite.
     """
 
     level: int = 5
@@ -50,16 +55,22 @@ class ExperimentConfig:
     beta: float = BETA
     gamma: float = 1e3
     gamma_list: Tuple[float, ...] = (1e0, 1e3, 1e6, 1e9, 1e12)
-    psi: float = 0.5
+    psi: float = PenaltyConfig.psi
     q_min: float = Q_MIN
     q_max: float = Q_MAX
     q_init: Tuple[float, float, float] = Q_INIT
-    grad_tol: float = 1e-8
-    max_iters: int = 2000
+    grad_tol: float = LoopConfig.grad_tol_rel
+    max_iters: int = LoopConfig.max_iters
     seed: int = 0
     output_dir: str = "results"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in entries):
+                raise ConfigError(f"{f.name} must be finite")
         if self.level < 1:
             raise ConfigError("level must be at least 1")
         if not self.levels or any(l < 1 for l in self.levels):
@@ -92,35 +103,20 @@ class ExperimentConfig:
             raise ConfigError("seed must be nonnegative")
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"not an integer: {text!r}") from exc
-
-
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"not a number: {text!r}") from exc
-
-
-_SCALAR_PARSERS = {int: _parse_int, float: _parse_float, str: str}
-
-
-def _field_parser(kind) -> Callable[[str], object]:
-    """Parser of a config value of the given field type: a scalar, or a
-    tuple of scalars written comma-separated."""
+def _parse_value(kind, text: str):
+    """A config value of the given field type from its text: an int, a
+    float or a str, or a tuple of one of them written comma-separated."""
     if get_origin(kind) is tuple:
-        item = _SCALAR_PARSERS[get_args(kind)[0]]
-        return lambda text: tuple(item(p) for p in text.split(",")
-                                  if p.strip())
-    return _SCALAR_PARSERS[kind]
+        return tuple(_parse_value(get_args(kind)[0], p)
+                     for p in text.split(",") if p.strip())
+    try:
+        return kind(text)
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"not {noun}: {text!r}") from exc
 
 
-_PARSERS = {name: _field_parser(kind)
-            for name, kind in get_type_hints(ExperimentConfig).items()}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _parse_item(text: str, malformed: str) -> Tuple[str, object]:
@@ -129,9 +125,9 @@ def _parse_item(text: str, malformed: str) -> Tuple[str, object]:
     if "=" not in text:
         raise ConfigError(malformed)
     key, val = (part.strip() for part in text.split("=", 1))
-    if key not in _PARSERS:
+    if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key: {key}")
-    return key, _PARSERS[key](val)
+    return key, _parse_value(_FIELD_TYPES[key], val)
 
 
 def parse_config_text(text: str) -> Dict:
@@ -178,10 +174,6 @@ class ResultTable:
         gammas = [row[0] for row in self.rows]
         if any(b <= a for a, b in zip(gammas, gammas[1:])):
             raise ValueError("table rows must be sorted by gamma ascending")
-
-    def write(self, path) -> Path:
-        return write_csv(path, ["gamma", "err_u_L2", "err_q_L2"],
-                         [tuple(float(v) for v in row) for row in self.rows])
 
 
 @dataclass
@@ -251,9 +243,19 @@ def _warn_multiplier(ratio: float) -> bool:
     return exceeded
 
 
-def _base_meta(cfg: ExperimentConfig, started: str) -> Dict:
-    params = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    return {"parameters": params, "started": started, "finished": _now()}
+def _report(cfg: ExperimentConfig, outdir: Path, started: str,
+            outputs: List[Path], notes: Dict, passed: bool = True,
+            table: Optional[ResultTable] = None,
+            result: Optional[OptResult] = None) -> RunReport:
+    """The tail of every runner: write outdir/meta.json (every config
+    field as "parameters", "started", "finished" and the runner's notes),
+    append its path to outputs, and report with that record as notes."""
+    meta = {"parameters": {f.name: getattr(cfg, f.name)
+                           for f in fields(cfg)},
+            "started": started, "finished": _now(), **notes}
+    outputs.append(write_meta(outdir / "meta.json", meta))
+    return RunReport(passed=passed, outputs=outputs, table=table,
+                     result=result, notes=meta)
 
 
 def run_example1(cfg: ExperimentConfig) -> RunReport:
@@ -276,8 +278,7 @@ def run_example1(cfg: ExperimentConfig) -> RunReport:
         write_csv(outdir / "log.csv", _HISTORY_HEADER,
                   _history_rows(result.history)),
     ]
-    meta = _base_meta(cfg, started)
-    meta.update({
+    return _report(cfg, outdir, started, outputs, {
         "converged": result.converged,
         "iterations": result.iterations,
         "objective": result.value,
@@ -289,10 +290,7 @@ def run_example1(cfg: ExperimentConfig) -> RunReport:
         "multiplier_ratio": ratio,
         "multiplier_ratio_exceeded": _warn_multiplier(ratio),
         "barrier_violations": _feasibility_violations(result.history),
-    })
-    outputs.append(write_meta(outdir / "meta.json", meta))
-    return RunReport(passed=True, outputs=outputs, result=result,
-                     notes=meta)
+    }, result=result)
 
 
 def run_example2(cfg: ExperimentConfig) -> RunReport:
@@ -326,21 +324,18 @@ def run_example2(cfg: ExperimentConfig) -> RunReport:
             "converged": leg.result.converged,
             "objective": leg.result.value,
         })
-    meta = _base_meta(cfg, started)
-    meta.update({
+    table = ResultTable(
+        rows=tuple((leg.gamma, leg.err_u, leg.err_q) for leg in legs))
+    outputs.append(write_csv(outdir / "table.csv",
+                             ["gamma", "err_u_L2", "err_q_L2"], table.rows))
+    outputs.append(write_structured_vtk(outdir / "reference.vtk", mesh,
+                                        _field_dict(reference)))
+    return _report(cfg, outdir, started, outputs, {
         "reference_iterations": reference.iterations,
         "reference_converged": reference.converged,
         "legs": leg_stats,
         "barrier_violations": violations,
-    })
-    table = ResultTable(
-        rows=tuple((leg.gamma, leg.err_u, leg.err_q) for leg in legs))
-    outputs.append(table.write(outdir / "table.csv"))
-    outputs.append(write_structured_vtk(outdir / "reference.vtk", mesh,
-                                        _field_dict(reference)))
-    outputs.append(write_meta(outdir / "meta.json", meta))
-    return RunReport(passed=True, outputs=outputs, table=table,
-                     result=reference, notes=meta)
+    }, table=table, result=reference)
 
 
 def run_convergence(cfg: ExperimentConfig) -> RunReport:
@@ -380,15 +375,12 @@ def run_convergence(cfg: ExperimentConfig) -> RunReport:
             rows.append((level, mesh.h, err, ""))
     outputs = [write_csv(outdir / "rates.csv",
                          ["level", "h", "err_L2", "rate"], rows)]
-    meta = _base_meta(cfg, started)
-    meta.update({
+    return _report(cfg, outdir, started, outputs, {
         "contact": contact,
         "errors": errors,
         "rates": [row[3] for row in rows[1:]],
         "pdas_sweeps": sweeps,
     })
-    outputs.append(write_meta(outdir / "meta.json", meta))
-    return RunReport(passed=True, outputs=outputs, notes=meta)
 
 
 def _random_admissible(mesh, rng, q_min: float, q_max: float,
@@ -417,15 +409,17 @@ _QUOTIENT_STEPS = (1e-2, 1e-3, 1e-4)
 
 
 def _difference_quotients(cfg: ExperimentConfig, obj: ObjectiveConfig,
-                          q0: MatrixControlField, sol: VISolution,
-                          cone: CriticalCone, rng: np.random.Generator
-                          ) -> List[tuple]:
-    """(load, u', errors) for three random directions d at q0, each
-    halved once if q0 + d is not admissible: load is the direction_load
-    of d, u' the cone derivative of the solution map along d, and the
-    errors are the L2 distances of the quotients (u(q0 + t d) - u(q0)) / t
-    to it at _QUOTIENT_STEPS."""
+                          q0: MatrixControlField, rng: np.random.Generator
+                          ) -> Tuple[VISolution, CriticalCone, List[tuple]]:
+    """The VI solution at q0, its critical cone, and (load, u', errors)
+    for three random directions d at q0, each halved once if q0 + d is
+    not admissible: load is the direction_load of d, u' the cone
+    derivative of the solution map along d, and the errors are the L2
+    distances of the quotients (u(q0 + t d) - u(q0)) / t to it at
+    _QUOTIENT_STEPS."""
     mesh = q0.mesh
+    sol = solve_vi(q0, obj.f_load, cfg.psi)
+    cone = build_critical_cone(sol)
     out = []
     for _ in range(3):
         d = _random_direction(mesh, rng, scale=0.1)
@@ -440,7 +434,7 @@ def _difference_quotients(cfg: ExperimentConfig, obj: ObjectiveConfig,
             quot = (solt.u.values - sol.u.values) / t
             errs.append(l2_norm(ScalarField(mesh, quot - ut.values)))
         out.append((load, ut, errs))
-    return out
+    return sol, cone, out
 
 
 def run_gradcheck(cfg: ExperimentConfig) -> RunReport:
@@ -490,9 +484,7 @@ def run_gradcheck(cfg: ExperimentConfig) -> RunReport:
     halving_pass = 2.0 <= halving_ratio <= 8.0
 
     # cone derivative against VI difference quotients
-    sol = solve_vi(q0, obj.f_load, cfg.psi)
-    cone = build_critical_cone(sol)
-    quotients = _difference_quotients(cfg, obj, q0, sol, cone, rng)
+    sol, cone, quotients = _difference_quotients(cfg, obj, q0, rng)
     quot_rows = [(direction, t, err)
                  for direction, (_, _, errs) in enumerate(quotients)
                  for t, err in zip(_QUOTIENT_STEPS, errs)]
@@ -510,8 +502,7 @@ def run_gradcheck(cfg: ExperimentConfig) -> RunReport:
         write_csv(outdir / "quotients.csv",
                   ["direction", "t", "quotient_error"], quot_rows),
     ]
-    meta = _base_meta(cfg, started)
-    meta.update({
+    return _report(cfg, outdir, started, outputs, {
         "max_rel_error": max_rel,
         "fd_pass": fd_pass,
         "halving_ratio": halving_ratio,
@@ -519,9 +510,7 @@ def run_gradcheck(cfg: ExperimentConfig) -> RunReport:
         "quotient_pass": quot_pass,
         "zero_direction_pass": zero_pass,
         "passed": passed,
-    })
-    outputs.append(write_meta(outdir / "meta.json", meta))
-    return RunReport(passed=passed, outputs=outputs, notes=meta)
+    }, passed=passed)
 
 
 def run_sensitivity(cfg: ExperimentConfig) -> RunReport:
@@ -536,13 +525,10 @@ def run_sensitivity(cfg: ExperimentConfig) -> RunReport:
     outdir = Path(cfg.output_dir) / "sensitivity"
     _, obj, q0 = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
-    sol = solve_vi(q0, obj.f_load, cfg.psi)
-    cone = build_critical_cone(sol)
-
     rows: List[tuple] = []
     passed = True
     worst_residual = 0.0
-    quotients = _difference_quotients(cfg, obj, q0, sol, cone, rng)
+    sol, cone, quotients = _difference_quotients(cfg, obj, q0, rng)
     for direction, (load, ut, errs) in enumerate(quotients):
         feas, polar, comp = derivative_complementarity_check(
             ut, cone, q0, load)
@@ -556,14 +542,11 @@ def run_sensitivity(cfg: ExperimentConfig) -> RunReport:
         outdir / "quotients.csv",
         ["direction", "t", "quotient_error", "feasibility", "polarity",
          "orthogonality"], rows)]
-    meta = _base_meta(cfg, started)
-    meta.update({
+    return _report(cfg, outdir, started, outputs, {
         "contact_nodes": int(sol.active_set.sum()),
         "zero_nodes": int(cone.zero_nodes.sum()),
         "nonpositive_nodes": int(cone.nonpositive_nodes.sum()),
         "free_nodes": int(cone.free_nodes.sum()),
         "worst_residual": worst_residual,
         "passed": passed,
-    })
-    outputs.append(write_meta(outdir / "meta.json", meta))
-    return RunReport(passed=passed, outputs=outputs, notes=meta)
+    }, passed=passed)

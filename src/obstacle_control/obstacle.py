@@ -168,7 +168,7 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
         coarse solve of a nested start is its own solve_vi call, with its
         own sweeps.
     """
-    if psi <= 0.0:
+    if not psi > 0.0:
         raise ValueError("obstacle psi must be positive")
     mesh = f_load.mesh
     if q.mesh is not mesh:

@@ -94,9 +94,9 @@ class ObjectiveConfig:
     f_load: ScalarField
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError("beta must be nonnegative")
         if not 0.0 < self.q_min < self.q_max:
             raise ValueError("need 0 < q_min < q_max")

@@ -35,7 +35,7 @@ class PenaltyConfig:
     psi: float = 0.5
 
     def __post_init__(self):
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError("gamma must be nonnegative")
 
 

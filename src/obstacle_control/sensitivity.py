@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import MatrixControlField
-from .errors import CoefficientError
+from .errors import DimensionError
 from .fem import ScalarField, assemble_stiffness
 from .obstacle import VISolution, pdas_bound_solve
 
@@ -55,7 +55,7 @@ def direction_load(q: MatrixControlField, d: MatrixControlField,
     """Right side -(d grad u, grad phi) of the derivative VI along d; its
     boundary rows are those of the pinned system, which no solve reads."""
     if d.mesh is not q.mesh or u.mesh is not q.mesh:
-        raise CoefficientError("direction and solution must share the mesh")
+        raise DimensionError("direction and solution must share the mesh")
     return -(assemble_stiffness(q.mesh, d) @ u.values)
 
 

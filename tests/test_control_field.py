@@ -312,6 +312,9 @@ def test_solvers_refuse_a_coefficient_on_another_mesh(level):
         solve_penalized(other, f, pen)
     with pytest.raises(DimensionError, match="different mesh"):
         solve_adjoint(other, u, u_d, pen)
+    with pytest.raises(DimensionError, match="share the mesh"):
+        direction_load(other, MatrixControlField.constant(f.mesh, np.eye(2)),
+                       u)
 
 
 def test_failed_assembly_is_not_cached(stiffness_assemblies):

@@ -83,6 +83,13 @@ def test_config_default_parses_back(name):
     "levels=4,3",
     "max_iters=0",
     "seed=-1",
+    "psi=nan",
+    "alpha=nan",
+    "gamma=nan",
+    "grad_tol=inf",
+    "q_max=inf",
+    "gamma_list=1e0,nan",
+    "q_init=2,nan,2",
     "alpha=abc",
     "level=2.5",
     "no_such_key=1",
@@ -227,10 +234,24 @@ def test_written_files_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
 # ------------------------------------------------------------- runners
 
 
+def assert_meta_is_notes(rep, cfg, outdir):
+    """The runner's last output is outdir/meta.json: every config field as
+    "parameters", its start and finish times, and the report's notes."""
+    path = outdir / "meta.json"
+    assert rep.outputs[-1] == path
+    meta = json.loads(path.read_text())
+    params = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    assert meta["parameters"] == json.loads(json.dumps(params))
+    assert meta["started"] <= meta["finished"]
+    assert meta == json.loads(json.dumps(rep.notes, default=str))
+
+
 def test_example1_contact_and_artifacts(tmp_path):
-    rep = run_example1(small_config(tmp_path))
+    cfg = small_config(tmp_path)
+    rep = run_example1(cfg)
     assert rep.passed and rep.result.converged
     outdir = tmp_path / "example1"
+    assert_meta_is_notes(rep, cfg, outdir)
     assert (outdir / "solution.vtk").is_file()
     assert (outdir / "log.csv").is_file()
     meta = json.loads((outdir / "meta.json").read_text())
@@ -269,6 +290,7 @@ def test_example2_errors_decrease(tmp_path):
     assert (outdir / "reference.vtk").is_file()
     for gamma in ("1e+00", "1e+03", "1e+06", "1e+09"):
         assert (outdir / f"solution_gamma_{gamma}.vtk").is_file()
+    assert_meta_is_notes(rep, cfg, outdir)
 
 
 def test_example2_reruns_byte_identical(tmp_path):
@@ -286,6 +308,7 @@ def test_convergence_rate_without_contact(tmp_path):
                       output_dir=str(tmp_path))
     rep = run_convergence(cfg)
     assert rep.notes["contact"] is False
+    assert_meta_is_notes(rep, cfg, tmp_path / "convergence")
     assert all(rate >= 1.9 for rate in rep.notes["rates"])
     lines = (tmp_path / "convergence" / "rates.csv").read_text().splitlines()
     assert lines[0] == "level,h,err_L2,rate"
@@ -321,6 +344,7 @@ def test_gradcheck_passes(tmp_path):
     outdir = tmp_path / "gradcheck"
     assert (outdir / "adjoint_fd.csv").is_file()
     assert (outdir / "quotients.csv").is_file()
+    assert_meta_is_notes(rep, cfg, outdir)
 
 
 def test_sensitivity_passes(tmp_path):
@@ -333,6 +357,7 @@ def test_sensitivity_passes(tmp_path):
               + rep.notes["free_nodes"])
     mesh = build_mesh(3)
     assert counts == int(mesh.interior_mask.sum())
+    assert_meta_is_notes(rep, cfg, tmp_path / "sensitivity")
 
 
 # ------------------------------------------------------------- CLI
@@ -353,6 +378,13 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     code = cli.main(["example2", "--out", str(tmp_path), "--gamma",
                      "1e3,1e0"])
     assert code == 2
+    # an empty --gamma list and non-finite values fail before any output
+    for args in (["--gamma", ","], ["psi=nan"], ["grad_tol=inf"],
+                 ["q_max=inf"]):
+        code = cli.main(["example1", "--out", str(tmp_path), "--level", "3",
+                         *args])
+        assert code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_solver_failure_exit_three(tmp_path, capsys):

@@ -238,11 +238,12 @@ def test_positive_obstacle_required(vi_levels):
     for level in (2, 6):
         mesh = build_mesh(level)
         q = MatrixControlField.constant(mesh, np.eye(2))
-        vi_levels.clear()
-        with pytest.raises(ValueError):
-            obstacle.solve_vi(q, ScalarField(mesh, np.zeros(mesh.n_nodes)),
-                              psi=0.0)
-        assert vi_levels == [level]
+        for psi in (0.0, float("nan")):
+            vi_levels.clear()
+            with pytest.raises(ValueError):
+                obstacle.solve_vi(
+                    q, ScalarField(mesh, np.zeros(mesh.n_nodes)), psi=psi)
+            assert vi_levels == [level]
 
 
 def test_indefinite_coefficient_refused_before_coarse_work(vi_levels):

@@ -79,6 +79,10 @@ def test_objective_config_validation():
     f = ScalarField(mesh, np.zeros(mesh.n_nodes))
     with pytest.raises(ValueError, match="alpha"):
         ObjectiveConfig(0.0, 0.0, u_d, q_d, 0.5, 10.0, f)
+    with pytest.raises(ValueError, match="alpha"):
+        ObjectiveConfig(float("nan"), 0.0, u_d, q_d, 0.5, 10.0, f)
+    with pytest.raises(ValueError, match="beta"):
+        ObjectiveConfig(0.1, float("nan"), u_d, q_d, 0.5, 10.0, f)
     with pytest.raises(ValueError, match="beta"):
         ObjectiveConfig(0.1, -1.0, u_d, q_d, 0.5, 10.0, f)
     with pytest.raises(ValueError, match="q_min"):

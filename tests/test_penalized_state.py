@@ -32,6 +32,12 @@ GAMMAS = (1e0, 1e3, 1e6, 1e9, 1e12)
 Q_INIT = [[2.0, -1.0], [-1.0, 2.0]]
 
 
+@pytest.mark.parametrize("gamma", [-1.0, float("nan")])
+def test_penalty_weight_must_be_nonnegative(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        PenaltyConfig(gamma=gamma)
+
+
 def test_gamma_zero_is_linear_solve():
     mesh = build_mesh(3)
     q = MatrixControlField.constant(mesh, Q_INIT)
