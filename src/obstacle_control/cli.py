@@ -25,6 +25,7 @@ from .errors import (
 )
 from .experiments import (
     load_config,
+    parse_field,
     run_convergence,
     run_example1,
     run_example2,
@@ -76,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        gammas = None if args.gamma is None else tuple(
-            float(g) for g in args.gamma.split(",") if g.strip())
+        gammas = None if args.gamma is None \
+            else parse_field("gamma_list", args.gamma)
         cfg = load_config(args.config, args.overrides,
                           output_dir=args.out, level=args.level,
                           seed=args.seed, gamma_list=gammas,

@@ -119,15 +119,20 @@ def _parse_value(kind, text: str):
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
+def parse_field(key: str, text: str):
+    """Config key `key`'s value from its text, or a ConfigError."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key: {key}")
+    return _parse_value(_FIELD_TYPES[key], text.strip())
+
+
 def _parse_item(text: str, malformed: str) -> Tuple[str, object]:
     """Key and parsed value of one key=value item. Raises ConfigError with
     the message `malformed` when it has no '=', and on an unknown key."""
     if "=" not in text:
         raise ConfigError(malformed)
     key, val = (part.strip() for part in text.split("=", 1))
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key: {key}")
-    return key, _parse_value(_FIELD_TYPES[key], val)
+    return key, parse_field(key, val)
 
 
 def parse_config_text(text: str) -> Dict:

@@ -142,13 +142,13 @@ class StructuredMesh:
         """Shared CSR pattern of every assembled operator on this mesh."""
         return StencilPattern(self.cells_per_side)
 
-    def at_quadrature(self, values: np.ndarray) -> np.ndarray:
+    def at_quadrature(self, values: np.ndarray, cells=None) -> np.ndarray:
         """Nodal values (n_nodes, ...) interpolated to the 2x2 Gauss points
-        of every cell; shape (n_cells, 4, ...)."""
+        of the given cells (every cell when None); shape (k, 4, ...)."""
         shape, _, _ = self._reference
-        corners = values[self.cells]
-        flat = corners.reshape(self.n_cells, 4, -1)
-        return np.matmul(shape, flat).reshape(corners.shape)
+        nodes = self.cells if cells is None else self.cells[cells]
+        flat = values.reshape(self.n_nodes, -1)[nodes]
+        return np.matmul(shape, flat).reshape(nodes.shape + values.shape[1:])
 
     def gradients_at_quadrature(self, values: np.ndarray) -> np.ndarray:
         """Physical gradients of nodal values (n_nodes,) at the 2x2 Gauss
@@ -161,30 +161,28 @@ class StructuredMesh:
         _, _, scale = self._reference
         return scale * float(np.sum(density))
 
-    def weighted_mass(self, weight: np.ndarray) -> np.ndarray:
-        """Stencil data of the mass matrix with a weight given at the 2x2
-        Gauss points, (n_cells, 4), without boundary elimination."""
+    def integrate(self, density: np.ndarray, cells=None) -> np.ndarray:
+        """Load vector integral(f phi_i) of densities f given at the 2x2
+        Gauss points of the given cells (every cell when None), (k, 4, ...);
+        shape (n_nodes, ...). Terms add in increasing cell order, as in
+        `StencilPattern.assemble`, by one bincount per column."""
+        shape, _, scale = self._reference
+        nodes = (self.cells if cells is None else self.cells[cells]).ravel()
+        extra = density.shape[2:]
+        columns = np.prod(extra, dtype=int)
+        flat = np.reshape(density, (-1, 4, columns))
+        local = (scale * np.matmul(shape.T, flat)).reshape(-1, columns)
+        return np.column_stack([
+            np.bincount(nodes, column, minlength=self.n_nodes)
+            for column in local.T]).reshape((self.n_nodes,) + extra)
+
+    def mass_data(self, weight: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Stencil data, unpinned, of the mass matrix weighted by a density
+        at the 2x2 Gauss points of the given cells, (k, 4), as `integrate`."""
         shape, _, scale = self._reference
         local = (scale * weight) @ _outer(shape, shape)
-        return self.stencil.assemble(local.reshape(self.n_cells, 4, 4))
-
-    def integrate(self, density: np.ndarray) -> np.ndarray:
-        """Load vector integral(f phi_i) of densities f given at the 2x2
-        Gauss points, (n_cells, 4, ...); shape (n_nodes, ...).
-
-        Cell contributions are summed by four strided slice-adds, one per
-        corner, in the order the cells are numbered.
-        """
-        shape, _, scale = self._reference
-        n = self.cells_per_side
-        extra = density.shape[2:]
-        flat = np.reshape(density, (self.n_cells, 4, -1))
-        local = (scale * np.matmul(shape.T, flat)).reshape(n, n, 4, -1)
-        grid = np.zeros((n + 1, n + 1, local.shape[-1]))
-        for a in _CELL_ORDER:
-            di, dj = _CORNERS[a]
-            grid[dj:dj + n, di:di + n] += local[:, :, a]
-        return grid.reshape((self.n_nodes,) + extra)
+        return np.bincount(self.stencil.cell_slots[cells].ravel(),
+                           local.ravel(), minlength=self.stencil.nnz)
 
     @cached_property
     def mass_matrix(self) -> sp.csr_matrix:
@@ -244,6 +242,16 @@ class StencilPattern:
     @property
     def nnz(self) -> int:
         return self.indices.shape[0]
+
+    @cached_property
+    def cell_slots(self) -> np.ndarray:
+        """CSR data position of each cell's local entry (a, b), at 4a + b."""
+        n = self.cells_per_side
+        position = np.zeros(self.valid.shape, dtype=np.intp)
+        position[self.valid] = np.arange(self.nnz)
+        return np.column_stack([
+            position[aj:aj + n, ai:ai + n, 3 * (bj - aj + 1) + bi - ai + 1]
+            .ravel() for ai, aj in _CORNERS for bi, bj in _CORNERS])
 
     def assemble(self, local: np.ndarray) -> np.ndarray:
         """CSR data of per-cell 4x4 matrices (C, 4, 4), or one (4, 4).

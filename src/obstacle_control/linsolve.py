@@ -64,7 +64,8 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, x0: Optional[np.ndarray],
         return np.zeros_like(b), 0, 0.0
     target = _GRID_TOL * b_norm
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - mat @ x
+    # from zero, b - A x is b bit for bit: no product
+    r = b.copy() if x0 is None else b - mat @ x
     res = math.sqrt(r @ r)
     if res <= target:
         return x, 0, res

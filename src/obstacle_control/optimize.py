@@ -307,7 +307,7 @@ class _VIPath:
 
 
 def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
-             opt: LoopConfig) -> OptResult:
+             opt: LoopConfig, sol0=None) -> OptResult:
     """Spectral projected gradient with a nonmonotone Armijo line search,
     shared by paths (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000).
 
@@ -317,11 +317,11 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
     guarantees are those stated in minimize.
 
     The path gives state(q, prev) -> (u, sol), warm started from the
-    solution prev of the current point (None for a cold start),
+    solution prev of the current point (sol0 at q0; None starts cold),
     adjoint(q, sol) and multiplier(sol). Each control is evaluated once,
     by _evaluate: an accepted trial keeps its barrier and objective terms.
     """
-    cur = _evaluate(q0, cfg, path, None)
+    cur = _evaluate(q0, cfg, path, sol0)
     if cur is None:
         raise CoefficientError("initial control violates the spectral bounds")
     recent = deque([cur.value], maxlen=_MEMORY)
@@ -392,7 +392,8 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
 
 
 def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,
-             opt: Optional[LoopConfig] = None) -> OptResult:
+             opt: Optional[LoopConfig] = None,
+             u0: Optional[ScalarField] = None) -> OptResult:
     """Minimize the reduced objective subject to the penalized state.
 
     Spectral projected gradient with a nonmonotone line search: every
@@ -407,11 +408,12 @@ def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,
     Raises StagnationError, carrying the history, if the line search hits
     the backtracking floor, if _MEMORY accepted steps in a row bring no
     new minimum, or if the residual test is met above the best accepted
-    objective (a gradient that does not match the objective).
+    objective (a gradient that does not match the objective). The state
+    solve at q0 starts Newton from u0 when given, else cold.
     """
     if opt is None:
         opt = LoopConfig()
-    return _descent(q0, _PenalizedPath(cfg, pen), cfg, opt)
+    return _descent(q0, _PenalizedPath(cfg, pen), cfg, opt, u0)
 
 
 def solve_vi_constrained(q0: MatrixControlField, cfg: ObjectiveConfig,
@@ -437,10 +439,11 @@ def gamma_continuation(q0: MatrixControlField, cfg: ObjectiveConfig,
     """Path-following in the penalty parameter.
 
     Runs minimize for each gamma in the strictly increasing list, warm
-    starting each leg from the previous minimizer. pen supplies every
-    penalty setting except gamma, which is overwritten per leg. When a
-    reference result is given (VI-constrained solve on the same mesh), each
-    leg records the state and control distances to it.
+    starting each leg but the first from the previous minimizer and its
+    state (Hintermueller & Kunisch, SIAM J. Optim. 17, 2006). pen supplies
+    every penalty setting except gamma, which is overwritten per leg. When
+    a reference result is given (VI-constrained solve on the same mesh),
+    each leg records the state and control distances to it.
     """
     gam = [float(g) for g in gammas]
     if len(gam) == 0:
@@ -448,13 +451,13 @@ def gamma_continuation(q0: MatrixControlField, cfg: ObjectiveConfig,
     if any(b <= a for a, b in zip(gam, gam[1:])):
         raise ValueError("gamma list must be strictly increasing")
     legs = []
-    q = q0
+    q, u = q0, None
     for gamma in gam:
-        result = minimize(q, cfg, replace(pen, gamma=gamma), opt)
+        result = minimize(q, cfg, replace(pen, gamma=gamma), opt, u)
         err_u = err_q = None
         if reference is not None:
             err_u = l2_norm(result.u - reference.u)
             err_q = control_norm(result.q - reference.q)
         legs.append(GammaLeg(gamma, result, err_u, err_q))
-        q = result.q
+        q, u = result.q, result.u
     return tuple(legs)

@@ -4,7 +4,8 @@ The obstacle constraint is replaced by the monotone cubic penalty
 gamma * max(u - psi, 0)^3 added to the elliptic operator. The resulting
 semilinear equation is solved by a damped Newton method; since the penalty
 term is C^2, the residual and the Jacobian weighted-mass term are assembled
-from the same quadrature-point evaluations and Newton is exact.
+from the same quadrature-point evaluations and Newton is exact. Both sum
+the contact cells alone: every other cell's gap is exactly zero.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ _STEP_MIN = 2.0 ** -20
 # Newton steps per solve, and the residual target relative to the load
 _NEWTON_MAX = 60
 _NEWTON_TOL = 1e-11
+# a corner above psi less this many ulps puts its cell in contact: a Gauss
+# value rounds to at most 5 eps above its largest corner; 16 ulps >= 8 eps
+_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -39,42 +43,49 @@ class PenaltyConfig:
             raise ValueError("gamma must be nonnegative")
 
 
-def _gap_at_quadrature(mesh, u_vals: np.ndarray, psi: float) -> np.ndarray:
-    """max(u - psi, 0) at the 2x2 Gauss points of every cell; (C, 4)."""
-    return np.maximum(mesh.at_quadrature(u_vals) - psi, 0.0)
+def _contact(mesh, u_vals: np.ndarray, psi: float):
+    """The cells with a corner above psi less _ULPS ulps, ascending, and
+    max(u - psi, 0) at their 2x2 Gauss points, (k, 4)."""
+    n1 = mesh.cells_per_side + 1
+    above = u_vals.reshape(n1, n1) > psi - _ULPS * abs(np.spacing(psi))
+    cells = np.flatnonzero(above[:-1, :-1] | above[:-1, 1:]
+                           | above[1:, :-1] | above[1:, 1:])
+    return cells, np.maximum(mesh.at_quadrature(u_vals, cells) - psi, 0.0)
 
 
-def _penalty_vector(mesh, gap: np.ndarray, gamma: float) -> np.ndarray:
-    """Assembled gamma*max(u-psi,0)^3 against test functions, boundary rows zero."""
-    vec = mesh.integrate(gamma * gap ** 3)
+def _penalty_vector(mesh, cells, gap, gamma: float) -> np.ndarray:
+    """Assembled gamma*max(u-psi,0)^3 against test functions, boundary rows
+    zero, from the contact cells and their gap."""
+    vec = mesh.integrate(gamma * gap ** 3, cells)
     vec[mesh.boundary_mask] = 0.0
     return vec
 
 
-def _penalty_jacobian(mesh, gap: np.ndarray, gamma: float) -> np.ndarray:
-    """Stencil data of the weighted mass from 3*gamma*max(u-psi,0)^2,
-    without boundary elimination."""
-    return mesh.weighted_mass(3.0 * gamma * gap ** 2)
+def _penalty_jacobian(mesh, cells, gap, gamma: float) -> np.ndarray:
+    """Stencil data of the weighted mass from 3*gamma*max(u-psi,0)^2 on
+    the contact cells, without boundary elimination."""
+    return mesh.mass_data(3.0 * gamma * gap ** 2, cells)
 
 
 def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
             u0: np.ndarray) -> np.ndarray:
     f_scale = max(float(np.linalg.norm(rhs)), 1e-300)
     u = np.where(mesh.boundary_mask, 0.0, u0)
-    gap = _gap_at_quadrature(mesh, u, cfg.psi)
-    res = K @ u + _penalty_vector(mesh, gap, cfg.gamma) - rhs
+    contact = _contact(mesh, u, cfg.psi)
+    res = K @ u + _penalty_vector(mesh, *contact, cfg.gamma) - rhs
     res_norm = float(np.linalg.norm(res))
     history = [res_norm]
     for _ in range(_NEWTON_MAX):
         if res_norm <= _NEWTON_TOL * f_scale:
             return u
-        system = K.plus(_penalty_jacobian(mesh, gap, cfg.gamma))
+        system = K.plus(_penalty_jacobian(mesh, *contact, cfg.gamma))
         delta, _ = solve_spd(system, -res)
         step = 1.0
         while True:
             trial = u + step * delta
-            gap_t = _gap_at_quadrature(mesh, trial, cfg.psi)
-            res_t = K @ trial + _penalty_vector(mesh, gap_t, cfg.gamma) - rhs
+            contact_t = _contact(mesh, trial, cfg.psi)
+            res_t = K @ trial + _penalty_vector(mesh, *contact_t, cfg.gamma) \
+                - rhs
             norm_t = float(np.linalg.norm(res_t))
             if norm_t <= (1.0 - 1e-4 * step) * res_norm:
                 break
@@ -82,7 +93,7 @@ def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
             if step < _STEP_MIN:
                 raise NewtonError(
                     "Newton line search hit the step floor", history)
-        u, gap, res, res_norm = trial, gap_t, res_t, norm_t
+        u, contact, res, res_norm = trial, contact_t, res_t, norm_t
         history.append(res_norm)
     if res_norm <= _NEWTON_TOL * f_scale:
         return u
@@ -108,7 +119,7 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
     f_load : ScalarField
     cfg : PenaltyConfig
     u0 : ScalarField, optional
-        Warm start, typically the solution at the previous gamma.
+        Warm start: `gamma_continuation` passes the previous gamma's.
     """
     mesh = f_load.mesh
     if q.mesh is not mesh:
@@ -139,8 +150,8 @@ def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,
     mesh = u.mesh
     if q.mesh is not mesh:
         raise DimensionError("coefficient lives on a different mesh")
-    gap = _gap_at_quadrature(mesh, u.values, cfg.psi)
-    system = q.stiffness.plus(_penalty_jacobian(mesh, gap, cfg.gamma))
+    contact = _contact(mesh, u.values, cfg.psi)
+    system = q.stiffness.plus(_penalty_jacobian(mesh, *contact, cfg.gamma))
     rhs = mesh.mass_matrix @ (u.values - u_d.values)
     p, _ = solve_spd(system, rhs)
     return ScalarField(mesh, p)
@@ -150,6 +161,6 @@ def penalty_residual_as_multiplier(u: ScalarField,
                                    cfg: PenaltyConfig) -> ScalarField:
     """Lumped nodal representation of gamma*max(u-psi,0)^3."""
     mesh = u.mesh
-    gap = _gap_at_quadrature(mesh, u.values, cfg.psi)
-    vec = _penalty_vector(mesh, gap, cfg.gamma)
+    vec = _penalty_vector(mesh, *_contact(mesh, u.values, cfg.psi),
+                          cfg.gamma)
     return ScalarField(mesh, vec / mesh.lumped_mass)

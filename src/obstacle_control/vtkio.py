@@ -47,8 +47,8 @@ def _atomic_write_text(path: Path, text: str) -> None:
 @lru_cache(maxsize=1)
 def _points(level: int) -> str:
     """The POINTS lines of the mesh at a level, which they depend on."""
-    return "\n".join(f"{_fmt(x)} {_fmt(y)} 0"
-                     for x, y in StructuredMesh(level).nodes)
+    coords = StructuredMesh(level).nodes.ravel().tolist()
+    return "\n".join(["%.17g %.17g 0"] * (len(coords) // 2)) % tuple(coords)
 
 
 def write_structured_vtk(path, mesh: StructuredMesh,
@@ -75,7 +75,8 @@ def write_structured_vtk(path, mesh: StructuredMesh,
             raise ValueError(f"field {name!r} is not nodal scalar data")
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in values)
+        lines.append("\n".join(["%.17g"] * len(values))
+                     % tuple(values.tolist()))
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
     return Path(path)
 

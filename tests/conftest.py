@@ -15,7 +15,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
-from obstacle_control import MatrixControlField  # noqa: E402
+from obstacle_control import MatrixControlField, fem  # noqa: E402
 
 Q_MIN = 0.5
 Q_MAX = 10.0
@@ -41,6 +41,36 @@ def random_direction(mesh, rng, scale=1.0):
     """Random symmetric nodal direction field with O(scale) entries."""
     comps = rng.standard_normal((mesh.n_nodes, 3)) * scale
     return MatrixControlField(mesh, comps)
+
+
+def slice_add_integrate(mesh, density):
+    """Reference load vector: the local integrals of every cell summed by
+    four strided slice-adds, one per corner, in the order the cells are
+    numbered."""
+    shape, _, scale = mesh._reference
+    n = mesh.cells_per_side
+    extra = density.shape[2:]
+    flat = np.reshape(density, (mesh.n_cells, 4, -1))
+    local = (scale * np.matmul(shape.T, flat)).reshape(n, n, 4, -1)
+    grid = np.zeros((n + 1, n + 1, local.shape[-1]))
+    for a in fem._CELL_ORDER:
+        di, dj = fem._CORNERS[a]
+        grid[dj:dj + n, di:di + n] += local[:, :, a]
+    return grid.reshape((mesh.n_nodes,) + extra)
+
+
+def full_grid_penalty(mesh, u, psi, gamma):
+    """Reference penalty kernels on every cell: the gap max(u - psi, 0) at
+    the Gauss points, the penalty vector (boundary rows zero) and the
+    stencil data of the Jacobian's weighted mass, assembled by the
+    slice-adds of `StencilPattern.assemble`."""
+    shape, _, scale = mesh._reference
+    gap = np.maximum(mesh.at_quadrature(u) - psi, 0.0)
+    vec = slice_add_integrate(mesh, gamma * gap ** 3)
+    vec[mesh.boundary_mask] = 0.0
+    local = (scale * 3.0 * gamma * gap ** 2) @ fem._outer(shape, shape)
+    jac = mesh.stencil.assemble(local.reshape(mesh.n_cells, 4, 4))
+    return gap, vec, jac
 
 
 def compacted_pin(stencil, data, mask):

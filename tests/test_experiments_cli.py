@@ -183,6 +183,24 @@ def test_vtk_points_depend_on_the_level_alone(tmp_path):
             for x, y in mesh.nodes]
 
 
+def test_vtk_fields_format_as_per_value_reference(tmp_path):
+    """One format per field gives the bytes of formatting each value
+    alone, signed zero, subnormals and the largest doubles included."""
+    mesh = build_mesh(2)
+    u = np.linspace(-1.0, 1.0, mesh.n_nodes)
+    u[:5] = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+             -1.7976931348623157e308]
+    fields = {"u": u, "v": np.exp(u[::-1] % 7.0)}
+    path = write_structured_vtk(tmp_path / "f.vtk", mesh, fields)
+    lines = path.read_text().split("\n")
+    assert lines[-1] == ""
+    for name, values in fields.items():
+        start = lines.index(f"SCALARS {name} double 1") + 2
+        assert lines[start:start + mesh.n_nodes] == [
+            format(float(v), ".17g") for v in values]
+    assert lines[start + mesh.n_nodes:] == [""]
+
+
 def test_vtk_header_layout(tmp_path):
     mesh = build_mesh(2)
     path = write_structured_vtk(tmp_path / "f.vtk", mesh,
@@ -433,6 +451,21 @@ def test_cli_gamma_flag_sets_list_and_single(tmp_path):
     code = cli.main(["sensitivity", "--out", str(tmp_path), "--level", "3",
                      "--gamma", "1e2", "--seed", "3"])
     assert code == 0
+
+
+def test_cli_gamma_flag_parses_as_the_gamma_list_key(tmp_path, capsys):
+    """--gamma goes through the config's own parser: a bad entry gets the
+    message of gamma_list=, and a list still runs its legs."""
+    for args in (["--gamma", "abc"], ["gamma_list=abc"]):
+        code = cli.main(["example2", "--out", str(tmp_path), *args])
+        assert code == 2
+        assert capsys.readouterr().err \
+            == "configuration error: not a number: 'abc'\n"
+    assert not any(tmp_path.iterdir())
+    assert cli.main(["example2", "--out", str(tmp_path), "--level", "2",
+                     "--gamma", "1e0,1e3"]) == 0
+    rows = capsys.readouterr().out.split("gamma,err_u_L2,err_q_L2\n")[1]
+    assert [row.split(",")[0] for row in rows.splitlines()] == ["1", "1000"]
 
 
 # The subcommands in the README's "Subcommands" table. Listed here as well

@@ -25,7 +25,7 @@ from obstacle_control import fem
 from obstacle_control.fem import COARSEST_LEVEL, prolongation
 
 from conftest import compacted_pin, random_admissible, random_direction, \
-    scatter_band
+    scatter_band, slice_add_integrate
 
 SEED = 20260819
 
@@ -485,7 +485,8 @@ def test_penalty_jacobian_matches_coo_reference():
     shape, _, scale = mesh._reference
     w = scale * 3.0 * 1e6 * gap ** 2
     local = np.einsum("cg,ga,gb->cab", w, shape, shape)
-    got = mesh.stencil.matrix(_penalty_jacobian(mesh, gap, 1e6))
+    cells = np.arange(mesh.n_cells)
+    got = mesh.stencil.matrix(_penalty_jacobian(mesh, cells, gap, 1e6))
     assert_close_relative(got.toarray(), coo_reference(mesh, local))
 
 
@@ -503,10 +504,23 @@ def test_quadrature_primitives_repeat_the_arithmetic_they_replace():
     gamma = 1.7e6
     w = scale * 3.0 * gamma * gap ** 2
     local = (w @ fem._outer(shape, shape)).reshape(mesh.n_cells, 4, 4)
-    assert np.array_equal(mesh.weighted_mass(3.0 * gamma * gap ** 2),
-                          mesh.stencil.assemble(local))
+    assert np.array_equal(
+        mesh.mass_data(3.0 * gamma * gap ** 2, np.arange(mesh.n_cells)),
+        mesh.stencil.assemble(local))
     logs = np.log1p(gap)
     assert -mesh.integral(logs) == -scale * float(np.sum(logs))
+
+
+@pytest.mark.parametrize("columns", [(), (3,)])
+@pytest.mark.parametrize("level", [1, 4, 6])
+def test_integrate_equals_the_slice_add_reference(level, columns):
+    """The bincount scatter of `integrate` sums each node's cell
+    contributions in the order of the corner slice-adds, bit for bit."""
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(SEED + level)
+    density = rng.standard_normal((mesh.n_cells, 4) + columns)
+    assert np.array_equal(mesh.integrate(density),
+                          slice_add_integrate(mesh, density))
 
 
 def test_operators_share_the_mesh_pattern():

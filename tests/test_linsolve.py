@@ -19,7 +19,7 @@ from obstacle_control import (
 from obstacle_control import linsolve
 from obstacle_control.control import riesz_lift
 from obstacle_control.fem import GridSystem
-from obstacle_control.penalty import _gap_at_quadrature, _penalty_jacobian
+from obstacle_control.penalty import _contact, _penalty_jacobian
 
 from conftest import random_admissible
 
@@ -301,8 +301,7 @@ def _penalty_system(mesh, K):
     """K + D with the gamma = 1e12 penalty Jacobian of a bump state."""
     x, y = mesh.nodes.T
     u = PENALTY_PEAK * (1.0 - x ** 2) * (1.0 - y ** 2)
-    return K.plus(_penalty_jacobian(
-        mesh, _gap_at_quadrature(mesh, u, 0.5), 1e12))
+    return K.plus(_penalty_jacobian(mesh, *_contact(mesh, u, 0.5), 1e12))
 
 
 def _true_residual(system, x, b):
@@ -334,6 +333,18 @@ def test_multigrid_matches_jacobi_and_direct(kind, level):
     scale = np.abs(x_dir).max()
     assert np.abs(x - x_dir).max() <= 1e-7 * scale
     assert np.abs(x - x_jac).max() <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("level", [3, 7])
+@pytest.mark.parametrize("kind", ["dirichlet", "pdas", "vi_adjoint",
+                                  "penalty"])
+def test_no_start_equals_a_zero_start(kind, level):
+    """CG without x0 starts from the residual b, the bits of b - A 0."""
+    system, b, _ = _grid_case(kind, level, SEED + level)
+    x, report = solve_spd(system, b)
+    x_zero, report_zero = solve_spd(system, b, x0=np.zeros(b.shape))
+    assert np.array_equal(x, x_zero)
+    assert report == report_zero
 
 
 @pytest.mark.parametrize("kind, cap", [("unit", 12), ("penalty", 30)])

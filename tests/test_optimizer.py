@@ -21,7 +21,7 @@ from obstacle_control import (
     solve_spd,
 )
 from obstacle_control import control, experiments, fem, linsolve, obstacle, \
-    optimize
+    optimize, penalty
 from obstacle_control.experiments import load_config, run_example1
 from obstacle_control.obstacle import complementarity_residuals, solve_vi
 from obstacle_control.penalty import PenaltyConfig, solve_penalized
@@ -287,6 +287,61 @@ def test_gamma_continuation_monotone_distances():
     assert np.all(np.diff(viol) <= 0.0), viol
     err_q = [leg.err_q for leg in legs]
     assert np.all(np.diff(err_q) < 0.0), err_q
+
+
+def _count_penalty_solves(monkeypatch):
+    """A list whose length is the number of linear solves made by the
+    penalty module from now on (Newton steps, cold starts, adjoints)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(penalty, "solve_spd", counted)
+    return calls
+
+
+def test_gamma_continuation_warm_legs_match_cold_starts(monkeypatch):
+    """Starting each leg's first state solve from the previous leg's state
+    keeps every leg's iterations and the table within 1e-10, with fewer
+    penalized solves than starting each leg cold."""
+    mesh = build_mesh(3)
+    cfg = example_config(mesh)
+    q0 = MatrixControlField.constant(mesh, Q_INIT)
+    opt = LoopConfig(max_iters=5000)
+    gammas = (1e0, 1e3, 1e6, 1e9, 1e12)
+    ref = solve_vi_constrained(q0, cfg, 0.5, opt=opt)
+    calls = _count_penalty_solves(monkeypatch)
+    legs = gamma_continuation(q0, cfg, gammas,
+                              PenaltyConfig(gamma=1.0, psi=0.5), opt,
+                              reference=ref)
+    warm_solves = len(calls)
+    calls.clear()
+    q = q0
+    for gamma, leg in zip(gammas, legs):
+        cold = minimize(q, cfg, PenaltyConfig(gamma=gamma, psi=0.5), opt)
+        q = cold.q
+        assert leg.result.converged and cold.converged
+        assert leg.result.iterations == cold.iterations
+        for got, want in ((leg.err_u, l2_norm(cold.u - ref.u)),
+                          (leg.err_q, control_norm(cold.q - ref.q))):
+            assert abs(got - want) <= 1e-10 * want
+    assert warm_solves < len(calls), (warm_solves, len(calls))
+
+
+def test_gamma_continuation_jumps_to_a_large_gamma():
+    """A warm leg converges from the state at gamma = 1 straight to
+    gamma = 1e12, without the cold start's internal warm-up."""
+    mesh = build_mesh(4)
+    cfg = example_config(mesh)
+    q0 = MatrixControlField.constant(mesh, Q_INIT)
+    legs = gamma_continuation(q0, cfg, [1e0, 1e12],
+                              PenaltyConfig(gamma=1.0, psi=0.5),
+                              LoopConfig(max_iters=5000))
+    assert all(leg.result.converged for leg in legs)
+    assert (legs[1].result.u.values - 0.5).max() \
+        < (legs[0].result.u.values - 0.5).max()
 
 
 def test_gamma_continuation_validates_list():

@@ -24,7 +24,7 @@ from obstacle_control.penalty import (
     solve_penalized,
 )
 
-from conftest import random_admissible, random_direction
+from conftest import full_grid_penalty, random_admissible, random_direction
 from test_fem import desired_state, manufactured_load
 
 SEED = 31337
@@ -170,17 +170,17 @@ def test_uniqueness_from_different_starts():
 
 
 def test_newton_jacobian_is_spd():
-    from obstacle_control.penalty import _gap_at_quadrature, \
-        _penalty_jacobian
+    from obstacle_control.penalty import _contact, _penalty_jacobian
     mesh = build_mesh(2)
     q = MatrixControlField.constant(mesh, np.eye(2))
     f = assemble_load(mesh, manufactured_load)
     cfg = PenaltyConfig(gamma=1e6, psi=0.3)
     u = solve_penalized(q, f, cfg)
-    gap = _gap_at_quadrature(mesh, u.values, cfg.psi)
-    assert gap.max() > 0.0
+    contact = _contact(mesh, u.values, cfg.psi)
+    assert contact[1].max() > 0.0
     K = assemble_stiffness(mesh, q)
-    system = K.plus(_penalty_jacobian(mesh, gap, cfg.gamma)).matrix.toarray()
+    system = K.plus(_penalty_jacobian(mesh, *contact, cfg.gamma)) \
+        .matrix.toarray()
     assert np.allclose(system, system.T, atol=1e-10)
     assert np.linalg.eigvalsh(system).min() > 0.0
 
@@ -194,3 +194,64 @@ def test_newton_error_carries_history(monkeypatch):
         solve_penalized(q, f, PenaltyConfig(gamma=1e6, psi=0.3),
                         u0=ScalarField(mesh, np.zeros(mesh.n_nodes)))
     assert len(err.value.history) >= 1
+
+
+def _contact_state(mesh, kind, psi):
+    """A nodal state whose contact region is empty, touches the boundary,
+    covers every interior node, or has its corners exactly at psi, one ulp
+    below it, or a random number of ulps (0-39) below it."""
+    x, _ = mesh.nodes.T
+    inside = mesh.interior_mask
+    if kind == "none":
+        return np.where(inside, psi - 1e-3, 0.0)
+    if kind == "boundary":
+        return psi + 0.25 * x
+    if kind == "all":
+        return np.where(inside, psi + 0.1, 0.0)
+    if kind == "at_psi":
+        return np.where(inside, psi, 0.0)
+    if kind == "ulp_below":
+        return np.where(inside, np.nextafter(psi, 0.0), 0.0)
+    rng = np.random.default_rng(SEED)
+    return psi - rng.integers(0, 40, mesh.n_nodes) * np.spacing(psi)
+
+
+@pytest.mark.parametrize("kind", ["none", "boundary", "all", "at_psi",
+                                  "ulp_below", "ulps_below"])
+@pytest.mark.parametrize("level", range(1, 7))
+def test_contact_kernels_equal_the_full_grid_kernels(level, kind):
+    """The gap, penalty vector and Jacobian data evaluated on the contact
+    cells alone carry the bits of the all-cell kernels: every cell left
+    out has a gap of exactly zero."""
+    from obstacle_control.penalty import _contact, _penalty_jacobian, \
+        _penalty_vector
+    mesh = build_mesh(level)
+    psi, gamma = 0.3, 1.7e6
+    u = _contact_state(mesh, kind, psi)
+    gap, vec, jac = full_grid_penalty(mesh, u, psi, gamma)
+    contact = _contact(mesh, u, psi)
+    cells, local_gap = contact
+    assert np.all(np.diff(cells) > 0)
+    on_cells = np.zeros_like(gap)
+    on_cells[cells] = local_gap
+    assert np.array_equal(on_cells, gap)
+    assert np.array_equal(_penalty_vector(mesh, *contact, gamma), vec)
+    assert np.array_equal(_penalty_jacobian(mesh, *contact, gamma), jac)
+    if kind == "none":
+        assert cells.size == 0
+    if kind in ("all", "at_psi", "ulp_below"):
+        assert cells.size == mesh.n_cells
+
+
+def test_only_the_penalized_path_builds_the_cell_slot_map():
+    """The VI state and adjoint leave the stencil's cell-to-slot map
+    unbuilt; the first penalized solve builds it."""
+    from obstacle_control.optimize import solve_vi_adjoint
+    mesh = build_mesh(3)
+    q = MatrixControlField.constant(mesh, np.eye(2))
+    f = assemble_load(mesh, manufactured_load)
+    sol = solve_vi(q, f, 0.3)
+    solve_vi_adjoint(q, sol, interpolate(mesh, desired_state))
+    assert "cell_slots" not in vars(mesh.stencil)
+    solve_penalized(q, f, PenaltyConfig(gamma=1e6, psi=0.3))
+    assert "cell_slots" in vars(mesh.stencil)
