@@ -5,7 +5,7 @@ functions with 2x2 Gauss quadrature, and assembly of the sparse operators
 used throughout the package: stiffness with a symmetric 2x2 matrix
 coefficient, consistent and lumped mass, and load vectors. Every operator
 on a mesh shares one cached CSR pattern of the nine-point stencil, and
-assembly writes its data by strided slice-adds. Homogeneous Dirichlet
+one scatter of per-cell matrices writes their data. Homogeneous Dirichlet
 conditions, and every other pinned node, are imposed by symmetric
 row/column elimination with identity diagonal (a mask on that data, whose
 eliminated entries stay on the shared pattern as zeros), so all operators
@@ -45,9 +45,9 @@ _XI = np.array([-1.0, 1.0, 1.0, -1.0])
 _ETA = np.array([-1.0, -1.0, 1.0, 1.0])
 # grid offset (di, dj) of each local node from its cell's first corner
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
-# a node is corner 2, 3, 1, 0 of its cells in increasing cell number
-# (the cell down-left of it comes first, the one up-right last)
-_CELL_ORDER = (2, 3, 1, 0)
+# stencil slot 3*(dj+1) + (di+1) at local node a of its coupling to b
+_SLOTS = np.array([[3 * (bj - aj + 1) + bi - ai + 1 for bi, bj in _CORNERS]
+                   for ai, aj in _CORNERS])
 
 
 def _shape_values(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -165,7 +165,7 @@ class StructuredMesh:
         """Load vector integral(f phi_i) of densities f given at the 2x2
         Gauss points of the given cells (every cell when None), (k, 4, ...);
         shape (n_nodes, ...). Terms add in increasing cell order, as in
-        `StencilPattern.assemble`, by one bincount per column."""
+        `assemble`, by one bincount per column."""
         shape, _, scale = self._reference
         nodes = (self.cells if cells is None else self.cells[cells]).ravel()
         extra = density.shape[2:]
@@ -176,20 +176,32 @@ class StructuredMesh:
             np.bincount(nodes, column, minlength=self.n_nodes)
             for column in local.T]).reshape((self.n_nodes,) + extra)
 
+    def assemble(self, local: np.ndarray, cells=None) -> np.ndarray:
+        """Stencil data, unpinned, of per-cell 4x4 matrices (k, 4, 4), or
+        one (4, 4), on the given cells (every cell when None): entry (a, b)
+        adds to slot _SLOTS[a, b] of node a on the (n+1)^2 x 9 slot grid of
+        `StencilPattern`, by one bincount in increasing cell order."""
+        nodes = self.cells if cells is None else self.cells[cells]
+        # np.broadcast_to gives a read-only view, which bincount would copy
+        index, weights = np.broadcast_arrays(9 * nodes[:, :, None] + _SLOTS,
+                                             local)
+        grid = np.bincount(index.ravel(), weights.ravel(),
+                           minlength=9 * self.n_nodes)
+        del index  # the largest array here goes before the gather allocates
+        return grid[self.stencil.valid.ravel()]
+
     def mass_data(self, weight: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Stencil data, unpinned, of the mass matrix weighted by a density
-        at the 2x2 Gauss points of the given cells, (k, 4), as `integrate`."""
+        at the 2x2 Gauss points of the given cells, (k, 4)."""
         shape, _, scale = self._reference
         local = (scale * weight) @ _outer(shape, shape)
-        return np.bincount(self.stencil.cell_slots[cells].ravel(),
-                           local.ravel(), minlength=self.stencil.nnz)
+        return self.assemble(local.reshape(-1, 4, 4), cells)
 
     @cached_property
     def mass_matrix(self) -> sp.csr_matrix:
         """Consistent mass matrix, no boundary elimination."""
         shape, _, scale = self._reference
-        stencil = self.stencil
-        return stencil.matrix(stencil.assemble(scale * (shape.T @ shape)))
+        return self.stencil.matrix(self.assemble(scale * (shape.T @ shape)))
 
     @cached_property
     def mass_operator(self) -> "KroneckerMass":
@@ -210,8 +222,9 @@ class StencilPattern:
 
     Node (i, j) couples to (i+di, j+dj) for di, dj in {-1, 0, 1}. A matrix
     on the mesh is held as an (n+1, n+1, 9) grid of stencil weights with
-    slot 3*(dj+1) + (di+1); gathering the slots whose neighbour exists, in
-    row-major order, gives the CSR data with sorted column indices. Every
+    slot 3*(dj+1) + (di+1), which `StructuredMesh.assemble` writes;
+    gathering the slots whose neighbour exists (`valid`), in row-major
+    order, gives the CSR data with sorted column indices. Every
     operator assembled on one mesh shares `indptr` and `indices` (both
     read-only), so sums and row pinning act on `.data` alone.
     """
@@ -242,33 +255,6 @@ class StencilPattern:
     @property
     def nnz(self) -> int:
         return self.indices.shape[0]
-
-    @cached_property
-    def cell_slots(self) -> np.ndarray:
-        """CSR data position of each cell's local entry (a, b), at 4a + b."""
-        n = self.cells_per_side
-        position = np.zeros(self.valid.shape, dtype=np.intp)
-        position[self.valid] = np.arange(self.nnz)
-        return np.column_stack([
-            position[aj:aj + n, ai:ai + n, 3 * (bj - aj + 1) + bi - ai + 1]
-            .ravel() for ai, aj in _CORNERS for bi, bj in _CORNERS])
-
-    def assemble(self, local: np.ndarray) -> np.ndarray:
-        """CSR data of per-cell 4x4 matrices (C, 4, 4), or one (4, 4).
-
-        Local entry (a, b) always lands in the same stencil slot, so each
-        is one strided slice-add over all cells.
-        """
-        n = self.cells_per_side
-        per_cell = np.broadcast_to(local, (n * n, 4, 4)).reshape(n, n, 4, 4)
-        grid = np.zeros((n + 1, n + 1, 9))
-        for a in _CELL_ORDER:
-            ai, aj = _CORNERS[a]
-            for b in range(4):
-                bi, bj = _CORNERS[b]
-                slot = 3 * (bj - aj + 1) + (bi - ai + 1)
-                grid[aj:aj + n, ai:ai + n, slot] += per_cell[:, :, a, b]
-        return grid[self.valid]
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """CSR matrix with the given data on this pattern."""
@@ -558,9 +544,10 @@ def assemble_stiffness(mesh: StructuredMesh,
     # per component with the (g, a*b) outer products of the gradients
     ke = scale * (q11 @ _outer(gx, gx) + q22 @ _outer(gy, gy)
                   + q12 @ (_outer(gx, gy) + _outer(gy, gx)))
-    ke = ke.reshape(mesh.n_cells, 4, 4)
-    stencil = mesh.stencil
-    return GridSystem(stencil, stencil.assemble(ke), mesh.boundary_mask)
+    # the Gauss-point coefficient goes before the scatter builds its index
+    del qg, q11, q22, q12
+    data = mesh.assemble(ke.reshape(mesh.n_cells, 4, 4))
+    return GridSystem(mesh.stencil, data, mesh.boundary_mask)
 
 
 def assemble_load(mesh: StructuredMesh, f: Callable) -> ScalarField:

@@ -19,6 +19,9 @@ from obstacle_control import MatrixControlField, fem  # noqa: E402
 
 Q_MIN = 0.5
 Q_MAX = 10.0
+# a node is corner 2, 3, 1, 0 of its cells in increasing cell number
+# (the cell down-left of it comes first, the one up-right last)
+_CELL_ORDER = (2, 3, 1, 0)
 
 
 def random_admissible(mesh, rng, q_min=Q_MIN, q_max=Q_MAX, margin=0.05):
@@ -53,23 +56,40 @@ def slice_add_integrate(mesh, density):
     flat = np.reshape(density, (mesh.n_cells, 4, -1))
     local = (scale * np.matmul(shape.T, flat)).reshape(n, n, 4, -1)
     grid = np.zeros((n + 1, n + 1, local.shape[-1]))
-    for a in fem._CELL_ORDER:
+    for a in _CELL_ORDER:
         di, dj = fem._CORNERS[a]
         grid[dj:dj + n, di:di + n] += local[:, :, a]
     return grid.reshape((mesh.n_nodes,) + extra)
+
+
+def slice_add_assemble(mesh, local):
+    """Reference stencil data of per-cell 4x4 matrices (C, 4, 4), or one
+    (4, 4), on every cell: local entry (a, b) always lands in the same
+    stencil slot, so each is one strided slice-add over all cells, the
+    corners taken in the order the cells are numbered."""
+    n = mesh.cells_per_side
+    per_cell = np.broadcast_to(local, (n * n, 4, 4)).reshape(n, n, 4, 4)
+    grid = np.zeros((n + 1, n + 1, 9))
+    for a in _CELL_ORDER:
+        ai, aj = fem._CORNERS[a]
+        for b in range(4):
+            bi, bj = fem._CORNERS[b]
+            slot = 3 * (bj - aj + 1) + (bi - ai + 1)
+            grid[aj:aj + n, ai:ai + n, slot] += per_cell[:, :, a, b]
+    return grid[mesh.stencil.valid]
 
 
 def full_grid_penalty(mesh, u, psi, gamma):
     """Reference penalty kernels on every cell: the gap max(u - psi, 0) at
     the Gauss points, the penalty vector (boundary rows zero) and the
     stencil data of the Jacobian's weighted mass, assembled by the
-    slice-adds of `StencilPattern.assemble`."""
+    slice-adds of `slice_add_assemble`."""
     shape, _, scale = mesh._reference
     gap = np.maximum(mesh.at_quadrature(u) - psi, 0.0)
     vec = slice_add_integrate(mesh, gamma * gap ** 3)
     vec[mesh.boundary_mask] = 0.0
     local = (scale * 3.0 * gamma * gap ** 2) @ fem._outer(shape, shape)
-    jac = mesh.stencil.assemble(local.reshape(mesh.n_cells, 4, 4))
+    jac = slice_add_assemble(mesh, local.reshape(mesh.n_cells, 4, 4))
     return gap, vec, jac
 
 

@@ -25,7 +25,7 @@ from obstacle_control import fem
 from obstacle_control.fem import COARSEST_LEVEL, prolongation
 
 from conftest import compacted_pin, random_admissible, random_direction, \
-    scatter_band, slice_add_integrate
+    scatter_band, slice_add_assemble, slice_add_integrate
 
 SEED = 20260819
 
@@ -506,9 +506,35 @@ def test_quadrature_primitives_repeat_the_arithmetic_they_replace():
     local = (w @ fem._outer(shape, shape)).reshape(mesh.n_cells, 4, 4)
     assert np.array_equal(
         mesh.mass_data(3.0 * gamma * gap ** 2, np.arange(mesh.n_cells)),
-        mesh.stencil.assemble(local))
+        mesh.assemble(local))
     logs = np.log1p(gap)
     assert -mesh.integral(logs) == -scale * float(np.sum(logs))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6, 8])
+def test_assemble_equals_the_slice_add_reference(level):
+    """The bincount scatter of `assemble` sums each stencil entry's cell
+    contributions in the order of the slice-adds, bit for bit: for
+    per-cell and constant locals, and on cell subsets against a local
+    that is zero off the subset."""
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(SEED + level)
+    local = rng.standard_normal((mesh.n_cells, 4, 4))
+    assert np.array_equal(mesh.assemble(local),
+                          slice_add_assemble(mesh, local))
+    constant = rng.standard_normal((4, 4))
+    assert np.array_equal(mesh.assemble(constant),
+                          slice_add_assemble(mesh, constant))
+    for cells in (np.arange(0), np.array([mesh.n_cells - 1]),
+                  np.sort(rng.choice(mesh.n_cells, mesh.n_cells * 6 // 100,
+                                     replace=False)),
+                  np.sort(rng.choice(mesh.n_cells, mesh.n_cells * 3 // 10,
+                                     replace=False)),
+                  np.arange(mesh.n_cells)):
+        padded = np.zeros_like(local)
+        padded[cells] = local[cells]
+        assert np.array_equal(mesh.assemble(local[cells], cells),
+                              slice_add_assemble(mesh, padded))
 
 
 @pytest.mark.parametrize("columns", [(), (3,)])

@@ -23,6 +23,7 @@ from obstacle_control.penalty import (
     solve_adjoint,
     solve_penalized,
 )
+from obstacle_control.problems import initial_control, load_density
 
 from conftest import full_grid_penalty, random_admissible, random_direction
 from test_fem import desired_state, manufactured_load
@@ -243,15 +244,42 @@ def test_contact_kernels_equal_the_full_grid_kernels(level, kind):
         assert cells.size == mesh.n_cells
 
 
-def test_only_the_penalized_path_builds_the_cell_slot_map():
-    """The VI state and adjoint leave the stencil's cell-to-slot map
-    unbuilt; the first penalized solve builds it."""
-    from obstacle_control.optimize import solve_vi_adjoint
-    mesh = build_mesh(3)
-    q = MatrixControlField.constant(mesh, np.eye(2))
-    f = assemble_load(mesh, manufactured_load)
-    sol = solve_vi(q, f, 0.3)
-    solve_vi_adjoint(q, sol, interpolate(mesh, desired_state))
-    assert "cell_slots" not in vars(mesh.stencil)
-    solve_penalized(q, f, PenaltyConfig(gamma=1e6, psi=0.3))
-    assert "cell_slots" in vars(mesh.stencil)
+@pytest.mark.parametrize("gamma", [1e9, 1e12])
+@pytest.mark.parametrize("level", [3, 5])
+def test_cold_solve_agrees_with_the_warm_ladder(level, gamma):
+    """A cold solve at a large gamma, which walks the internal warm-up,
+    agrees with the warm ladder 1e6 -> 1e9 -> 1e12 of
+    `gamma_continuation`'s legs."""
+    mesh = build_mesh(level)
+    q = initial_control(mesh)
+    f = assemble_load(mesh, load_density)
+    cold = solve_penalized(q, f, PenaltyConfig(gamma=gamma, psi=0.5))
+    assert cold.values.max() > 0.5
+    warm = solve_penalized(q, f, PenaltyConfig(gamma=1e6, psi=0.5))
+    for step in [g for g in (1e9, 1e12) if g <= gamma]:
+        warm = solve_penalized(q, f, PenaltyConfig(gamma=step, psi=0.5),
+                               u0=warm)
+    assert np.abs(cold.values - warm.values).max() <= 1e-12
+
+
+def test_cold_large_gamma_converges_on_a_soft_rough_control(monkeypatch):
+    """A cold solve at gamma = 1e12 on a low-stiffness random control,
+    where the contact is wide, converges at level 7 well inside the Newton
+    cap. Newton started straight from the linear solution needs more steps
+    as the mesh refines and fails here; the warm-up takes about 40 linear
+    solves at every level."""
+    mesh = build_mesh(7)
+    q = random_admissible(mesh, np.random.default_rng(7), q_min=0.5,
+                          q_max=1.5)
+    f = assemble_load(mesh, load_density)
+    solves = []
+    solve = penalty.solve_spd
+
+    def counted(A, b, x0=None):
+        solves.append(b.size)
+        return solve(A, b, x0)
+
+    monkeypatch.setattr(penalty, "solve_spd", counted)
+    u = solve_penalized(q, f, PenaltyConfig(gamma=1e12, psi=0.5))
+    assert len(solves) <= 50
+    assert 0.0 < u.values.max() - 0.5 <= 1e-3
