@@ -13,7 +13,7 @@ stay usable by symmetric solvers. A pinned operator is a `GridSystem`:
 stencil data and the mask of its pinned nodes. It derives the systems
 that pin more nodes or add data on the same stencil, and builds once the
 geometric multigrid preconditioner its solves use, whose coarsest grid
-is factored from a band written straight from stencil data. The
+is factored from a band read off the diagonals of its matrix. The
 consistent mass matrix is a Kronecker product of 1-D masses and is solved
 exactly along the grid axes.
 """
@@ -274,29 +274,6 @@ class StencilPattern:
         out[self.diagonal[mask]] = 1.0
         return self.matrix(out)
 
-    def band(self, data: np.ndarray) -> np.ndarray:
-        """LAPACK upper band storage (kd = n + 2) of the symmetric matrix
-        with this data: the diagonal and the four upper stencil slots, each
-        added as one slice (at level 0 two slots share a diagonal)."""
-        n1 = self.cells_per_side + 1
-        size, kd = n1 * n1, n1 + 1
-        grid = np.zeros(self.valid.shape)
-        grid[self.valid] = data
-        grid = grid.reshape(size, 9)
-        bands = np.zeros((kd + 1, size))
-        for slot, offset in ((4, 0), (5, 1), (6, n1 - 1), (7, n1),
-                             (8, n1 + 1)):
-            bands[kd - offset, offset:] += grid[:size - offset, slot]
-        return bands
-
-    def gather(self, mat: sp.csr_matrix) -> np.ndarray:
-        """Data on this pattern of a CSR matrix; raises DimensionError when
-        the matrix has nonzero entries off the pattern."""
-        data = np.asarray(mat[self.rows, self.indices]).ravel()
-        if np.count_nonzero(data) != mat.count_nonzero():
-            raise DimensionError("matrix entries lie off the stencil")
-        return data
-
 
 class KroneckerMass:
     """Consistent Q1 mass matrix of a structured mesh, solved exactly.
@@ -447,15 +424,14 @@ class GridSystem:
         free coarse node keeps its own free fine node and P'AP stays
         positive definite; pinned coarse nodes get identity rows.
         The coarsest grid (at most 32 cells per side) is solved exactly by
-        banded Cholesky, its band written from stencil data (P'AP of a
-        nine-point operator is nine-point), so below level 6 the V-cycle
-        is a direct solve. Raises SolverError on a nonpositive diagonal
+        banded Cholesky, its band read off the matrix's diagonals (P'AP
+        of a nine-point operator is nine-point), so below level 6 the
+        V-cycle is a direct solve. Raises SolverError on a nonpositive diagonal
         entry and when the coarsest grid's factorization fails.
         """
         mat, pinned, level = self.matrix, self.dirichlet_mask, self.level
         if not np.all(mat.diagonal() > 0.0):
             raise SolverError("matrix has a nonpositive diagonal entry")
-        stencil, data = self.stencil, mat.data
         grids = []
         while level > COARSEST_LEVEL:
             n1 = 2 ** level + 1
@@ -471,12 +447,10 @@ class GridSystem:
                    + sp.diags(coarse.astype(float))).tocsr()
             pinned = coarse
             level -= 1
-        if grids:
-            stencil = StencilPattern(2 ** level)
-            data = stencil.gather(mat)
         try:
-            factor = (cholesky_banded(stencil.band(data), overwrite_ab=True,
-                                      check_finite=False), False)
+            factor = (cholesky_banded(_band(mat, 2 ** level + 1),
+                                      overwrite_ab=True, check_finite=False),
+                      False)
         except np.linalg.LinAlgError as exc:
             raise SolverError("banded Cholesky factorization of the coarsest "
                               f"grid failed: {exc}") from exc
@@ -499,6 +473,17 @@ class GridSystem:
             return e
 
         return vcycle
+
+
+def _band(mat: sp.csr_matrix, n1: int) -> np.ndarray:
+    """LAPACK upper band storage (kd = n1 + 1) of a symmetric nine-point
+    matrix on the n1 x n1 grid nodes, read from its diagonals 0, 1,
+    n1 - 1, n1 and n1 + 1 (at n1 = 2 the second and third coincide)."""
+    kd = n1 + 1
+    bands = np.zeros((kd + 1, mat.shape[0]))
+    for offset in (0, 1, n1 - 1, n1, n1 + 1):
+        bands[kd - offset, offset:] = mat.diagonal(offset)
+    return bands
 
 
 def prolongation(level: int) -> sp.csr_matrix:

@@ -10,7 +10,7 @@ the contact cells alone: every other cell's gap is exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,10 +19,8 @@ from .control import MatrixControlField
 from .errors import DimensionError, NewtonError
 from .fem import GridSystem, ScalarField
 from .linsolve import solve_spd
+from .obstacle import solve_vi
 
-# cold starts at gamma above this run an internal continuation first
-_WARMUP_THRESHOLD = 1e6
-_WARMUP_FACTOR = 1e2
 # the damped Newton step fails below this step length
 _STEP_MIN = 2.0 ** -20
 # Newton steps per solve, and the residual target relative to the load
@@ -39,8 +37,10 @@ class PenaltyConfig:
     psi: float = 0.5
 
     def __post_init__(self):
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and nonnegative")
+        if not self.psi > 0.0:
+            raise ValueError("obstacle psi must be positive")
 
 
 def _contact(mesh, u_vals: np.ndarray, psi: float):
@@ -107,10 +107,13 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
                     u0: Optional[ScalarField] = None) -> ScalarField:
     """Solve K_q u + gamma*max(u-psi,0)^3 = f by damped Newton.
 
-    A cold start at large gamma first walks an internal geometric
-    continuation (decades below gamma) so the final Newton leg starts close;
-    passing u0 skips the warm-up entirely. At gamma = 0 the penalty term
-    and its Jacobian vanish, and Newton solves the linear equation.
+    A cold start (no u0) begins Newton at the obstacle solution for the
+    same coefficient, `solve_vi(q, f_load, cfg.psi).u`, the limit of the
+    penalized states as gamma grows. That solve's nested active-set start
+    keeps its sweep count flat under refinement, and so does Newton's step
+    count from there, at a large gamma as at a small one. At gamma = 0 the
+    penalty term and its Jacobian vanish, and Newton solves the linear
+    equation.
 
     Parameters
     ----------
@@ -126,17 +129,8 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
         raise DimensionError("coefficient lives on a different mesh")
     K = q.stiffness
     rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
-    if u0 is None:
-        # a system of its own: its set-up dies with this solve, not with q
-        u, _ = solve_spd(K.pin(mesh.boundary_mask), rhs)
-        if cfg.gamma > _WARMUP_THRESHOLD:
-            g = _WARMUP_THRESHOLD
-            while g < cfg.gamma:
-                u = _newton(mesh, K, rhs, replace(cfg, gamma=g), u)
-                g *= _WARMUP_FACTOR
-    else:
-        u = u0.values.copy()
-    return ScalarField(mesh, _newton(mesh, K, rhs, cfg, u))
+    u = solve_vi(q, f_load, cfg.psi).u if u0 is None else u0
+    return ScalarField(mesh, _newton(mesh, K, rhs, cfg, u.values))
 
 
 def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,

@@ -9,7 +9,6 @@ from scipy.linalg import cholesky_banded
 from obstacle_control import (
     CapacityError,
     CoefficientError,
-    DimensionError,
     MatrixControlField,
     NonFiniteError,
     ScalarField,
@@ -593,11 +592,12 @@ def test_pin_matches_keep_product(level):
         assert pinned.has_sorted_indices
 
 
-def assert_band_matches_scatter(stencil, data, reference):
-    """The stencil-slot band of data, and its banded Cholesky factor, are
-    bitwise those of the coordinate scatter of the reference matrix."""
-    band = stencil.band(data)
-    want = scatter_band(reference, stencil.cells_per_side + 2)
+def assert_band_matches_scatter(mat, n1, reference):
+    """The band read off the diagonals of the nine-point matrix mat on the
+    n1 x n1 grid, and its banded Cholesky factor, are bitwise those of the
+    coordinate scatter of the reference matrix."""
+    band = fem._band(mat, n1)
+    want = scatter_band(reference, n1 + 1)
     assert np.array_equal(band, want)
     assert np.array_equal(cholesky_banded(band, check_finite=False),
                           cholesky_banded(want, check_finite=False))
@@ -605,19 +605,19 @@ def assert_band_matches_scatter(stencil, data, reference):
 
 @pytest.mark.parametrize("level", range(0, 6))
 def test_stencil_band_matches_coordinate_scatter(level):
-    """The band of unpinned (singular, so not factored) stiffness data,
-    where at level 0 two slots share a diagonal, and the band and factor
-    of three random pins."""
+    """The band of an unpinned (singular, so not factored) stiffness
+    matrix, where at level 0 two stencil slots share a diagonal, and the
+    band and factor of three random pins."""
     mesh = build_mesh(level)
     rng = np.random.default_rng(SEED + 9 + level)
     K = assemble_stiffness(mesh, random_admissible(mesh, rng))
     raw = mesh.stencil.matrix(K.data)
-    assert np.array_equal(mesh.stencil.band(K.data),
-                          scatter_band(raw, mesh.cells_per_side + 2))
+    n1 = mesh.cells_per_side + 1
+    assert np.array_equal(fem._band(raw, n1), scatter_band(raw, n1 + 1))
     for _ in range(3):
         system = K.pin(rng.random(mesh.n_nodes) < 0.3)
         assert_band_matches_scatter(
-            mesh.stencil, system.matrix.data,
+            system.matrix, n1,
             compacted_pin(mesh.stencil, K.data, system.dirichlet_mask))
 
 
@@ -640,36 +640,29 @@ def galerkin_reference(system):
 
 
 def test_galerkin_band_matches_coordinate_scatter(monkeypatch):
-    """A level-7 system pinned on a contact disc: its coarsest Galerkin
-    operator, read back onto the level-5 stencil, gives the band and the
-    factor of the coordinate scatter of the reference hierarchy's."""
-    mesh = build_mesh(7)
-    x, y = mesh.nodes.T
-    K = assemble_stiffness(
-        mesh, random_admissible(mesh, np.random.default_rng(SEED + 15)))
-    system = K.pin((x - 0.4) ** 2 + y ** 2 < 0.1)
-    bands = []
-    band = fem.StencilPattern.band
+    """Systems at levels 6-8 pinned on a contact disc: the band read off
+    each coarsest Galerkin operator, on the level-5 grid, and the band's
+    factor are those of the coordinate scatter of the reference
+    hierarchy's."""
+    mats = []
+    band = fem._band
 
-    def recorded(stencil, data):
-        bands.append((stencil, data))
-        return band(stencil, data)
+    def recorded(mat, n1):
+        mats.append((mat, n1))
+        return band(mat, n1)
 
-    monkeypatch.setattr(fem.StencilPattern, "band", recorded)
-    assert system.multigrid is system.multigrid
-    (stencil, data), = bands
-    assert stencil.cells_per_side == 2 ** COARSEST_LEVEL
-    assert_band_matches_scatter(stencil, data, galerkin_reference(system))
-
-
-def test_gather_refuses_entries_off_the_stencil():
-    stencil = build_mesh(2).stencil
-    data = np.arange(1.0, stencil.nnz + 1.0)
-    assert np.array_equal(stencil.gather(stencil.matrix(data)), data)
-    off = sp.lil_matrix(stencil.shape)
-    off[0, 2] = 1.0
-    with pytest.raises(DimensionError, match="off the stencil"):
-        stencil.gather(off.tocsr())
+    monkeypatch.setattr(fem, "_band", recorded)
+    for level in (6, 7, 8):
+        mesh = build_mesh(level)
+        x, y = mesh.nodes.T
+        K = assemble_stiffness(
+            mesh, random_admissible(mesh, np.random.default_rng(SEED + 15)))
+        system = K.pin((x - 0.4) ** 2 + y ** 2 < 0.1)
+        mats.clear()
+        assert system.multigrid is system.multigrid
+        (mat, n1), = mats
+        assert n1 == 2 ** COARSEST_LEVEL + 1
+        assert_band_matches_scatter(mat, n1, galerkin_reference(system))
 
 
 @pytest.mark.parametrize("level", [1, 3])

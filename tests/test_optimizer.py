@@ -291,7 +291,8 @@ def test_gamma_continuation_monotone_distances():
 
 def _count_penalty_solves(monkeypatch):
     """A list whose length is the number of linear solves made by the
-    penalty module from now on (Newton steps, cold starts, adjoints)."""
+    penalty module and by the VI solves of its cold starts from now on
+    (Newton steps, adjoints, PDAS sweeps)."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -299,14 +300,16 @@ def _count_penalty_solves(monkeypatch):
         return solve_spd(*args, **kwargs)
 
     monkeypatch.setattr(penalty, "solve_spd", counted)
+    monkeypatch.setattr(obstacle, "solve_spd", counted)
     return calls
 
 
 def test_gamma_continuation_warm_legs_match_cold_starts(monkeypatch):
     """Starting each leg's first state solve from the previous leg's state
     keeps every leg's iterations and the table within 1e-10, with fewer
-    penalized solves than starting each leg cold."""
-    mesh = build_mesh(3)
+    penalized-path solves than starting each leg cold from the VI state
+    (at level 5; at level 3 warm legs take one solve more)."""
+    mesh = build_mesh(5)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
     opt = LoopConfig(max_iters=5000)
@@ -332,7 +335,7 @@ def test_gamma_continuation_warm_legs_match_cold_starts(monkeypatch):
 
 def test_gamma_continuation_jumps_to_a_large_gamma():
     """A warm leg converges from the state at gamma = 1 straight to
-    gamma = 1e12, without the cold start's internal warm-up."""
+    gamma = 1e12."""
     mesh = build_mesh(4)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
@@ -507,7 +510,7 @@ def test_vi_adjoint_reuses_the_last_sweeps_set_up(monkeypatch, tmp_path):
     multigrid (one band each, below level 6) only for its 14 PDAS sweeps:
     every VI adjoint solves its state's last sweep's system again."""
     counts = {"solves": 0, "set-ups": 0}
-    solve_grid, band = linsolve._solve_grid, fem.StencilPattern.band
+    solve_grid, band = linsolve._solve_grid, fem._band
 
     def counted_solve(*args):
         counts["solves"] += 1
@@ -518,7 +521,7 @@ def test_vi_adjoint_reuses_the_last_sweeps_set_up(monkeypatch, tmp_path):
         return band(*args)
 
     monkeypatch.setattr(linsolve, "_solve_grid", counted_solve)
-    monkeypatch.setattr(fem.StencilPattern, "band", counted_band)
+    monkeypatch.setattr(fem, "_band", counted_band)
     run_example1(load_config(None, [], output_dir=str(tmp_path), level=3))
     assert counts == {"solves": 23, "set-ups": 14}
 

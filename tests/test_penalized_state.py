@@ -33,26 +33,45 @@ GAMMAS = (1e0, 1e3, 1e6, 1e9, 1e12)
 Q_INIT = [[2.0, -1.0], [-1.0, 2.0]]
 
 
-@pytest.mark.parametrize("gamma", [-1.0, float("nan")])
+@pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
 def test_penalty_weight_must_be_nonnegative(gamma):
+    """A finite gamma >= 0; at gamma = inf the Newton line search would
+    only report hitting its step floor."""
     with pytest.raises(ValueError, match="gamma"):
         PenaltyConfig(gamma=gamma)
 
 
+@pytest.mark.parametrize("psi", [float("nan"), 0.0, -0.5])
+def test_obstacle_must_be_positive(psi):
+    """As `solve_vi` and the experiment config refuse it."""
+    with pytest.raises(ValueError, match="psi must be positive"):
+        PenaltyConfig(gamma=1e3, psi=psi)
+
+
 def test_gamma_zero_is_linear_solve():
+    """At gamma = 0 the penalty vanishes and Newton solves the linear
+    equation. Where the obstacle is out of reach the cold start, the VI
+    solve, is one sweep and that sweep is the stiffness solve, so the
+    state is its bits; where there is contact Newton moves the VI state
+    to the linear solution."""
     mesh = build_mesh(3)
     q = MatrixControlField.constant(mesh, Q_INIT)
     f = assemble_load(mesh, manufactured_load)
-    u = solve_penalized(q, f, PenaltyConfig(gamma=0.0))
     K = assemble_stiffness(mesh, q)
     expected, _ = solve_spd(K, f.values)
+    u = solve_penalized(q, f, PenaltyConfig(gamma=0.0, psi=1e6))
     assert np.array_equal(u.values, expected)
+    assert solve_vi(q, f, 0.5).active_set.any()
+    u = solve_penalized(q, f, PenaltyConfig(gamma=0.0))
+    rhs = np.where(mesh.boundary_mask, 0.0, f.values)
+    exact = spla.spsolve(K.matrix.tocsc(), rhs)
+    assert np.abs(u.values - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_cold_start_leaves_no_set_up_on_the_control():
-    """The linear solve that starts a cold solve sets up a system of its
-    own: the control's stiffness, which lives as long as the control,
-    keeps no multigrid."""
+    """The VI solve that starts a cold solve sets up systems of its own:
+    the control's stiffness, which lives as long as the control, keeps no
+    multigrid."""
     mesh = build_mesh(3)
     q = MatrixControlField.constant(mesh, Q_INIT)
     f = assemble_load(mesh, manufactured_load)
@@ -247,7 +266,7 @@ def test_contact_kernels_equal_the_full_grid_kernels(level, kind):
 @pytest.mark.parametrize("gamma", [1e9, 1e12])
 @pytest.mark.parametrize("level", [3, 5])
 def test_cold_solve_agrees_with_the_warm_ladder(level, gamma):
-    """A cold solve at a large gamma, which walks the internal warm-up,
+    """A cold solve at a large gamma, which starts from the VI state,
     agrees with the warm ladder 1e6 -> 1e9 -> 1e12 of
     `gamma_continuation`'s legs."""
     mesh = build_mesh(level)
@@ -262,16 +281,10 @@ def test_cold_solve_agrees_with_the_warm_ladder(level, gamma):
     assert np.abs(cold.values - warm.values).max() <= 1e-12
 
 
-def test_cold_large_gamma_converges_on_a_soft_rough_control(monkeypatch):
-    """A cold solve at gamma = 1e12 on a low-stiffness random control,
-    where the contact is wide, converges at level 7 well inside the Newton
-    cap. Newton started straight from the linear solution needs more steps
-    as the mesh refines and fails here; the warm-up takes about 40 linear
-    solves at every level."""
-    mesh = build_mesh(7)
-    q = random_admissible(mesh, np.random.default_rng(7), q_min=0.5,
-                          q_max=1.5)
-    f = assemble_load(mesh, load_density)
+def _count_newton_solves(monkeypatch):
+    """A list whose length is the number of linear solves made by the
+    penalty module from now on: Newton steps and adjoints, not the
+    sweeps of the VI solve that starts a cold solve."""
     solves = []
     solve = penalty.solve_spd
 
@@ -280,6 +293,41 @@ def test_cold_large_gamma_converges_on_a_soft_rough_control(monkeypatch):
         return solve(A, b, x0)
 
     monkeypatch.setattr(penalty, "solve_spd", counted)
+    return solves
+
+
+@pytest.mark.parametrize("gamma", [1e9, 1e12])
+@pytest.mark.parametrize("control", ["default", "soft"])
+@pytest.mark.parametrize("level", range(3, 8))
+def test_cold_large_gamma_newton_count_stays_flat(monkeypatch, level,
+                                                   control, gamma):
+    """Newton from the VI state takes at most 10 linear solves at every
+    level, on the default control and on a low-stiffness random one."""
+    mesh = build_mesh(level)
+    if control == "default":
+        q = initial_control(mesh)
+    else:
+        q = random_admissible(mesh, np.random.default_rng(8), q_min=0.5,
+                              q_max=1.5)
+    f = assemble_load(mesh, load_density)
+    solves = _count_newton_solves(monkeypatch)
+    u = solve_penalized(q, f, PenaltyConfig(gamma=gamma, psi=0.5))
+    assert len(solves) <= 10
+    assert u.values.max() > 0.5
+
+
+def test_cold_large_gamma_converges_on_a_soft_rough_control(monkeypatch):
+    """A cold solve at gamma = 1e12 on a low-stiffness random control,
+    where the contact is wide, converges at level 7 in at most 10 Newton
+    steps. Newton started straight from the linear solution needs more
+    steps as the mesh refines and fails here; a continuation in gamma
+    from the linear solution takes about 40 linear solves at every
+    level."""
+    mesh = build_mesh(7)
+    q = random_admissible(mesh, np.random.default_rng(7), q_min=0.5,
+                          q_max=1.5)
+    f = assemble_load(mesh, load_density)
+    solves = _count_newton_solves(monkeypatch)
     u = solve_penalized(q, f, PenaltyConfig(gamma=1e12, psi=0.5))
-    assert len(solves) <= 50
+    assert len(solves) <= 10
     assert 0.0 < u.values.max() - 0.5 <= 1e-3
