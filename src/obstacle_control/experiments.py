@@ -24,7 +24,8 @@ import numpy as np
 
 from .control import MatrixControlField, check_admissible, control_inner
 from .errors import ConfigError
-from .fem import ScalarField, build_mesh, l2_error_vs_function, l2_norm
+from .fem import MAX_LEVEL, ScalarField, build_mesh, \
+    l2_error_vs_function, l2_norm
 from .obstacle import VISolution, complementarity_residuals, solve_vi
 from .optimize import LoopConfig, ObjectiveConfig, OptResult, \
     gamma_continuation, objective_value, reduced_gradient, \
@@ -71,10 +72,11 @@ class ExperimentConfig:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in entries):
                 raise ConfigError(f"{f.name} must be finite")
-        if self.level < 1:
-            raise ConfigError("level must be at least 1")
-        if not self.levels or any(l < 1 for l in self.levels):
-            raise ConfigError("levels must be positive integers")
+        if not 1 <= self.level <= MAX_LEVEL:
+            raise ConfigError(f"level must lie between 1 and {MAX_LEVEL}")
+        if not self.levels or any(not 1 <= l <= MAX_LEVEL
+                                  for l in self.levels):
+            raise ConfigError(f"levels must lie between 1 and {MAX_LEVEL}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ConfigError("levels must be strictly increasing")
         if self.alpha <= 0.0:
@@ -430,7 +432,7 @@ def _difference_quotients(cfg: ExperimentConfig, obj: ObjectiveConfig,
         d = _random_direction(mesh, rng, scale=0.1)
         if not check_admissible(q0 + d, cfg.q_min, cfg.q_max).admissible:
             d = 0.5 * d
-        load = direction_load(q0, d, sol.u)
+        load = direction_load(d, sol.u)
         ut = cone_derivative(q0, load, cone)
         errs = []
         for t in _QUOTIENT_STEPS:

@@ -3,19 +3,19 @@
 Uniform quadrilateral meshes at dyadic refinement levels, bilinear shape
 functions with 2x2 Gauss quadrature, and assembly of the sparse operators
 used throughout the package: stiffness with a symmetric 2x2 matrix
-coefficient, consistent and lumped mass, and load vectors. Every operator
-on a mesh shares one cached CSR pattern of the nine-point stencil, and
-one scatter of per-cell matrices writes their data. Homogeneous Dirichlet
-conditions, and every other pinned node, are imposed by symmetric
-row/column elimination with identity diagonal (a mask on that data, whose
-eliminated entries stay on the shared pattern as zeros), so all operators
-stay usable by symmetric solvers. A pinned operator is a `GridSystem`:
-stencil data and the mask of its pinned nodes. It derives the systems
-that pin more nodes or add data on the same stencil, and builds once the
-geometric multigrid preconditioner its solves use, whose coarsest grid
-is factored from a band read off the diagonals of its matrix. The
-consistent mass matrix is a Kronecker product of 1-D masses and is solved
-exactly along the grid axes.
+coefficient, consistent and lumped mass, and load vectors. The mesh owns
+the CSR pattern of its nine-point stencil, which every operator on it
+shares, and one scatter of per-cell matrices writes their data. Homogeneous
+Dirichlet conditions, and every other pinned node, are imposed by
+symmetric row/column elimination with identity diagonal (a mask on that
+data, whose eliminated entries stay on the shared pattern as zeros), so
+all operators stay usable by symmetric solvers. A pinned operator is a
+`GridSystem`: its mesh, stencil data and the mask of its pinned nodes. It
+derives the systems that pin more nodes or add data on the same mesh, and
+builds once the geometric multigrid preconditioner its solves use, whose
+coarsest grid is factored from a band read off the diagonals of its
+matrix. The consistent mass matrix is a Kronecker product of 1-D masses
+and is solved exactly along the grid axes.
 """
 
 from __future__ import annotations
@@ -76,6 +76,15 @@ class StructuredMesh:
     coordinates (-1 + i*h, -1 + j*h). Cells store their four corner nodes
     counter-clockwise. All arrays are frozen after construction.
 
+    The mesh also owns the CSR pattern of the Q1 nine-point stencil, which
+    every operator assembled on it shares: node (i, j) couples to
+    (i+di, j+dj) for di, dj in {-1, 0, 1}, slot 3*(dj+1) + (di+1) of the
+    (n+1, n+1, 9) slot grid that `assemble` writes. Gathering the slots
+    whose neighbour exists (`valid`), in row-major order, gives the CSR
+    data (`nnz` entries) with sorted column indices; `rows` holds each
+    entry's row and `diagonal` each row's diagonal entry. `csr` and
+    `pinned` build a matrix of data on it, so sums and pinning act on data.
+
     Attributes
     ----------
     level : int
@@ -107,10 +116,24 @@ class StructuredMesh:
         ii, jj = np.meshgrid(np.arange(n), np.arange(n))
         v0 = (jj * n1 + ii).ravel()
         self.cells = np.column_stack([v0, v0 + 1, v0 + n1 + 1, v0 + n1])
-        i_idx, j_idx = np.meshgrid(np.arange(n1), np.arange(n1))
-        onb = (i_idx == 0) | (i_idx == n) | (j_idx == 0) | (j_idx == n)
-        self.boundary_mask = onb.ravel()
-        for arr in (self.nodes, self.cells, self.boundary_mask):
+        jj, ii = np.divmod(np.arange(n1 * n1), n1)
+        self.boundary_mask = (ii == 0) | (ii == n) | (jj == 0) | (jj == n)
+        dj, di = np.divmod(np.arange(9), 3)
+        nbr_i = ii[:, None] + di - 1
+        nbr_j = jj[:, None] + dj - 1
+        valid = (nbr_i >= 0) & (nbr_i <= n) & (nbr_j >= 0) & (nbr_j <= n)
+        counts = valid.sum(axis=1)
+        self.valid = valid.reshape(n1, n1, 9)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(
+            np.int32)
+        self.indices = (nbr_j * n1 + nbr_i)[valid].astype(np.int32)
+        self.nnz = self.indices.shape[0]
+        self.rows = np.repeat(np.arange(n1 * n1, dtype=np.int32), counts)
+        # position in the data of each row's diagonal (slot 4, always there)
+        self.diagonal = (np.cumsum(valid, axis=1) - 1)[:, 4] \
+            + self.indptr[:-1]
+        for arr in (self.nodes, self.cells, self.boundary_mask, self.valid,
+                    self.indptr, self.indices, self.rows, self.diagonal):
             arr.flags.writeable = False
 
     @property
@@ -136,11 +159,6 @@ class StructuredMesh:
         grads = _shape_gradients(xi, eta) * (2.0 / self.h)
         scale = self.h * self.h / 4.0
         return shape, grads, scale
-
-    @cached_property
-    def stencil(self) -> "StencilPattern":
-        """Shared CSR pattern of every assembled operator on this mesh."""
-        return StencilPattern(self.cells_per_side)
 
     def at_quadrature(self, values: np.ndarray, cells=None) -> np.ndarray:
         """Nodal values (n_nodes, ...) interpolated to the 2x2 Gauss points
@@ -179,8 +197,8 @@ class StructuredMesh:
     def assemble(self, local: np.ndarray, cells=None) -> np.ndarray:
         """Stencil data, unpinned, of per-cell 4x4 matrices (k, 4, 4), or
         one (4, 4), on the given cells (every cell when None): entry (a, b)
-        adds to slot _SLOTS[a, b] of node a on the (n+1)^2 x 9 slot grid of
-        `StencilPattern`, by one bincount in increasing cell order."""
+        adds to slot _SLOTS[a, b] of node a on the (n+1)^2 x 9 slot grid,
+        by one bincount in increasing cell order."""
         nodes = self.cells if cells is None else self.cells[cells]
         # np.broadcast_to gives a read-only view, which bincount would copy
         index, weights = np.broadcast_arrays(9 * nodes[:, :, None] + _SLOTS,
@@ -188,7 +206,7 @@ class StructuredMesh:
         grid = np.bincount(index.ravel(), weights.ravel(),
                            minlength=9 * self.n_nodes)
         del index  # the largest array here goes before the gather allocates
-        return grid[self.stencil.valid.ravel()]
+        return grid[self.valid.ravel()]
 
     def mass_data(self, weight: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Stencil data, unpinned, of the mass matrix weighted by a density
@@ -201,7 +219,7 @@ class StructuredMesh:
     def mass_matrix(self) -> sp.csr_matrix:
         """Consistent mass matrix, no boundary elimination."""
         shape, _, scale = self._reference
-        return self.stencil.matrix(self.assemble(scale * (shape.T @ shape)))
+        return self.csr(self.assemble(scale * (shape.T @ shape)))
 
     @cached_property
     def mass_operator(self) -> "KroneckerMass":
@@ -213,66 +231,26 @@ class StructuredMesh:
         """Row sums of the consistent mass matrix (all positive for Q1)."""
         return np.asarray(self.mass_matrix.sum(axis=1)).ravel()
 
-    def __repr__(self) -> str:
-        return f"StructuredMesh(level={self.level})"
-
-
-class StencilPattern:
-    """CSR pattern of the Q1 nine-point stencil on a structured mesh.
-
-    Node (i, j) couples to (i+di, j+dj) for di, dj in {-1, 0, 1}. A matrix
-    on the mesh is held as an (n+1, n+1, 9) grid of stencil weights with
-    slot 3*(dj+1) + (di+1), which `StructuredMesh.assemble` writes;
-    gathering the slots whose neighbour exists (`valid`), in row-major
-    order, gives the CSR data with sorted column indices. Every
-    operator assembled on one mesh shares `indptr` and `indices` (both
-    read-only), so sums and row pinning act on `.data` alone.
-    """
-
-    def __init__(self, cells_per_side: int):
-        n = cells_per_side
-        n1 = n + 1
-        jj, ii = np.divmod(np.arange(n1 * n1), n1)
-        dj, di = np.divmod(np.arange(9), 3)
-        nbr_i = ii[:, None] + di - 1
-        nbr_j = jj[:, None] + dj - 1
-        valid = (nbr_i >= 0) & (nbr_i <= n) & (nbr_j >= 0) & (nbr_j <= n)
-        counts = valid.sum(axis=1)
-        self.cells_per_side = n
-        self.shape = (n1 * n1, n1 * n1)
-        self.valid = valid.reshape(n1, n1, 9)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(
-            np.int32)
-        self.indices = (nbr_j * n1 + nbr_i)[valid].astype(np.int32)
-        self.rows = np.repeat(np.arange(n1 * n1, dtype=np.int32), counts)
-        # position in .data of each row's diagonal (slot 4, always present)
-        self.diagonal = (np.cumsum(valid, axis=1) - 1)[:, 4] \
-            + self.indptr[:-1]
-        for arr in (self.valid, self.indptr, self.indices, self.rows,
-                    self.diagonal):
-            arr.flags.writeable = False
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.shape[0]
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """CSR matrix with the given data on this pattern."""
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """CSR matrix with the given data on this mesh's pattern."""
         if data.shape != (self.nnz,):
             raise DimensionError(
                 f"expected {self.nnz} stencil entries, got {data.shape}")
         return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
+                             shape=(self.n_nodes, self.n_nodes))
 
     def pinned(self, data: np.ndarray, mask: np.ndarray) -> sp.csr_matrix:
         """CSR matrix of data with the rows and columns flagged by mask set
-        to identity, on this shared pattern: the pinned entries stay as
-        explicit zeros, which leave every matrix-vector product's bits
+        to identity, on this mesh's shared pattern: the pinned entries stay
+        as explicit zeros, which leave every matrix-vector product's bits
         as they are."""
         pinned = np.take(mask, self.rows) | np.take(mask, self.indices)
         out = np.where(pinned, 0.0, data)
         out[self.diagonal[mask]] = 1.0
-        return self.matrix(out)
+        return self.csr(out)
+
+    def __repr__(self) -> str:
+        return f"StructuredMesh(level={self.level})"
 
 
 class KroneckerMass:
@@ -364,49 +342,47 @@ _L1_CAP = 1.8
 
 @dataclass(frozen=True)
 class GridSystem:
-    """SPD system on the nine-point stencil of the (2^L + 1)^2 grid nodes.
+    """SPD system on the nine-point stencil of a mesh's (2^L + 1)^2 nodes.
 
-    Held as stencil data, unpinned, and the mask of the nodes it pins
-    (boundary nodes, and whatever else a solver pins). Its `matrix` has
-    identity rows and columns there, on the stencil's shared pattern;
-    `solve_spd` zeroes the right-hand side there, so the solution is
-    exactly zero on them, and solves the rest by conjugate gradients
-    preconditioned with the geometric multigrid V-cycle of `multigrid`,
-    both cached: one set-up per system. `pin` and `plus` derive the
-    systems the solvers need from one stiffness: each keeps every node its
-    source pins.
+    Held as its mesh, stencil data on the mesh's pattern, unpinned, and
+    the boolean mask of the nodes it pins (boundary nodes, and whatever
+    else a solver pins). Its `matrix` has identity rows and columns there,
+    on the mesh's shared pattern; `solve_spd` zeroes the right-hand side
+    there, so the solution is exactly zero on them, and solves the rest by
+    conjugate gradients preconditioned with the geometric multigrid
+    V-cycle of `multigrid`, both cached: one set-up per system. `pin` and
+    `plus` derive the systems the solvers need from one stiffness, on its
+    mesh: each keeps every node its source pins.
     """
 
-    stencil: StencilPattern
+    mesh: StructuredMesh
     data: np.ndarray
     dirichlet_mask: np.ndarray
 
     def __post_init__(self):
-        if self.data.shape != (self.stencil.nnz,) \
-                or self.dirichlet_mask.shape != (self.stencil.shape[0],):
+        if self.dirichlet_mask.dtype != bool:
+            raise TypeError("a grid system's mask must be boolean, not "
+                            f"{self.dirichlet_mask.dtype}")
+        if self.data.shape != (self.mesh.nnz,) \
+                or self.dirichlet_mask.shape != (self.mesh.n_nodes,):
             raise DimensionError(
                 "a grid system is data on a mesh's stencil with a mask of "
                 "its nodes")
 
-    @property
-    def level(self) -> int:
-        """The refinement level L of the stencil's grid."""
-        return self.stencil.cells_per_side.bit_length() - 1
-
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The pinned CSR matrix on the stencil's shared pattern."""
-        return self.stencil.pinned(self.data, self.dirichlet_mask)
+        """The pinned CSR matrix on the mesh's shared pattern."""
+        return self.mesh.pinned(self.data, self.dirichlet_mask)
 
     def pin(self, mask: np.ndarray) -> "GridSystem":
         """This system with the nodes of mask pinned too, on the same
         data."""
-        return GridSystem(self.stencil, self.data, self.dirichlet_mask | mask)
+        return GridSystem(self.mesh, self.data, self.dirichlet_mask | mask)
 
     def plus(self, data: np.ndarray) -> "GridSystem":
-        """The system of the sum with other data on the stencil, pinned on
-        the same nodes."""
-        return GridSystem(self.stencil, self.data + data, self.dirichlet_mask)
+        """The system of the sum with other data on the mesh, pinned on the
+        same nodes."""
+        return GridSystem(self.mesh, self.data + data, self.dirichlet_mask)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -429,7 +405,7 @@ class GridSystem:
         V-cycle is a direct solve. Raises SolverError on a nonpositive diagonal
         entry and when the coarsest grid's factorization fails.
         """
-        mat, pinned, level = self.matrix, self.dirichlet_mask, self.level
+        mat, pinned, level = self.matrix, self.dirichlet_mask, self.mesh.level
         if not np.all(mat.diagonal() > 0.0):
             raise SolverError("matrix has a nonpositive diagonal entry")
         grids = []
@@ -532,7 +508,7 @@ def assemble_stiffness(mesh: StructuredMesh,
     # the Gauss-point coefficient goes before the scatter builds its index
     del qg, q11, q22, q12
     data = mesh.assemble(ke.reshape(mesh.n_cells, 4, 4))
-    return GridSystem(mesh.stencil, data, mesh.boundary_mask)
+    return GridSystem(mesh, data, mesh.boundary_mask)
 
 
 def assemble_load(mesh: StructuredMesh, f: Callable) -> ScalarField:

@@ -1,9 +1,9 @@
 """Symmetric positive definite solves on a structured mesh.
 
 `solve_spd` takes one of the two operators the package builds. Every
-system assembled on a mesh's nine-point stencil is a `GridSystem`: the
-Dirichlet stiffness K of a control, the active-set, VI-adjoint and cone
-systems that pin more of its nodes (`K.pin`), and the Newton/adjoint
+system on a mesh's nine-point stencil is a `GridSystem` holding that mesh:
+the Dirichlet stiffness K of a control, the active-set, VI-adjoint and
+cone systems that pin more of its nodes (`K.pin`), and the Newton/adjoint
 matrices K + D (`K.plus`). Conjugate gradients solve it to
 ||Ax - b|| <= 1e-12 ||b|| with a geometric multigrid V-cycle as
 preconditioner, whose coarsest grid (at most 32 cells per side) is an

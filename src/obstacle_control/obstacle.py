@@ -29,8 +29,8 @@ import numpy as np
 
 from .control import MatrixControlField
 from .errors import DimensionError, NonconvergenceError
-from .fem import COARSEST_LEVEL, GridSystem, ScalarField, StructuredMesh, \
-    build_mesh, prolongation
+from .fem import COARSEST_LEVEL, GridSystem, ScalarField, build_mesh, \
+    prolongation
 from .linsolve import solve_spd
 
 # an active node is strongly active when its multiplier exceeds this
@@ -60,21 +60,21 @@ class VISolution:
     system: GridSystem
 
 
-def pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
-                      rhs: np.ndarray, upper: np.ndarray,
-                      active0: Optional[np.ndarray] = None,
-                      u0: Optional[np.ndarray] = None):
+def pdas_bound_solve(K: GridSystem, rhs: np.ndarray, upper: np.ndarray,
+                     active0: Optional[np.ndarray] = None,
+                     u0: Optional[np.ndarray] = None):
     """Primal-dual active set loop for min 1/2 u'Ku - rhs'u, u <= upper.
 
     The nodes K pins are held at zero throughout (Dirichlet nodes and,
     for cone problems, strongly-active nodes); each sweep solves K pinned
     at its active nodes too. The upper bound applies wherever `upper` is
-    finite; +inf entries are unconstrained. K must be assembled on
-    `mesh`. The loop starts from the active set `active0` (default empty)
-    and the first sweep's CG from `u0` (default zero); each later sweep's
-    CG starts from the state of the one before. Returns (u, lam, active,
-    iterations, system): lam the lumped multiplier, on the final active
-    set, and system the last sweep's K.pin(active), with its set-up.
+    finite; +inf entries are unconstrained. The multiplier is lumped with
+    the mass of K's mesh. The loop starts from the active set `active0`
+    (default empty) and the first sweep's CG from `u0` (default zero);
+    each later sweep's CG starts from the state of the one before. Returns
+    (u, lam, active, iterations, system): lam the lumped multiplier, on
+    the final active set, and system the last sweep's K.pin(active), with
+    its set-up.
     """
     n = rhs.shape[0]
     constrained = np.isfinite(upper) & ~K.dirichlet_mask
@@ -83,7 +83,7 @@ def pdas_bound_solve(mesh: StructuredMesh, K: GridSystem,
         active = active0 & constrained
     seen = {active.tobytes()}
     u = np.zeros(n) if u0 is None else u0
-    m_lump = mesh.lumped_mass
+    m_lump = K.mesh.lumped_mass
     for it in range(1, _MAX_ITERS + 1):
         u_fix = np.where(active, upper, 0.0)
         # the free part solves the system pinned at the active nodes too,
@@ -179,7 +179,7 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
         active0, u0 = _nested_start(q, f_load, psi)
     upper = np.full(mesh.n_nodes, psi)
     u, lam, active, its, system = pdas_bound_solve(
-        mesh, K, f_load.values, upper, active0, u0)
+        K, f_load.values, upper, active0, u0)
     f_norm = _load_density_norm(f_load, mesh.lumped_mass)
     strong = active & (lam > _ACTIVE_TOL * max(f_norm, 1e-300))
     return VISolution(ScalarField(mesh, u), ScalarField(mesh, lam),

@@ -67,8 +67,9 @@ def _penalty_jacobian(mesh, cells, gap, gamma: float) -> np.ndarray:
     return mesh.mass_data(3.0 * gamma * gap ** 2, cells)
 
 
-def _newton(mesh, K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
+def _newton(K: GridSystem, rhs: np.ndarray, cfg: PenaltyConfig,
             u0: np.ndarray) -> np.ndarray:
+    mesh = K.mesh
     f_scale = max(float(np.linalg.norm(rhs)), 1e-300)
     u = np.where(mesh.boundary_mask, 0.0, u0)
     contact = _contact(mesh, u, cfg.psi)
@@ -127,10 +128,9 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
     mesh = f_load.mesh
     if q.mesh is not mesh:
         raise DimensionError("coefficient lives on a different mesh")
-    K = q.stiffness
     rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
     u = solve_vi(q, f_load, cfg.psi).u if u0 is None else u0
-    return ScalarField(mesh, _newton(mesh, K, rhs, cfg, u.values))
+    return ScalarField(mesh, _newton(q.stiffness, rhs, cfg, u.values))
 
 
 def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,

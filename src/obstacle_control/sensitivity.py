@@ -50,13 +50,12 @@ def build_critical_cone(sol: VISolution) -> CriticalCone:
     return CriticalCone(zero, nonpos, free)
 
 
-def direction_load(q: MatrixControlField, d: MatrixControlField,
-                   u: ScalarField) -> np.ndarray:
+def direction_load(d: MatrixControlField, u: ScalarField) -> np.ndarray:
     """Right side -(d grad u, grad phi) of the derivative VI along d; its
     boundary rows are those of the pinned system, which no solve reads."""
-    if d.mesh is not q.mesh or u.mesh is not q.mesh:
+    if d.mesh is not u.mesh:
         raise DimensionError("direction and solution must share the mesh")
-    return -(assemble_stiffness(q.mesh, d) @ u.values)
+    return -(assemble_stiffness(d.mesh, d) @ u.values)
 
 
 def directional_derivative(q: MatrixControlField, d: MatrixControlField,
@@ -66,7 +65,9 @@ def directional_derivative(q: MatrixControlField, d: MatrixControlField,
     the cone derivative of its direction_load, positively homogeneous in
     d. The theory reads d as a feasible perturbation (q + d admissible);
     that is the caller's precondition, the solve only needs q elliptic."""
-    return cone_derivative(q, direction_load(q, d, sol.u), cone)
+    if q.mesh is not sol.u.mesh:
+        raise DimensionError("coefficient lives on a different mesh")
+    return cone_derivative(q, direction_load(d, sol.u), cone)
 
 
 def cone_derivative(q: MatrixControlField, load: np.ndarray,
@@ -80,8 +81,7 @@ def cone_derivative(q: MatrixControlField, load: np.ndarray,
     mesh = q.mesh
     upper = np.full(mesh.n_nodes, np.inf)
     upper[cone.nonpositive_nodes] = 0.0
-    v = pdas_bound_solve(mesh, q.stiffness.pin(cone.zero_nodes), load,
-                         upper)[0]
+    v = pdas_bound_solve(q.stiffness.pin(cone.zero_nodes), load, upper)[0]
     return ScalarField(mesh, v)
 
 

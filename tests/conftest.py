@@ -76,7 +76,7 @@ def slice_add_assemble(mesh, local):
             bi, bj = fem._CORNERS[b]
             slot = 3 * (bj - aj + 1) + (bi - ai + 1)
             grid[aj:aj + n, ai:ai + n, slot] += per_cell[:, :, a, b]
-    return grid[mesh.stencil.valid]
+    return grid[mesh.valid]
 
 
 def full_grid_penalty(mesh, u, psi, gamma):
@@ -93,17 +93,17 @@ def full_grid_penalty(mesh, u, psi, gamma):
     return gap, vec, jac
 
 
-def compacted_pin(stencil, data, mask):
-    """Reference pin: the CSR matrix of stencil data with the rows and
-    columns flagged by mask set to identity and every zero entry dropped,
-    on a pattern of its own."""
-    out = np.where(mask[stencil.rows] | mask[stencil.indices], 0.0, data)
-    out[stencil.diagonal[mask]] = 1.0
+def compacted_pin(mesh, data, mask):
+    """Reference pin: the CSR matrix of stencil data on the mesh with the
+    rows and columns flagged by mask set to identity and every zero entry
+    dropped, on a pattern of its own."""
+    out = np.where(mask[mesh.rows] | mask[mesh.indices], 0.0, data)
+    out[mesh.diagonal[mask]] = 1.0
     keep = out != 0.0
-    counts = np.bincount(stencil.rows[keep], minlength=stencil.shape[0])
+    counts = np.bincount(mesh.rows[keep], minlength=mesh.n_nodes)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    return sp.csr_matrix((out[keep], stencil.indices[keep], indptr),
-                         shape=stencil.shape)
+    return sp.csr_matrix((out[keep], mesh.indices[keep], indptr),
+                         shape=(mesh.n_nodes, mesh.n_nodes))
 
 
 def scatter_band(mat, bandwidth):

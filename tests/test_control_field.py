@@ -287,7 +287,7 @@ def test_vi_solve_adjoint_and_derivatives_assemble_once(
                            cone)
     u_t = directional_derivative(q, d, sol, cone)
     derivative_complementarity_check(u_t, cone, q,
-                                     direction_load(q, d, sol.u))
+                                     direction_load(d, sol.u))
     assert stiffness_assemblies() == 1
     assert q.stiffness is q.stiffness
 
@@ -313,8 +313,11 @@ def test_solvers_refuse_a_coefficient_on_another_mesh(level):
     with pytest.raises(DimensionError, match="different mesh"):
         solve_adjoint(other, u, u_d, pen)
     with pytest.raises(DimensionError, match="share the mesh"):
-        direction_load(other, MatrixControlField.constant(f.mesh, np.eye(2)),
-                       u)
+        direction_load(other, u)
+    unit = MatrixControlField.constant(f.mesh, np.eye(2))
+    sol = solve_vi(unit, f, 0.5)
+    with pytest.raises(DimensionError, match="different mesh"):
+        directional_derivative(other, unit, sol, build_critical_cone(sol))
 
 
 def test_failed_assembly_is_not_cached(stiffness_assemblies):

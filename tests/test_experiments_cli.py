@@ -81,6 +81,8 @@ def test_config_default_parses_back(name):
     "gamma_list=1e3,1e0",
     "gamma_list=",
     "levels=4,3",
+    "level=13",
+    "levels=3,13",
     "max_iters=0",
     "seed=-1",
     "psi=nan",
@@ -396,12 +398,15 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     code = cli.main(["example2", "--out", str(tmp_path), "--gamma",
                      "1e3,1e0"])
     assert code == 2
-    # an empty --gamma list and non-finite values fail before any output
+    # an empty --gamma list, non-finite values and a level past the memory
+    # guard fail before any output
     for args in (["--gamma", ","], ["psi=nan"], ["grad_tol=inf"],
-                 ["q_max=inf"]):
+                 ["q_max=inf"], ["--level", "13"]):
         code = cli.main(["example1", "--out", str(tmp_path), "--level", "3",
                          *args])
         assert code == 2
+    assert cli.main(["convergence", "--out", str(tmp_path),
+                     "levels=3,13"]) == 2
     assert not any(tmp_path.iterdir())
 
 

@@ -161,7 +161,7 @@ def test_mesh_cell_connectivity_counterclockwise():
 def test_stiffness_constant_kernel():
     mesh = build_mesh(2)
     q = MatrixControlField.constant(mesh, np.eye(2))
-    K = mesh.stencil.matrix(assemble_stiffness(mesh, q).data)
+    K = mesh.csr(assemble_stiffness(mesh, q).data)
     rowsums = np.asarray(K.sum(axis=1)).ravel()
     assert np.abs(rowsums).max() <= 1e-13
 
@@ -170,8 +170,8 @@ def test_stiffness_linear_in_q():
     mesh = build_mesh(2)
     q1 = MatrixControlField.constant(mesh, np.eye(2))
     q2 = MatrixControlField.constant(mesh, 2.0 * np.eye(2))
-    k1 = mesh.stencil.matrix(assemble_stiffness(mesh, q1).data)
-    k2 = mesh.stencil.matrix(assemble_stiffness(mesh, q2).data)
+    k1 = mesh.csr(assemble_stiffness(mesh, q1).data)
+    k2 = mesh.csr(assemble_stiffness(mesh, q2).data)
     assert np.array_equal(k2.toarray(), 2.0 * k1.toarray())
 
 
@@ -236,8 +236,8 @@ def test_raw_stiffness_of_indefinite_direction():
     operator it is refused."""
     mesh = build_mesh(3)
     d = random_direction(mesh, np.random.default_rng(SEED + 3))
-    raw = mesh.stencil.matrix(assemble_stiffness(mesh, d).data)
-    assert np.shares_memory(raw.indices, mesh.stencil.indices)
+    raw = mesh.csr(assemble_stiffness(mesh, d).data)
+    assert np.shares_memory(raw.indices, mesh.indices)
     assert abs(raw - raw.T).max() <= 1e-15 * abs(raw).max()
     with pytest.raises(CoefficientError, match="node"):
         d.stiffness
@@ -456,7 +456,7 @@ def test_stiffness_matches_coo_reference(level):
     local = scale * np.einsum("gad,cgde,gbe->cab", grads, qmat, grads)
     want = coo_reference(mesh, local)
     pinned = assemble_stiffness(mesh, q)
-    raw = mesh.stencil.matrix(pinned.data)
+    raw = mesh.csr(pinned.data)
     assert_close_relative(raw.toarray(), want)
     assert_close_relative(
         pinned.matrix.toarray(),
@@ -471,7 +471,7 @@ def test_constant_operators_match_coo_reference(level):
                           coo_reference(mesh, scale * shape.T @ shape))
     unit = MatrixControlField.constant(mesh, np.eye(2))
     assert_close_relative(
-        mesh.stencil.matrix(assemble_stiffness(mesh, unit).data).toarray(),
+        mesh.csr(assemble_stiffness(mesh, unit).data).toarray(),
         coo_reference(mesh,
                       scale * np.einsum("gad,gbd->ab", grads, grads)))
 
@@ -485,7 +485,7 @@ def test_penalty_jacobian_matches_coo_reference():
     w = scale * 3.0 * 1e6 * gap ** 2
     local = np.einsum("cg,ga,gb->cab", w, shape, shape)
     cells = np.arange(mesh.n_cells)
-    got = mesh.stencil.matrix(_penalty_jacobian(mesh, cells, gap, 1e6))
+    got = mesh.csr(_penalty_jacobian(mesh, cells, gap, 1e6))
     assert_close_relative(got.toarray(), coo_reference(mesh, local))
 
 
@@ -549,44 +549,47 @@ def test_integrate_equals_the_slice_add_reference(level, columns):
 
 
 def test_operators_share_the_mesh_pattern():
-    """Assembled operators hold their data on the stencil's read-only
-    pattern; a pinned matrix keeps its column order."""
+    """Assembled operators hold their data on the mesh's read-only
+    pattern, and the systems derived from one keep its mesh; a pinned
+    matrix keeps its column order."""
     mesh = build_mesh(3)
     q = random_admissible(mesh, np.random.default_rng(SEED + 6))
-    stencil = mesh.stencil
     for mat in (mesh.mass_matrix,
-                stencil.matrix(assemble_stiffness(mesh, q).data)):
+                mesh.csr(assemble_stiffness(mesh, q).data)):
         assert mat.has_sorted_indices
-        assert np.shares_memory(mat.indices, stencil.indices)
+        assert np.shares_memory(mat.indices, mesh.indices)
     K = assemble_stiffness(mesh, q)
-    assert K.stencil is stencil
-    assert K.data.shape == (stencil.nnz,)
+    assert K.mesh is mesh
+    assert K.data.shape == (mesh.nnz,)
     assert K.matrix.has_sorted_indices
     assert np.array_equal(
         K.matrix.toarray(),
-        pin_reference(stencil.matrix(K.data), mesh.boundary_mask))
+        pin_reference(mesh.csr(K.data), mesh.boundary_mask))
+    for derived in (K.pin(mesh.nodes[:, 0] > 0.0),
+                    K.plus(mesh.mass_matrix.data)):
+        assert derived.mesh is mesh
+        assert np.shares_memory(derived.matrix.indices, mesh.indices)
     with pytest.raises(ValueError):
         mesh.mass_matrix.indices[0] = 1
 
 
 @pytest.mark.parametrize("level", [1, 3])
 def test_pin_matches_keep_product(level):
-    """StencilPattern.pinned is keep @ A @ keep + diag(mask) on the
-    stencil's shared pattern, and its products have the bits of the
+    """StructuredMesh.pinned is keep @ A @ keep + diag(mask) on the
+    mesh's shared pattern, and its products have the bits of the
     compacted reference's."""
     mesh = build_mesh(level)
     rng = np.random.default_rng(SEED + 7)
     q = random_admissible(mesh, rng)
-    stencil = mesh.stencil
-    raw = stencil.matrix(assemble_stiffness(mesh, q).data)
+    raw = mesh.csr(assemble_stiffness(mesh, q).data)
     for _ in range(3):
         mask = rng.random(mesh.n_nodes) < 0.3
-        pinned = stencil.pinned(raw.data, mask)
+        pinned = mesh.pinned(raw.data, mask)
         assert np.array_equal(pinned.toarray(), pin_reference(raw, mask))
-        assert np.shares_memory(pinned.indices, stencil.indices)
-        assert np.shares_memory(pinned.indptr, stencil.indptr)
+        assert np.shares_memory(pinned.indices, mesh.indices)
+        assert np.shares_memory(pinned.indptr, mesh.indptr)
         v = rng.standard_normal((mesh.n_nodes, 2))
-        compact = compacted_pin(stencil, raw.data, mask)
+        compact = compacted_pin(mesh, raw.data, mask)
         assert np.array_equal(pinned @ v, compact @ v)
         assert np.array_equal(pinned @ v[:, 0], compact @ v[:, 0])
         assert pinned.has_sorted_indices
@@ -611,21 +614,21 @@ def test_stencil_band_matches_coordinate_scatter(level):
     mesh = build_mesh(level)
     rng = np.random.default_rng(SEED + 9 + level)
     K = assemble_stiffness(mesh, random_admissible(mesh, rng))
-    raw = mesh.stencil.matrix(K.data)
+    raw = mesh.csr(K.data)
     n1 = mesh.cells_per_side + 1
     assert np.array_equal(fem._band(raw, n1), scatter_band(raw, n1 + 1))
     for _ in range(3):
         system = K.pin(rng.random(mesh.n_nodes) < 0.3)
         assert_band_matches_scatter(
             system.matrix, n1,
-            compacted_pin(mesh.stencil, K.data, system.dirichlet_mask))
+            compacted_pin(mesh, K.data, system.dirichlet_mask))
 
 
 def galerkin_reference(system):
     """The coarsest Galerkin operator of the multigrid hierarchy, computed
     from the compacted pinned matrix."""
-    mat = compacted_pin(system.stencil, system.data, system.dirichlet_mask)
-    pinned, level = system.dirichlet_mask, system.level
+    mat = compacted_pin(system.mesh, system.data, system.dirichlet_mask)
+    pinned, level = system.dirichlet_mask, system.mesh.level
     while level > COARSEST_LEVEL:
         n1 = 2 ** level + 1
         coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
@@ -672,7 +675,7 @@ def test_derived_systems_keep_the_pinned_nodes(level):
     mesh = build_mesh(level)
     rng = np.random.default_rng(SEED + 8)
     K = assemble_stiffness(mesh, random_admissible(mesh, rng))
-    raw = mesh.stencil.matrix(K.data)
+    raw = mesh.csr(K.data)
     extra = rng.random(mesh.n_nodes) < 0.3
     pinned = K.pin(extra)
     assert pinned.data is K.data

@@ -54,10 +54,9 @@ def no_multigrid(monkeypatch):
 def test_identity_system():
     mesh = build_mesh(2)
     n = mesh.n_nodes
-    stencil = mesh.stencil
-    data = np.zeros(stencil.nnz)
-    data[stencil.diagonal] = 1.0
-    identity = GridSystem(stencil, data, np.zeros(n, dtype=bool))
+    data = np.zeros(mesh.nnz)
+    data[mesh.diagonal] = 1.0
+    identity = GridSystem(mesh, data, np.zeros(n, dtype=bool))
     b = np.random.default_rng(SEED).standard_normal(n)
     x, report = solve_spd(identity, b)
     assert np.allclose(x, b, atol=1e-13)
@@ -390,8 +389,7 @@ def test_nan_on_the_multigrid_path_raises(level, monkeypatch):
     mesh = build_mesh(level)
     K = assemble_stiffness(mesh, initial_control(mesh))
     bump = np.zeros(K.data.size)
-    off_diagonal = np.setdiff1d(np.arange(bump.size),
-                                mesh.stencil.diagonal)
+    off_diagonal = np.setdiff1d(np.arange(bump.size), mesh.diagonal)
     bump[off_diagonal[bump.size // 3]] = np.nan
     system = K.plus(bump)
     b = np.where(mesh.boundary_mask, 0.0, 1.0)
@@ -424,16 +422,29 @@ def test_failed_banded_factor_raises(level):
 
 
 def test_grid_system_checks_its_level():
-    """A grid system reads its level off its stencil and refuses data
-    that is not on the stencil and a mask of another length."""
-    for level in (0, 1, 3):
-        mesh = build_mesh(level)
-        K = assemble_stiffness(mesh, initial_control(mesh))
-        assert GridSystem(mesh.stencil, K.data, K.dirichlet_mask).level \
-            == level
-    other = build_mesh(2).stencil
-    for stencil, data, mask in ((other, K.data, K.dirichlet_mask),
-                                (mesh.stencil, K.data[:-1], K.dirichlet_mask),
-                                (mesh.stencil, K.data, K.dirichlet_mask[:-1])):
+    """A grid system refuses data that is not on its mesh's stencil and a
+    mask of another length."""
+    mesh = build_mesh(3)
+    K = assemble_stiffness(mesh, initial_control(mesh))
+    other = build_mesh(2)
+    for grid, data, mask in ((other, K.data, K.dirichlet_mask),
+                             (mesh, K.data[:-1], K.dirichlet_mask),
+                             (mesh, K.data, K.dirichlet_mask[:-1])):
         with pytest.raises(DimensionError, match="grid system"):
-            GridSystem(stencil, data, mask)
+            GridSystem(grid, data, mask)
+
+
+def test_grid_system_refuses_a_non_boolean_mask():
+    """A 0/1 integer mask would index the data by position, not flag the
+    nodes: the pinned diagonal would keep its stiffness entry and nodes 0
+    and 1 would get the ones. A grid system refuses it on construction,
+    and so does `pin`."""
+    mesh = build_mesh(3)
+    K = assemble_stiffness(mesh, initial_control(mesh))
+    mask = np.zeros(mesh.n_nodes, dtype=bool)
+    mask[mesh.n_nodes // 2] = True
+    for build in (lambda: K.pin(mask.astype(int)),
+                  lambda: GridSystem(mesh, K.data, mask.astype(int)),
+                  lambda: GridSystem(mesh, K.data, mask.astype(float))):
+        with pytest.raises(TypeError, match="must be boolean"):
+            build()

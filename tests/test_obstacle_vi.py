@@ -354,7 +354,7 @@ def test_nested_start_matches_cold_loop(problem, level):
     q, f, psi = problem(mesh)
     sol = solve_vi(q, f, psi)
     u, lam, active, _, _ = pdas_bound_solve(
-        mesh, assemble_stiffness(mesh, q),
+        assemble_stiffness(mesh, q),
         np.where(mesh.boundary_mask, 0.0, f.values),
         np.full(mesh.n_nodes, psi), mesh.boundary_mask)
     assert active.any()

@@ -150,7 +150,7 @@ def test_adjoint_matches_central_difference():
     p = solve_adjoint(q, u, u_d, cfg)
     for _ in range(3):
         d = random_direction(mesh, rng)
-        k_d = mesh.stencil.matrix(assemble_stiffness(mesh, d).data)
+        k_d = mesh.csr(assemble_stiffness(mesh, d).data)
         dd = -p.values @ (k_d @ u.values)
         h = 1e-5
         fd = (tracking(q + h * d) - tracking(q + (-h) * d)) / (2.0 * h)

@@ -197,7 +197,7 @@ def test_derivative_respects_cone_constraints():
     ut = directional_derivative(q, d, sol, cone)
     assert np.all(ut.values[cone.zero_nodes] == 0.0)
     assert np.all(ut.values[mesh.boundary_mask] == 0.0)
-    load = direction_load(q, d, sol.u)
+    load = direction_load(d, sol.u)
     lam_t = _derivative_multiplier(q, load, ut)
     assert lam_t.values[cone.zero_nodes].min() > 0.0
 
@@ -226,7 +226,7 @@ def test_complementarity_residuals_converged_solve():
         d = random_direction(mesh, rng, scale=0.1)
         ut = directional_derivative(q, d, sol, cone)
         feas, polar, comp = derivative_complementarity_check(
-            ut, cone, q, direction_load(q, d, sol.u))
+            ut, cone, q, direction_load(d, sol.u))
         assert feas <= 1e-8
         assert polar <= 1e-8
         assert comp <= 1e-8
@@ -241,7 +241,7 @@ def test_complementarity_multiplier_vanishes_without_contact():
     cone = build_critical_cone(sol)
     d = random_direction(mesh, rng, scale=0.3)
     ut = directional_derivative(q, d, sol, cone)
-    load = direction_load(q, d, sol.u)
+    load = direction_load(d, sol.u)
     lam_t = _derivative_multiplier(q, load, ut)
     # cone is the whole space, so the multiplier is pure solver residual
     assert np.abs(lam_t.values).max() <= 1e-8
@@ -275,7 +275,7 @@ def test_hand_multiplier_single_interior_node():
     d = MatrixControlField.constant(mesh, delta * np.eye(2))
     ut = directional_derivative(q, d, sol, cone)
     assert np.array_equal(ut.values, np.zeros(mesh.n_nodes))
-    load = direction_load(q, d, sol.u)
+    load = direction_load(d, sol.u)
     lam_t = _derivative_multiplier(q, load, ut)
     assert np.isclose(lam_t.values[c], -4.0 / 15.0, rtol=1e-12)
     feas, polar, comp = derivative_complementarity_check(

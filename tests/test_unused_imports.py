@@ -219,16 +219,19 @@ def unread_parameters(source: str) -> list:
 
 # the modules that build an operator's assembled matrix and solve with it
 _MATRIX_OWNERS = ("fem.py", "linsolve.py")
+# a grid system's matrix, and the mesh's CSR builders of stencil data
+_MATRIX_ATTRS = ("matrix", "csr", "pinned")
 
 
 def matrix_reads(sources: dict) -> list:
-    """(file, line) of every load of an attribute named `matrix` in a file
-    of the set other than fem.py and linsolve.py."""
+    """(file, line) of every load of an attribute named `matrix`, or of
+    the mesh's CSR builders `csr` and `pinned`, in a file of the set other
+    than fem.py and linsolve.py."""
     return sorted((path, node.lineno) for path, source in sources.items()
                   if Path(path).name not in _MATRIX_OWNERS
                   for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Attribute)
-                  and node.attr == "matrix"
+                  and node.attr in _MATRIX_ATTRS
                   and isinstance(node.ctx, ast.Load))
 
 
@@ -462,9 +465,14 @@ def test_matrix_scanner_finds_reads_outside_the_owners():
         "pkg/other.py": ("def f(q, matrix):\n"
                          "    q.matrix = matrix\n"
                          "    return getattr(q, 'data'), q.stiffness.matrix\n"),
+        "pkg/penalty.py": ("def g(mesh, K, csr):\n"
+                           "    a = mesh.csr(K.data)\n"
+                           "    return a, mesh.pinned(K.data, K.mask), csr\n"),
     }
     assert matrix_reads(sources) == [("pkg/obstacle.py", 2),
-                                     ("pkg/other.py", 3)]
+                                     ("pkg/other.py", 3),
+                                     ("pkg/penalty.py", 2),
+                                     ("pkg/penalty.py", 3)]
 
 
 def test_only_fem_and_linsolve_read_a_matrix():
