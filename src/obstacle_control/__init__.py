@@ -55,7 +55,6 @@ from .penalty import (
 )
 from .optimize import (
     GammaLeg,
-    LoopConfig,
     ObjectiveConfig,
     OptIterate,
     OptResult,

@@ -27,9 +27,8 @@ from .errors import ConfigError
 from .fem import MAX_LEVEL, ScalarField, build_mesh, \
     l2_error_vs_function, l2_norm
 from .obstacle import VISolution, complementarity_residuals, solve_vi
-from .optimize import LoopConfig, ObjectiveConfig, OptResult, \
-    gamma_continuation, objective_value, reduced_gradient, \
-    solve_vi_constrained
+from .optimize import ObjectiveConfig, OptResult, gamma_continuation, \
+    objective_value, reduced_gradient, solve_vi_constrained
 from .penalty import PenaltyConfig, solve_adjoint, solve_penalized
 from .problems import ALPHA, BETA, Q_INIT, Q_MAX, Q_MIN, \
     example_objective, initial_control, target_state
@@ -60,8 +59,6 @@ class ExperimentConfig:
     q_min: float = Q_MIN
     q_max: float = Q_MAX
     q_init: Tuple[float, float, float] = Q_INIT
-    grad_tol: float = LoopConfig.grad_tol_rel
-    max_iters: int = LoopConfig.max_iters
     seed: int = 0
     output_dir: str = "results"
 
@@ -97,10 +94,6 @@ class ExperimentConfig:
             raise ConfigError("bounds must satisfy 0 < q_min < q_max")
         if len(self.q_init) != 3:
             raise ConfigError("q_init needs the three entries q11,q12,q22")
-        if self.grad_tol < 0.0:
-            raise ConfigError("grad_tol must be nonnegative")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
@@ -198,14 +191,6 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _loop_config(cfg: ExperimentConfig) -> LoopConfig:
-    return LoopConfig(grad_tol_rel=cfg.grad_tol, max_iters=cfg.max_iters)
-
-
-def _penalty_config(cfg: ExperimentConfig, gamma: float) -> PenaltyConfig:
-    return PenaltyConfig(gamma=gamma, psi=cfg.psi)
-
-
 def _setup(cfg: ExperimentConfig):
     mesh = build_mesh(cfg.level)
     obj = example_objective(mesh, cfg.alpha, cfg.beta, cfg.q_min, cfg.q_max)
@@ -275,7 +260,7 @@ def run_example1(cfg: ExperimentConfig) -> RunReport:
     started = _now()
     outdir = Path(cfg.output_dir) / "example1"
     mesh, obj, q0 = _setup(cfg)
-    result = solve_vi_constrained(q0, obj, cfg.psi, opt=_loop_config(cfg))
+    result = solve_vi_constrained(q0, obj, cfg.psi)
     sol = result.solution
     ratio = l2_norm(sol.lam) / max(sol.f_norm, 1e-300)
     feas_u, feas_lam, comp = complementarity_residuals(sol, cfg.psi)
@@ -311,11 +296,9 @@ def run_example2(cfg: ExperimentConfig) -> RunReport:
     started = _now()
     outdir = Path(cfg.output_dir) / "example2"
     mesh, obj, q0 = _setup(cfg)
-    opt = _loop_config(cfg)
-    reference = solve_vi_constrained(q0, obj, cfg.psi, opt=opt)
-    legs = gamma_continuation(q0, obj, cfg.gamma_list,
-                              _penalty_config(cfg, cfg.gamma_list[0]),
-                              opt=opt, reference=reference)
+    reference = solve_vi_constrained(q0, obj, cfg.psi)
+    legs = gamma_continuation(q0, obj, cfg.gamma_list, cfg.psi,
+                              reference=reference)
     violations = _feasibility_violations(reference.history)
     outputs = []
     leg_stats = []
@@ -458,7 +441,7 @@ def run_gradcheck(cfg: ExperimentConfig) -> RunReport:
     outdir = Path(cfg.output_dir) / "gradcheck"
     mesh, obj, q0 = _setup(cfg)
     rng = np.random.default_rng(cfg.seed)
-    pen = _penalty_config(cfg, cfg.gamma)
+    pen = PenaltyConfig(cfg.gamma, cfg.psi)
 
     fd_rows: List[tuple] = []
     max_rel = 0.0

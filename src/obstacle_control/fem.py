@@ -376,7 +376,9 @@ class GridSystem:
 
     def pin(self, mask: np.ndarray) -> "GridSystem":
         """This system with the nodes of mask pinned too, on the same
-        data."""
+        data. Raises DimensionError unless mask has one entry per node."""
+        if np.shape(mask) != self.dirichlet_mask.shape:
+            raise DimensionError("mask must have one entry per node")
         return GridSystem(self.mesh, self.data, self.dirichlet_mask | mask)
 
     def plus(self, data: np.ndarray) -> "GridSystem":

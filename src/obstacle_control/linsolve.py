@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SolverError
+from .errors import DimensionError, SolverError
 from .fem import GridSystem, KroneckerMass
 
 
@@ -122,6 +122,8 @@ def solve_spd(A: Union[GridSystem, KroneckerMass], b: np.ndarray,
     ------
     TypeError
         When A is neither a GridSystem nor a KroneckerMass.
+    DimensionError
+        When b, or x0, does not have one row per node of A's mesh.
     SolverError
         On a non-finite b or x0 (before any iteration), when the
         system's multigrid set-up fails (see `GridSystem.multigrid`),
@@ -144,8 +146,9 @@ def solve_spd(A: Union[GridSystem, KroneckerMass], b: np.ndarray,
 
 def _solve_grid(A: GridSystem, rhs, x0):
     mat, mask = A.matrix, A.dirichlet_mask
-    if rhs.shape[0] != mat.shape[0]:
-        raise ValueError("dimension mismatch between operator and rhs")
+    if rhs.shape != mask.shape or (x0 is not None
+                                   and np.shape(x0) != mask.shape):
+        raise DimensionError("rhs and x0 must have one entry per node")
     rhs = np.where(mask, 0.0, rhs)
     if x0 is not None:
         x0 = np.where(mask, 0.0, x0)
@@ -157,7 +160,7 @@ def _solve_mass(A: KroneckerMass, rhs):
     """Exact mass solve of one or several columns, residual checked."""
     mat = A.matrix
     if rhs.shape[0] != mat.shape[0] or rhs.ndim > 2:
-        raise ValueError("dimension mismatch between operator and rhs")
+        raise DimensionError("dimension mismatch between operator and rhs")
     x = A.solve(rhs)
     res = np.linalg.norm(mat @ x - rhs, axis=0)
     report = LinearSolveReport(0, float(np.max(res)))

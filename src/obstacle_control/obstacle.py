@@ -80,6 +80,8 @@ def pdas_bound_solve(K: GridSystem, rhs: np.ndarray, upper: np.ndarray,
     constrained = np.isfinite(upper) & ~K.dirichlet_mask
     active = np.zeros(n, dtype=bool)
     if active0 is not None:
+        if np.shape(active0) != (n,):
+            raise DimensionError("active0 must have one entry per node")
         active = active0 & constrained
     seen = {active.tobytes()}
     u = np.zeros(n) if u0 is None else u0
@@ -156,10 +158,11 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     psi : float
         Constant obstacle, required positive.
     active0 : ndarray of bool, optional
-        Warm-start active set; the first sweep then starts from the zero
-        state. Without it, a mesh finer than the multigrid's coarsest grid
-        (level > fem.COARSEST_LEVEL) starts from the active set and state of
-        the solution one level down: a recursive solve_vi call per level.
+        Warm-start active set, one entry per node (else DimensionError);
+        the first sweep then starts from the zero state. Without it, a mesh
+        finer than the multigrid's coarsest grid (level >
+        fem.COARSEST_LEVEL) starts from the active set and state of the
+        solution one level down: a recursive solve_vi call per level.
 
     Returns
     -------

@@ -74,6 +74,10 @@ _NOISE = 1e-10
 _MARGIN = 1e-9
 # step s of the projected-gradient residual ||q - P(q - s g)|| / s
 _PG_STEP = 1e-4
+# the residual test resid <= _GRAD_TOL_REL (1 + initial residual), and the
+# iteration budget after which a run returns unconverged
+_GRAD_TOL_REL = 1e-8
+_MAX_ITERS = 2000
 
 
 @dataclass(frozen=True)
@@ -100,12 +104,6 @@ class ObjectiveConfig:
             raise ValueError("beta must be nonnegative")
         if not 0.0 < self.q_min < self.q_max:
             raise ValueError("need 0 < q_min < q_max")
-
-
-@dataclass(frozen=True)
-class LoopConfig:
-    grad_tol_rel: float = 1e-8
-    max_iters: int = 2000
 
 
 @dataclass(frozen=True)
@@ -307,7 +305,7 @@ class _VIPath:
 
 
 def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
-             opt: LoopConfig, sol0=None) -> OptResult:
+             sol0=None) -> OptResult:
     """Spectral projected gradient with a nonmonotone Armijo line search,
     shared by paths (Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000).
 
@@ -335,7 +333,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
         g = reduced_gradient(q, cur.u, path.adjoint(q, cur.sol), cfg, cur.bar)
         resid = stationarity_residual(q, g, cfg.q_min, cfg.q_max)
         if it == 0:
-            tol = opt.grad_tol_rel * (1.0 + resid)
+            tol = _GRAD_TOL_REL * (1.0 + resid)
         else:
             s = q - q_prev
             sy = control_inner(s, g - g_prev)
@@ -348,7 +346,7 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
                            objective=cur.value, grad_norm=gnorm,
                            pg_residual=resid, step=0.0, backtracks=0,
                            feasibility_margin=cur.report.worst_value)
-        if resid <= tol or it >= opt.max_iters:
+        if resid <= tol or it >= _MAX_ITERS:
             converged = resid <= tol
             history.append(entry)
             if converged and cur.value - best > _NOISE * abs(best):
@@ -392,7 +390,6 @@ def _descent(q0: MatrixControlField, path, cfg: ObjectiveConfig,
 
 
 def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,
-             opt: Optional[LoopConfig] = None,
              u0: Optional[ScalarField] = None) -> OptResult:
     """Minimize the reduced objective subject to the penalized state.
 
@@ -400,10 +397,9 @@ def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,
     accepted step satisfies J(q+) <= max(last _MEMORY values of J)
     - _SIGMA step ||g||^2, and every accepted iterate passes the
     determinant/trace admissibility test. Terminates when the
-    projected-gradient residual falls below grad_tol_rel (1 + initial
+    projected-gradient residual falls below _GRAD_TOL_REL (1 + initial
     residual) at an objective within rounding of the best accepted one,
-    or when the iteration budget runs out (converged=False on the
-    result).
+    or after _MAX_ITERS iterations (converged=False on the result).
 
     Raises StagnationError, carrying the history, if the line search hits
     the backtracking floor, if _MEMORY accepted steps in a row bring no
@@ -411,39 +407,33 @@ def minimize(q0: MatrixControlField, cfg: ObjectiveConfig, pen: PenaltyConfig,
     objective (a gradient that does not match the objective). The state
     solve at q0 starts Newton from u0 when given, else cold.
     """
-    if opt is None:
-        opt = LoopConfig()
-    return _descent(q0, _PenalizedPath(cfg, pen), cfg, opt, u0)
+    return _descent(q0, _PenalizedPath(cfg, pen), cfg, u0)
 
 
 def solve_vi_constrained(q0: MatrixControlField, cfg: ObjectiveConfig,
-                         psi: float,
-                         opt: Optional[LoopConfig] = None) -> OptResult:
+                         psi: float) -> OptResult:
     """Minimize the reduced objective subject to the obstacle VI.
 
-    Same descent loop as minimize, with the state produced by the
-    active-set VI solver and the adjoint pinned on the strongly active
-    nodes (large-penalty limit). Produces the reference pair that penalty
-    continuation runs are measured against.
+    Same descent loop and stopping rule as minimize, with the state
+    produced by the active-set VI solver and the adjoint pinned on the
+    strongly active nodes (large-penalty limit). Produces the reference
+    pair that penalty continuation runs are measured against.
     """
-    if opt is None:
-        opt = LoopConfig()
-    return _descent(q0, _VIPath(cfg, psi), cfg, opt)
+    return _descent(q0, _VIPath(cfg, psi), cfg)
 
 
 def gamma_continuation(q0: MatrixControlField, cfg: ObjectiveConfig,
-                       gammas: Sequence[float], pen: PenaltyConfig,
-                       opt: Optional[LoopConfig] = None,
+                       gammas: Sequence[float], psi: float,
                        reference: Optional[OptResult] = None
                        ) -> tuple[GammaLeg, ...]:
     """Path-following in the penalty parameter.
 
-    Runs minimize for each gamma in the strictly increasing list, warm
-    starting each leg but the first from the previous minimizer and its
-    state (Hintermueller & Kunisch, SIAM J. Optim. 17, 2006). pen supplies
-    every penalty setting except gamma, which is overwritten per leg. When
-    a reference result is given (VI-constrained solve on the same mesh),
-    each leg records the state and control distances to it.
+    Runs minimize with PenaltyConfig(gamma, psi) for each gamma in the
+    strictly increasing list, warm starting each leg but the first from
+    the previous minimizer and its state (Hintermueller & Kunisch, SIAM
+    J. Optim. 17, 2006). When a reference result is given (VI-constrained
+    solve on the same mesh), each leg records the state and control
+    distances to it.
     """
     gam = [float(g) for g in gammas]
     if len(gam) == 0:
@@ -453,7 +443,7 @@ def gamma_continuation(q0: MatrixControlField, cfg: ObjectiveConfig,
     legs = []
     q, u = q0, None
     for gamma in gam:
-        result = minimize(q, cfg, replace(pen, gamma=gamma), opt, u)
+        result = minimize(q, cfg, PenaltyConfig(gamma, psi), u)
         err_u = err_q = None
         if reference is not None:
             err_u = l2_norm(result.u - reference.u)

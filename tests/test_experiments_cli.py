@@ -3,6 +3,7 @@ runner behavior, determinism, and exit codes."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,7 +33,8 @@ from obstacle_control import (
     write_structured_vtk,
 )
 from obstacle_control import cli, problems
-from obstacle_control.experiments import RunReport, parse_config_text
+from obstacle_control.experiments import RunReport, parse_config_text, \
+    parse_field
 
 from conftest import read_structured_vtk
 from test_fem import desired_state, manufactured_load, q_d_components
@@ -68,6 +70,21 @@ def test_config_default_parses_back(name):
     assert repr(parsed) == repr(default)
 
 
+def test_readme_lists_every_config_key_with_its_default():
+    """The README's key list names exactly the config's fields, and each
+    default it states parses to the config's default, so a key cannot
+    come or go without its docs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("Config keys and defaults:")
+    text = readme[start:readme.index("Each default is stated once", start)]
+    listed = dict(item.split("=", 1) for item in re.findall(
+        r"`([a-z_]+=[^`]*)`", text))
+    default = ExperimentConfig()
+    assert sorted(listed) == sorted(f.name for f in fields(default))
+    for key, value in listed.items():
+        assert parse_field(key, value) == getattr(default, key), key
+
+
 @pytest.mark.parametrize("override", [
     "level=0",
     "alpha=0",
@@ -84,11 +101,13 @@ def test_config_default_parses_back(name):
     "level=13",
     "levels=3,13",
     "max_iters=0",
+    "max_iters=2000",
     "seed=-1",
     "psi=nan",
     "alpha=nan",
     "gamma=nan",
     "grad_tol=inf",
+    "grad_tol=1e-8",
     "q_max=inf",
     "gamma_list=1e0,nan",
     "q_init=2,nan,2",

@@ -448,3 +448,28 @@ def test_grid_system_refuses_a_non_boolean_mask():
                   lambda: GridSystem(mesh, K.data, mask.astype(float))):
         with pytest.raises(TypeError, match="must be boolean"):
             build()
+
+
+def test_pin_refuses_a_mask_of_another_length():
+    """A one-entry mask would broadcast and pin every node; a mask one
+    node short would fail inside numpy. Both are refused as operands of
+    the wrong shape."""
+    mesh = build_mesh(3)
+    K = assemble_stiffness(mesh, initial_control(mesh))
+    for mask in (np.array([True]), np.zeros(mesh.n_nodes - 1, dtype=bool)):
+        with pytest.raises(DimensionError, match="one entry per node"):
+            K.pin(mask)
+
+
+def test_solves_refuse_node_arrays_of_another_length(no_multigrid):
+    """A grid solve refuses a right-hand side or a start that does not
+    have one entry per node before any work, and the mass solve a
+    right-hand side of another length."""
+    mesh = build_mesh(3)
+    K = assemble_stiffness(mesh, initial_control(mesh))
+    b = np.ones(mesh.n_nodes)
+    for args in ((b[:-1],), (b, np.array([1.0])), (b, b[:-1])):
+        with pytest.raises(DimensionError, match="one entry per node"):
+            solve_spd(K, *args)
+    with pytest.raises(DimensionError):
+        solve_spd(mesh.mass_operator, b[:-1])

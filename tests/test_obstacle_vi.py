@@ -5,6 +5,7 @@ import pytest
 
 from obstacle_control import (
     CoefficientError,
+    DimensionError,
     MatrixControlField,
     NonconvergenceError,
     ScalarField,
@@ -217,6 +218,18 @@ def test_warm_start_converges_fast():
     warm = solve_vi(q, f, psi=0.3, active0=sol.active_set)
     assert warm.iterations <= 2
     assert np.abs(warm.u.values - sol.u.values).max() <= 1e-11
+
+
+def test_warm_start_refuses_an_active_set_of_another_length():
+    """A one-entry active set would broadcast to every node; one node
+    short would fail inside numpy. Both are refused as operands of the
+    wrong shape."""
+    mesh = build_mesh(3)
+    q = MatrixControlField.constant(mesh, np.eye(2))
+    f = assemble_load(mesh, manufactured_load)
+    for active0 in (np.array([True]), np.zeros(mesh.n_nodes - 1, bool)):
+        with pytest.raises(DimensionError, match="one entry per node"):
+            solve_vi(q, f, psi=0.5, active0=active0)
 
 
 def test_iteration_budget_error(monkeypatch):

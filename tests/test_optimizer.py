@@ -29,7 +29,6 @@ from obstacle_control.problems import example_objective
 from obstacle_control.optimize import (
     _MEMORY,
     _SIGMA,
-    LoopConfig,
     ObjectiveConfig,
     gamma_continuation,
     minimize,
@@ -159,8 +158,7 @@ def test_objective_monotone_armijo_and_violation():
     mesh = build_mesh(5)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    res = minimize(q0, cfg, PenaltyConfig(gamma=1e6, psi=0.5),
-                   LoopConfig(max_iters=5000))
+    res = minimize(q0, cfg, PenaltyConfig(gamma=1e6, psi=0.5))
     assert res.converged
     vals = [e.objective for e in res.history]
     assert np.all(np.diff(vals) < 0.0)
@@ -195,16 +193,17 @@ def test_nonmonotone_certificate_replay():
     assert all(e.feasibility_margin > 0.0 for e in hist)
 
 
-def test_iterates_strictly_admissible():
+def test_iterates_strictly_admissible(monkeypatch):
     """Past the rounding floor no step brings a new minimum, so the stall
     exit ends the run; every iterate of its history is strictly
     admissible."""
     mesh = build_mesh(3)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
+    monkeypatch.setattr(optimize, "_MAX_ITERS", 25)
+    monkeypatch.setattr(optimize, "_GRAD_TOL_REL", 1e-30)
     with pytest.raises(StagnationError, match="no new minimum") as err:
-        minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5),
-                 LoopConfig(max_iters=25, grad_tol_rel=1e-30))
+        minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5))
     history = err.value.history
     assert _MEMORY < len(history) <= 26
     assert all(e.feasibility_margin > 0.0 for e in history)
@@ -217,7 +216,7 @@ def test_beta_sweep_barrier_path():
     barrier_parts, tracking_parts = [], []
     for beta in (1e-2, 1e-3, 1e-4):
         cfg = example_config(mesh, beta=beta)
-        res = minimize(q0, cfg, pen, LoopConfig(max_iters=3000))
+        res = minimize(q0, cfg, pen)
         assert res.converged
         barrier_parts.append(res.history[-1].barrier_term)
         tracking_parts.append(res.history[-1].tracking)
@@ -249,8 +248,7 @@ def test_stationarity_large_at_start_small_at_optimum():
                           np.zeros(int(sol.strongly_active.sum())))
     r0 = stationarity_vi(q0, sol.u, p, cfg)
     assert r0 > 1e-2
-    res = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5),
-                   LoopConfig(max_iters=3000))
+    res = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5))
     from obstacle_control.penalty import solve_adjoint
     pen = PenaltyConfig(gamma=1e3, psi=0.5)
     p_star = solve_adjoint(res.q, res.u, cfg.u_d, pen)
@@ -262,10 +260,8 @@ def test_gamma_continuation_single_equals_minimize():
     mesh = build_mesh(3)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    pen = PenaltyConfig(gamma=1.0, psi=0.5)
-    opt = LoopConfig(max_iters=3000)
-    legs = gamma_continuation(q0, cfg, [1e3], pen, opt)
-    direct = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5), opt)
+    legs = gamma_continuation(q0, cfg, [1e3], 0.5)
+    direct = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5))
     assert len(legs) == 1
     assert legs[0].err_u is None
     assert np.array_equal(legs[0].result.q.comps, direct.q.comps)
@@ -275,11 +271,9 @@ def test_gamma_continuation_monotone_distances():
     mesh = build_mesh(4)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    opt = LoopConfig(max_iters=5000)
-    ref = solve_vi_constrained(q0, cfg, 0.5, opt=opt)
+    ref = solve_vi_constrained(q0, cfg, 0.5)
     assert ref.converged
-    legs = gamma_continuation(q0, cfg, [1e0, 1e3, 1e6, 1e9],
-                              PenaltyConfig(gamma=1.0, psi=0.5), opt,
+    legs = gamma_continuation(q0, cfg, [1e0, 1e3, 1e6, 1e9], 0.5,
                               reference=ref)
     err_u = [leg.err_u for leg in legs]
     viol = [(leg.result.u.values - 0.5).max() for leg in legs]
@@ -312,18 +306,15 @@ def test_gamma_continuation_warm_legs_match_cold_starts(monkeypatch):
     mesh = build_mesh(5)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    opt = LoopConfig(max_iters=5000)
     gammas = (1e0, 1e3, 1e6, 1e9, 1e12)
-    ref = solve_vi_constrained(q0, cfg, 0.5, opt=opt)
+    ref = solve_vi_constrained(q0, cfg, 0.5)
     calls = _count_penalty_solves(monkeypatch)
-    legs = gamma_continuation(q0, cfg, gammas,
-                              PenaltyConfig(gamma=1.0, psi=0.5), opt,
-                              reference=ref)
+    legs = gamma_continuation(q0, cfg, gammas, 0.5, reference=ref)
     warm_solves = len(calls)
     calls.clear()
     q = q0
     for gamma, leg in zip(gammas, legs):
-        cold = minimize(q, cfg, PenaltyConfig(gamma=gamma, psi=0.5), opt)
+        cold = minimize(q, cfg, PenaltyConfig(gamma=gamma, psi=0.5))
         q = cold.q
         assert leg.result.converged and cold.converged
         assert leg.result.iterations == cold.iterations
@@ -339,9 +330,7 @@ def test_gamma_continuation_jumps_to_a_large_gamma():
     mesh = build_mesh(4)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    legs = gamma_continuation(q0, cfg, [1e0, 1e12],
-                              PenaltyConfig(gamma=1.0, psi=0.5),
-                              LoopConfig(max_iters=5000))
+    legs = gamma_continuation(q0, cfg, [1e0, 1e12], 0.5)
     assert all(leg.result.converged for leg in legs)
     assert (legs[1].result.u.values - 0.5).max() \
         < (legs[0].result.u.values - 0.5).max()
@@ -351,20 +340,18 @@ def test_gamma_continuation_validates_list():
     mesh = build_mesh(2)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    pen = PenaltyConfig(gamma=1.0, psi=0.5)
     with pytest.raises(ValueError, match="empty"):
-        gamma_continuation(q0, cfg, [], pen)
+        gamma_continuation(q0, cfg, [], 0.5)
     with pytest.raises(ValueError, match="increasing"):
-        gamma_continuation(q0, cfg, [1e3, 1e3], pen)
+        gamma_continuation(q0, cfg, [1e3, 1e3], 0.5)
 
 
 def test_vi_constrained_matches_smooth_when_obstacle_inactive():
     mesh = build_mesh(3)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    opt = LoopConfig(max_iters=3000)
-    res_vi = solve_vi_constrained(q0, cfg, 1e6, opt=opt)
-    res_pen = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=1e6), opt)
+    res_vi = solve_vi_constrained(q0, cfg, 1e6)
+    res_pen = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=1e6))
     assert res_vi.converged and res_pen.converged
     assert control_norm(res_vi.q - res_pen.q) <= 1e-8
 
@@ -373,7 +360,7 @@ def test_vi_constrained_contact_region_and_multiplier():
     mesh = build_mesh(4)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    res = solve_vi_constrained(q0, cfg, 0.5, opt=LoopConfig(max_iters=5000))
+    res = solve_vi_constrained(q0, cfg, 0.5)
     assert res.converged
     sol = solve_vi(res.q, cfg.f_load, 0.5)
     assert sol.active_set.sum() > 0
@@ -393,16 +380,17 @@ def test_stagnation_raises_with_history(monkeypatch):
     monkeypatch.setattr(optimize, "_STEP_INIT", 1e6)
     monkeypatch.setattr(optimize, "_MAX_BACKTRACKS", 0)
     with pytest.raises(StagnationError) as err:
-        minimize(q0, cfg, pen, LoopConfig())
+        minimize(q0, cfg, pen)
     assert len(err.value.history) >= 1
 
 
-def test_budget_exhaustion_returns_unconverged():
+def test_budget_exhaustion_returns_unconverged(monkeypatch):
     mesh = build_mesh(3)
     cfg = example_config(mesh)
     q0 = MatrixControlField.constant(mesh, Q_INIT)
-    res = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5),
-                   LoopConfig(max_iters=3, grad_tol_rel=1e-30))
+    monkeypatch.setattr(optimize, "_MAX_ITERS", 3)
+    monkeypatch.setattr(optimize, "_GRAD_TOL_REL", 1e-30)
+    res = minimize(q0, cfg, PenaltyConfig(gamma=1e3, psi=0.5))
     assert not res.converged
     assert res.iterations == 3
     assert len(res.history) == 4
