@@ -16,6 +16,7 @@ from .errors import (
     NewtonError,
     NonconvergenceError,
     NonFiniteError,
+    RunFailure,
     SolverError,
     StagnationError,
 )
@@ -30,6 +31,7 @@ from .fem import (
     l2_error_vs_function,
     l2_inner,
     l2_norm,
+    same_mesh,
 )
 from .linsolve import LinearSolveReport, solve_spd
 from .control import (

@@ -1,9 +1,10 @@
 """Command-line interface for the experiment pipelines.
 
 Exit codes: 0 on success, 2 for configuration problems (an output
-directory that cannot be written included), 3 when a solver fails or a run
-meets operands of mismatched shape, 4 when a validation command finds its
-checks violated.
+directory that cannot be written included), 3 when a run raises an
+errors.RunFailure (a solver fails, or operands live on different meshes or
+have mismatched shapes), 4 when a validation command finds its checks
+violated.
 """
 
 from __future__ import annotations
@@ -12,17 +13,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .errors import (
-    CapacityError,
-    CoefficientError,
-    ConfigError,
-    DimensionError,
-    NewtonError,
-    NonconvergenceError,
-    NonFiniteError,
-    SolverError,
-    StagnationError,
-)
+from .errors import ConfigError, RunFailure
 from .experiments import (
     load_config,
     parse_field,
@@ -32,10 +23,6 @@ from .experiments import (
     run_gradcheck,
     run_sensitivity,
 )
-
-_SOLVER_ERRORS = (CapacityError, CoefficientError, DimensionError,
-                  NewtonError, NonconvergenceError, NonFiniteError,
-                  SolverError, StagnationError)
 
 _COMMANDS = {
     "example1": (run_example1,
@@ -91,7 +78,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runner = _COMMANDS[args.command][0]
     try:
         report = runner(cfg)
-    except _SOLVER_ERRORS as exc:
+    except RunFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

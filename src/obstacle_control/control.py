@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CoefficientError, DimensionError
-from .fem import GridSystem, StructuredMesh, assemble_stiffness
+from .fem import GridSystem, StructuredMesh, assemble_stiffness, same_mesh
 from .linsolve import solve_spd
 
 
@@ -78,21 +78,17 @@ class MatrixControlField:
         return cls(mesh, comps)
 
     def __add__(self, other: "MatrixControlField") -> "MatrixControlField":
-        self._check_mesh(other)
-        return MatrixControlField(self.mesh, self.comps + other.comps)
+        return MatrixControlField(same_mesh(self, other),
+                                  self.comps + other.comps)
 
     def __sub__(self, other: "MatrixControlField") -> "MatrixControlField":
-        self._check_mesh(other)
-        return MatrixControlField(self.mesh, self.comps - other.comps)
+        return MatrixControlField(same_mesh(self, other),
+                                  self.comps - other.comps)
 
     def __mul__(self, s: float) -> "MatrixControlField":
         return MatrixControlField(self.mesh, self.comps * s)
 
     __rmul__ = __mul__
-
-    def _check_mesh(self, other: "MatrixControlField") -> None:
-        if other.mesh is not self.mesh:
-            raise DimensionError("control fields live on different meshes")
 
 
 @dataclass(frozen=True)
@@ -226,9 +222,7 @@ def project_spectral(q: MatrixControlField, q_min: float, q_max: float,
 
 def control_inner(a: MatrixControlField, b: MatrixControlField) -> float:
     """L2 Frobenius inner product; the off-diagonal component counts twice."""
-    if a.mesh is not b.mesh:
-        raise DimensionError("control fields live on different meshes")
-    m = a.mesh.mass_matrix
+    m = same_mesh(a, b).mass_matrix
     ac, bc = a.comps, b.comps
     return float(ac[:, 0] @ (m @ bc[:, 0]) + ac[:, 1] @ (m @ bc[:, 1])
                  + 2.0 * (ac[:, 2] @ (m @ bc[:, 2])))

@@ -1,31 +1,38 @@
 """Exception types shared across the package."""
 
 
-class CapacityError(Exception):
-    """Requested discretization exceeds the configured memory guard."""
+class RunFailure(Exception):
+    """Bad operands or a failed solve: the CLI exits 3 on any subclass."""
 
 
-class CoefficientError(Exception):
+class CapacityError(RunFailure):
+    """Requested discretization exceeds the mesh level cap fem.MAX_LEVEL."""
+
+
+class CoefficientError(RunFailure):
     """Matrix coefficient violates positive definiteness where required."""
 
 
-class DimensionError(ValueError):
+class DimensionError(RunFailure, ValueError):
     """Operands live on different meshes or have incompatible shapes."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(RunFailure, ValueError):
     """Field data holds NaN or infinite values."""
 
 
-class SolverError(RuntimeError):
-    """Iterative linear solver failed to converge within its iteration cap."""
+class SolverError(RunFailure, RuntimeError):
+    """Linear solve failed: a non-finite right-hand side or initial guess,
+    a nonpositive diagonal, a failed coarsest-grid Cholesky factor,
+    nonpositive CG curvature, CG's iteration cap, or a missed mass
+    residual. Carries the solve's report where there is one."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
 
 
-class NonconvergenceError(RuntimeError):
+class NonconvergenceError(RunFailure, RuntimeError):
     """Active-set iteration cycled or exceeded its iteration budget."""
 
     def __init__(self, message, active_sets=None):
@@ -34,7 +41,7 @@ class NonconvergenceError(RuntimeError):
         self.active_sets = active_sets
 
 
-class NewtonError(RuntimeError):
+class NewtonError(RunFailure, RuntimeError):
     """Newton iteration diverged; carries the residual-norm history."""
 
     def __init__(self, message, history=None):
@@ -42,7 +49,7 @@ class NewtonError(RuntimeError):
         self.history = list(history) if history is not None else []
 
 
-class StagnationError(RuntimeError):
+class StagnationError(RunFailure, RuntimeError):
     """Descent loop stopped without a certified stationary point: the line
     search hit the step floor, no new minimum came in a run of accepted
     steps, or the residual test was met above the best accepted objective.

@@ -310,21 +310,25 @@ class ScalarField:
         object.__setattr__(self, "values", vals)
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        self._check_mesh(other)
-        return ScalarField(self.mesh, self.values + other.values)
+        return ScalarField(same_mesh(self, other), self.values + other.values)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
-        self._check_mesh(other)
-        return ScalarField(self.mesh, self.values - other.values)
+        return ScalarField(same_mesh(self, other), self.values - other.values)
 
     def __mul__(self, s: float) -> "ScalarField":
         return ScalarField(self.mesh, self.values * s)
 
     __rmul__ = __mul__
 
-    def _check_mesh(self, other: "ScalarField") -> None:
-        if other.mesh is not self.mesh:
-            raise DimensionError("fields live on different meshes")
+
+def same_mesh(*operands) -> StructuredMesh:
+    """The one mesh that operands (fields, controls, grid systems) live
+    on, None operands skipped: the package's one check that they share a
+    mesh. Raises DimensionError when they do not."""
+    meshes = [op.mesh for op in operands if op is not None]
+    if any(mesh is not meshes[0] for mesh in meshes):
+        raise DimensionError("operands live on different meshes")
+    return meshes[0]
 
 
 def interpolate(mesh: StructuredMesh, f: Callable) -> ScalarField:
@@ -523,9 +527,7 @@ def assemble_load(mesh: StructuredMesh, f: Callable) -> ScalarField:
 
 def l2_inner(a: ScalarField, b: ScalarField) -> float:
     """L2 inner product through the consistent mass matrix."""
-    if a.mesh is not b.mesh:
-        raise DimensionError("fields live on different meshes")
-    return float(a.values @ (a.mesh.mass_matrix @ b.values))
+    return float(a.values @ (same_mesh(a, b).mass_matrix @ b.values))
 
 
 def l2_norm(v: ScalarField) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from .control import MatrixControlField
 from .errors import DimensionError, NonconvergenceError
 from .fem import COARSEST_LEVEL, GridSystem, ScalarField, build_mesh, \
-    prolongation
+    prolongation, same_mesh
 from .linsolve import solve_spd
 
 # an active node is strongly active when its multiplier exceeds this
@@ -68,15 +68,18 @@ def pdas_bound_solve(K: GridSystem, rhs: np.ndarray, upper: np.ndarray,
     The nodes K pins are held at zero throughout (Dirichlet nodes and,
     for cone problems, strongly-active nodes); each sweep solves K pinned
     at its active nodes too. The upper bound applies wherever `upper` is
-    finite; +inf entries are unconstrained. The multiplier is lumped with
-    the mass of K's mesh. The loop starts from the active set `active0`
-    (default empty) and the first sweep's CG from `u0` (default zero);
-    each later sweep's CG starts from the state of the one before. Returns
-    (u, lam, active, iterations, system): lam the lumped multiplier, on
-    the final active set, and system the last sweep's K.pin(active), with
-    its set-up.
+    finite; +inf entries are unconstrained. rhs, upper and active0 have
+    one entry per node of K's mesh, else DimensionError; the multiplier
+    is lumped with that mesh's mass. The loop starts from the active set
+    `active0` (default empty) and the first sweep's CG from `u0` (default
+    zero); each later sweep's CG starts from the state of the one before.
+    Returns (u, lam, active, iterations, system): lam the lumped
+    multiplier, on the final active set, and system the last sweep's
+    K.pin(active), with its set-up.
     """
-    n = rhs.shape[0]
+    n = K.mesh.n_nodes
+    if np.shape(rhs) != (n,) or np.shape(upper) != (n,):
+        raise DimensionError("rhs and upper must have one entry per node")
     constrained = np.isfinite(upper) & ~K.dirichlet_mask
     active = np.zeros(n, dtype=bool)
     if active0 is not None:
@@ -173,9 +176,7 @@ def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,
     """
     if not psi > 0.0:
         raise ValueError("obstacle psi must be positive")
-    mesh = f_load.mesh
-    if q.mesh is not mesh:
-        raise DimensionError("coefficient lives on a different mesh")
+    mesh = same_mesh(q, f_load)
     K = q.stiffness
     u0 = None
     if active0 is None and mesh.level > COARSEST_LEVEL:

@@ -42,7 +42,7 @@ from .control import (
     riesz_lift,
 )
 from .errors import CoefficientError, StagnationError
-from .fem import ScalarField, l2_norm
+from .fem import ScalarField, l2_norm, same_mesh
 from .linsolve import solve_spd
 from .obstacle import VISolution, solve_vi
 from .penalty import (
@@ -104,6 +104,7 @@ class ObjectiveConfig:
             raise ValueError("beta must be nonnegative")
         if not 0.0 < self.q_min < self.q_max:
             raise ValueError("need 0 < q_min < q_max")
+        same_mesh(self.u_d, self.q_d, self.f_load)
 
 
 @dataclass(frozen=True)
@@ -176,20 +177,21 @@ def reduced_gradient(q: MatrixControlField, u: ScalarField, p: ScalarField,
     alpha (q - q_d) plus one Riesz lift of the tracking density
     -sym(grad u x grad p) plus beta times the barrier density. It pairs
     with control_inner to give exact directional derivatives of the
-    discrete objective. u and p must belong to q; `bar` is
-    barrier(q, cfg.q_min, cfg.q_max) when the caller has it. Raises
-    CoefficientError when q violates the spectral bounds.
+    discrete objective. u and p must belong to q, on the mesh of cfg;
+    `bar` is barrier(q, cfg.q_min, cfg.q_max) when the caller has it.
+    Raises CoefficientError when q violates the spectral bounds.
     """
+    mesh = same_mesh(q, u, p, cfg.q_d)
     if bar is None:
         bar = barrier(q, cfg.q_min, cfg.q_max)
     if bar.density is None:
         raise CoefficientError("control violates the spectral bounds; "
                                "barrier gradient undefined")
-    density = _tracking_gradient(q.mesh, u.values, p.values) \
+    density = _tracking_gradient(mesh, u.values, p.values) \
         + cfg.beta * bar.density
     comps = cfg.alpha * (q.comps - cfg.q_d.comps) \
-        + riesz_lift(q.mesh, density)
-    return MatrixControlField(q.mesh, comps)
+        + riesz_lift(mesh, density)
+    return MatrixControlField(mesh, comps)
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ def solve_vi_adjoint(q: MatrixControlField, sol: VISolution,
     vanishing multiplier) stay free; without them this is the system, set
     up already, of the last sweep of sol, the VI solution at q.
     """
-    mesh = q.mesh
+    mesh = same_mesh(q, sol.u, u_d)
     rhs = mesh.mass_matrix @ (sol.u.values - u_d.values)
     system = sol.system
     if not np.array_equal(sol.strongly_active, sol.active_set):

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .control import MatrixControlField
-from .errors import DimensionError, NewtonError
-from .fem import GridSystem, ScalarField
+from .errors import NewtonError
+from .fem import GridSystem, ScalarField, same_mesh
 from .linsolve import solve_spd
 from .obstacle import solve_vi
 
@@ -125,9 +125,7 @@ def solve_penalized(q: MatrixControlField, f_load: ScalarField,
     u0 : ScalarField, optional
         Warm start: `gamma_continuation` passes the previous gamma's.
     """
-    mesh = f_load.mesh
-    if q.mesh is not mesh:
-        raise DimensionError("coefficient lives on a different mesh")
+    mesh = same_mesh(q, f_load, u0)
     rhs = np.where(mesh.boundary_mask, 0.0, f_load.values)
     u = solve_vi(q, f_load, cfg.psi).u if u0 is None else u0
     return ScalarField(mesh, _newton(q.stiffness, rhs, cfg, u.values))
@@ -141,9 +139,7 @@ def solve_adjoint(q: MatrixControlField, u: ScalarField, u_d: ScalarField,
     from the penalty derivative 3*gamma*max(u-psi,0)^2, evaluated at the
     same quadrature points as the state residual.
     """
-    mesh = u.mesh
-    if q.mesh is not mesh:
-        raise DimensionError("coefficient lives on a different mesh")
+    mesh = same_mesh(q, u, u_d)
     contact = _contact(mesh, u.values, cfg.psi)
     system = q.stiffness.plus(_penalty_jacobian(mesh, *contact, cfg.gamma))
     rhs = mesh.mass_matrix @ (u.values - u_d.values)

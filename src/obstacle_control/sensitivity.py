@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import MatrixControlField
-from .errors import DimensionError
-from .fem import ScalarField, assemble_stiffness
+from .fem import ScalarField, assemble_stiffness, same_mesh
 from .obstacle import VISolution, pdas_bound_solve
 
 
@@ -53,9 +52,7 @@ def build_critical_cone(sol: VISolution) -> CriticalCone:
 def direction_load(d: MatrixControlField, u: ScalarField) -> np.ndarray:
     """Right side -(d grad u, grad phi) of the derivative VI along d; its
     boundary rows are those of the pinned system, which no solve reads."""
-    if d.mesh is not u.mesh:
-        raise DimensionError("direction and solution must share the mesh")
-    return -(assemble_stiffness(d.mesh, d) @ u.values)
+    return -(assemble_stiffness(same_mesh(d, u), d) @ u.values)
 
 
 def directional_derivative(q: MatrixControlField, d: MatrixControlField,
@@ -65,8 +62,7 @@ def directional_derivative(q: MatrixControlField, d: MatrixControlField,
     the cone derivative of its direction_load, positively homogeneous in
     d. The theory reads d as a feasible perturbation (q + d admissible);
     that is the caller's precondition, the solve only needs q elliptic."""
-    if q.mesh is not sol.u.mesh:
-        raise DimensionError("coefficient lives on a different mesh")
+    same_mesh(q, sol.u)
     return cone_derivative(q, direction_load(d, sol.u), cone)
 
 
@@ -108,7 +104,7 @@ def derivative_complementarity_check(u_tilde: ScalarField,
     vanish on free nodes, free on zero_nodes). orthogonality: lumped
     pairing |<lam, u_tilde>|. All near zero at a converged solve.
     """
-    mesh = u_tilde.mesh
+    mesh = same_mesh(u_tilde, q)
     v = u_tilde.values
     lam = _derivative_multiplier(q, load, u_tilde).values
     feas = 0.0

@@ -1,5 +1,7 @@
 """Admissibility, barrier, projection, and inner-product tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from obstacle_control import (
 from obstacle_control import control, fem, problems
 from obstacle_control.control import riesz_lift
 from obstacle_control.obstacle import solve_vi
-from obstacle_control.optimize import solve_vi_adjoint
+from obstacle_control.optimize import reduced_gradient, solve_vi_adjoint
 from obstacle_control.penalty import PenaltyConfig, solve_adjoint, \
     solve_penalized
 from obstacle_control.sensitivity import build_critical_cone, \
@@ -301,8 +303,12 @@ def test_penalized_state_and_adjoint_assemble_once(stiffness_assemblies):
 
 @pytest.mark.parametrize("level", [3, 4], ids=["same_level", "other_level"])
 def test_solvers_refuse_a_coefficient_on_another_mesh(level):
+    """Every solver entry point refuses an operand on another mesh, of the
+    same level (which would otherwise run on the wrong nodes) or not
+    (which would otherwise fail inside numpy, or run)."""
     _, _, f, u_d = _problem()
     other = MatrixControlField.constant(build_mesh(level), np.eye(2))
+    other_u = interpolate(other.mesh, desired_state)
     pen = PenaltyConfig(gamma=1e3)
     u = solve_penalized(MatrixControlField.constant(f.mesh, np.eye(2)), f,
                         pen)
@@ -312,12 +318,37 @@ def test_solvers_refuse_a_coefficient_on_another_mesh(level):
         solve_penalized(other, f, pen)
     with pytest.raises(DimensionError, match="different mesh"):
         solve_adjoint(other, u, u_d, pen)
-    with pytest.raises(DimensionError, match="share the mesh"):
+    with pytest.raises(DimensionError, match="different mesh"):
         direction_load(other, u)
     unit = MatrixControlField.constant(f.mesh, np.eye(2))
     sol = solve_vi(unit, f, 0.5)
     with pytest.raises(DimensionError, match="different mesh"):
         directional_derivative(other, unit, sol, build_critical_cone(sol))
+    with pytest.raises(DimensionError, match="different mesh"):
+        solve_penalized(unit, f, pen, u0=other_u)
+    with pytest.raises(DimensionError, match="different mesh"):
+        solve_adjoint(unit, u, other_u, pen)
+    for q, u_target in ((other, u_d), (unit, other_u)):
+        with pytest.raises(DimensionError, match="different mesh"):
+            solve_vi_adjoint(q, sol, u_target)
+    obj = problems.example_objective(f.mesh)
+    p = solve_vi_adjoint(unit, sol, obj.u_d)
+    # the last triple shares a mesh, but not the objective's
+    for q, state, adjoint in ((other, sol.u, p), (unit, other_u, p),
+                              (unit, sol.u, other_u),
+                              (other, other_u, other_u)):
+        with pytest.raises(DimensionError, match="different mesh"):
+            reduced_gradient(q, state, adjoint, obj)
+    for field, value in (("u_d", other_u), ("q_d", other),
+                         ("f_load", other_u)):
+        with pytest.raises(DimensionError, match="different mesh"):
+            replace(obj, **{field: value})
+    cone = build_critical_cone(sol)
+    load = direction_load(unit, sol.u)
+    with pytest.raises(DimensionError, match="different mesh"):
+        derivative_complementarity_check(sol.u, cone, other, load)
+    with pytest.raises(DimensionError, match="different mesh"):
+        derivative_complementarity_check(other_u, cone, unit, load)
 
 
 def test_failed_assembly_is_not_cached(stiffness_assemblies):

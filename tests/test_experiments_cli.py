@@ -18,6 +18,7 @@ from obstacle_control import (
     DimensionError,
     ExperimentConfig,
     ResultTable,
+    RunFailure,
     build_mesh,
     control_norm,
     example_objective,
@@ -32,7 +33,7 @@ from obstacle_control import (
     write_meta,
     write_structured_vtk,
 )
-from obstacle_control import cli, problems
+from obstacle_control import cli, errors, problems
 from obstacle_control.experiments import RunReport, parse_config_text, \
     parse_field
 
@@ -445,6 +446,23 @@ def test_cli_dimension_error_in_runner_exit_three(monkeypatch, capsys):
     assert cli.main(["example1"]) == 3
     assert "solver failure: fields live on different meshes" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception)
+    and cls is not ConfigError], ids=lambda cls: cls.__name__)
+def test_cli_every_run_failure_in_runner_exit_three(error, monkeypatch,
+                                                    capsys):
+    """Every exception of the package but ConfigError is a RunFailure,
+    which the CLI maps to exit 3 without a list of classes to keep."""
+    def failing(cfg):
+        raise error("stub failure")
+
+    assert issubclass(error, RunFailure)
+    monkeypatch.setitem(cli._COMMANDS, "example1", (failing, "stub"))
+    assert cli.main(["example1"]) == 3
+    assert "solver failure: stub failure" in capsys.readouterr().err
 
 
 def test_cli_unwritable_output_dir_exit_two(tmp_path, capsys):

@@ -232,6 +232,21 @@ def test_warm_start_refuses_an_active_set_of_another_length():
             solve_vi(q, f, psi=0.5, active0=active0)
 
 
+def test_bound_solve_refuses_a_bound_or_load_of_another_length():
+    """A one-entry bound or load would broadcast to every node; one node
+    short would fail inside numpy. Both are refused as operands of the
+    wrong shape."""
+    mesh = build_mesh(3)
+    K = MatrixControlField.constant(mesh, np.eye(2)).stiffness
+    f = assemble_load(mesh, manufactured_load).values
+    psi = np.full(mesh.n_nodes, 0.5)
+    for rhs, upper in ((f, psi[:1]), (f, psi[1:]), (f[:1], psi),
+                       (f[1:], psi)):
+        with pytest.raises(DimensionError,
+                           match="upper must have one entry per node"):
+            pdas_bound_solve(K, rhs, upper)
+
+
 def test_iteration_budget_error(monkeypatch):
     """The cap holds on every level of a nested start too: at level 7 the
     cold solve at level 5, which starts the nest, hits it first."""

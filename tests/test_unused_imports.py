@@ -8,7 +8,9 @@ an __init__.py, and every parameter of a function or lambda in src/ is
 read by its body. The package exports no submodule through __all__,
 importing it does not load scipy.sparse.linalg, and no module of src/
 other than fem.py and linsolve.py reads an attribute named `matrix`:
-every other product with a grid system is `K @ v`.
+every other product with a grid system is `K @ v`. No module of src/ but
+fem.py compares a `.mesh` attribute with `is` or `is not`: every other
+check that operands share a mesh is `fem.same_mesh`.
 
 A package __init__.py is exempt from the import check: its imports are
 the public API. Names in string annotations count as used. A name counts
@@ -233,6 +235,21 @@ def matrix_reads(sources: dict) -> list:
                   if isinstance(node, ast.Attribute)
                   and node.attr in _MATRIX_ATTRS
                   and isinstance(node.ctx, ast.Load))
+
+
+def mesh_comparisons(sources: dict) -> list:
+    """(file, line) of every `is` or `is not` comparison with an attribute
+    named `mesh` in a file of the set other than fem.py, whose same_mesh
+    is the one check that operands share a mesh."""
+    return sorted((path, node.lineno) for path, source in sources.items()
+                  if Path(path).name != "fem.py"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.Is, ast.IsNot))
+                          for op in node.ops)
+                  and any(isinstance(side, ast.Attribute)
+                          and side.attr == "mesh"
+                          for side in (node.left, *node.comparators)))
 
 
 def test_scanner_finds_unused_and_keeps_used():
@@ -479,3 +496,25 @@ def test_only_fem_and_linsolve_read_a_matrix():
     sources = {str(path.relative_to(ROOT)): path.read_text()
                for path in sorted((ROOT / "src").rglob("*.py"))}
     assert matrix_reads(sources) == []
+
+
+def test_mesh_scanner_finds_comparisons_outside_fem():
+    sources = {
+        "pkg/fem.py": ("def same_mesh(a, b):\n"
+                       "    return a.mesh if a.mesh is b.mesh else None\n"),
+        "pkg/control.py": ("def add(a, b):\n"
+                           "    if a.mesh is not b.mesh:\n"
+                           "        raise ValueError\n"
+                           "    return a.mesh == b.mesh\n"),
+        "pkg/obstacle.py": ("def solve(q, f, mesh, n):\n"
+                            "    ok = mesh is f.mesh\n"
+                            "    return ok, q.mesh.level is n, mesh is q\n"),
+    }
+    assert mesh_comparisons(sources) == [("pkg/control.py", 2),
+                                         ("pkg/obstacle.py", 2)]
+
+
+def test_only_fem_compares_meshes():
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert mesh_comparisons(sources) == []
