@@ -8,14 +8,13 @@ the CSR pattern of its nine-point stencil, which every operator on it
 shares, and one scatter of per-cell matrices writes their data. Homogeneous
 Dirichlet conditions, and every other pinned node, are imposed by
 symmetric row/column elimination with identity diagonal (a mask on that
-data, whose eliminated entries stay on the shared pattern as zeros), so
-all operators stay usable by symmetric solvers. A pinned operator is a
-`GridSystem`: its mesh, stencil data and the mask of its pinned nodes. It
-derives the systems that pin more nodes or add data on the same mesh, and
-builds once the geometric multigrid preconditioner its solves use, whose
-coarsest grid is factored from a band read off the diagonals of its
-matrix. The consistent mass matrix is a Kronecker product of 1-D masses
-and is solved exactly along the grid axes.
+data, never a copy of it), so all operators stay usable by symmetric
+solvers. A pinned operator is a `GridSystem`: its mesh, unpinned stencil
+data and the mask of its pinned nodes. It derives the systems that pin
+more nodes or add data on the same mesh, and builds once the geometric
+multigrid preconditioner its solves use, whose coarsest grid is factored
+from a masked band read off the diagonals of its matrix. The consistent
+mass matrix is a Kronecker product of 1-D masses, solved exactly.
 """
 
 from __future__ import annotations
@@ -81,9 +80,8 @@ class StructuredMesh:
     (i+di, j+dj) for di, dj in {-1, 0, 1}, slot 3*(dj+1) + (di+1) of the
     (n+1, n+1, 9) slot grid that `assemble` writes. Gathering the slots
     whose neighbour exists (`valid`), in row-major order, gives the CSR
-    data (`nnz` entries) with sorted column indices; `rows` holds each
-    entry's row and `diagonal` each row's diagonal entry. `csr` and
-    `pinned` build a matrix of data on it, so sums and pinning act on data.
+    data (`nnz` entries) with sorted column indices. `csr` wraps data on
+    it as a matrix, so sums act on data.
 
     Attributes
     ----------
@@ -122,18 +120,13 @@ class StructuredMesh:
         nbr_i = ii[:, None] + di - 1
         nbr_j = jj[:, None] + dj - 1
         valid = (nbr_i >= 0) & (nbr_i <= n) & (nbr_j >= 0) & (nbr_j <= n)
-        counts = valid.sum(axis=1)
         self.valid = valid.reshape(n1, n1, 9)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(
-            np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(valid.sum(axis=1))]).astype(np.int32)
         self.indices = (nbr_j * n1 + nbr_i)[valid].astype(np.int32)
         self.nnz = self.indices.shape[0]
-        self.rows = np.repeat(np.arange(n1 * n1, dtype=np.int32), counts)
-        # position in the data of each row's diagonal (slot 4, always there)
-        self.diagonal = (np.cumsum(valid, axis=1) - 1)[:, 4] \
-            + self.indptr[:-1]
         for arr in (self.nodes, self.cells, self.boundary_mask, self.valid,
-                    self.indptr, self.indices, self.rows, self.diagonal):
+                    self.indptr, self.indices):
             arr.flags.writeable = False
 
     @property
@@ -239,16 +232,6 @@ class StructuredMesh:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.n_nodes, self.n_nodes))
 
-    def pinned(self, data: np.ndarray, mask: np.ndarray) -> sp.csr_matrix:
-        """CSR matrix of data with the rows and columns flagged by mask set
-        to identity, on this mesh's shared pattern: the pinned entries stay
-        as explicit zeros, which leave every matrix-vector product's bits
-        as they are."""
-        pinned = np.take(mask, self.rows) | np.take(mask, self.indices)
-        out = np.where(pinned, 0.0, data)
-        out[self.diagonal[mask]] = 1.0
-        return self.csr(out)
-
     def __repr__(self) -> str:
         return f"StructuredMesh(level={self.level})"
 
@@ -350,13 +333,13 @@ class GridSystem:
 
     Held as its mesh, stencil data on the mesh's pattern, unpinned, and
     the boolean mask of the nodes it pins (boundary nodes, and whatever
-    else a solver pins). Its `matrix` has identity rows and columns there,
-    on the mesh's shared pattern; `solve_spd` zeroes the right-hand side
-    there, so the solution is exactly zero on them, and solves the rest by
-    conjugate gradients preconditioned with the geometric multigrid
-    V-cycle of `multigrid`, both cached: one set-up per system. `pin` and
-    `plus` derive the systems the solvers need from one stiffness, on its
-    mesh: each keeps every node its source pins.
+    else a solver pins), with no pinned copy: `K @ v` is the product, bit
+    for bit, of the data with identity rows and columns there. `solve_spd`
+    zeroes the right-hand side there, so the solution is exactly zero on
+    them, and solves the rest by conjugate gradients preconditioned with
+    the geometric multigrid V-cycle of `multigrid`, set up once per system
+    and cached. `pin` and `plus` derive the systems the solvers need from
+    one stiffness, on its mesh: each keeps every node its source pins.
     """
 
     mesh: StructuredMesh
@@ -374,9 +357,9 @@ class GridSystem:
                 "its nodes")
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The pinned CSR matrix on the mesh's shared pattern."""
-        return self.mesh.pinned(self.data, self.dirichlet_mask)
+    def _csr(self) -> sp.csr_matrix:
+        """The unpinned matrix of the data, a view that shares it."""
+        return self.mesh.csr(self.data)
 
     def pin(self, mask: np.ndarray) -> "GridSystem":
         """This system with the nodes of mask pinned too, on the same
@@ -387,32 +370,38 @@ class GridSystem:
 
     def plus(self, data: np.ndarray) -> "GridSystem":
         """The system of the sum with other data on the mesh, pinned on the
-        same nodes."""
+        same nodes; DimensionError unless data fills the stencil."""
+        if np.shape(data) != self.data.shape:
+            raise DimensionError("data must have one entry per stencil entry")
         return GridSystem(self.mesh, self.data + data, self.dirichlet_mask)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        # identity on the pinned rows; elsewhere the pinned columns drop out
+        out = self._csr @ np.where(self.dirichlet_mask, 0.0, v)
+        out[self.dirichlet_mask] = v[self.dirichlet_mask]
+        return out
 
     @cached_property
     def multigrid(self) -> Callable[[np.ndarray], np.ndarray]:
         """Symmetric V-cycle r -> z approximating the inverse of the matrix,
-        set up once per system.
+        set up once per system from the unpinned data and the mask.
 
         Each grid above the coarsest is smoothed by two damped-Jacobi
-        sweeps before and after its coarse correction. The coarse operator
-        is Galerkin, P'AP, with P the bilinear `prolongation` with the
-        rows of pinned fine nodes and the columns of pinned coarse nodes
-        zeroed: a coarse node is pinned where its fine node is, so every
-        free coarse node keeps its own free fine node and P'AP stays
-        positive definite; pinned coarse nodes get identity rows.
-        The coarsest grid (at most 32 cells per side) is solved exactly by
-        banded Cholesky, its band read off the matrix's diagonals (P'AP
-        of a nine-point operator is nine-point), so below level 6 the
-        V-cycle is a direct solve. Raises SolverError on a nonpositive diagonal
-        entry and when the coarsest grid's factorization fails.
+        sweeps before and after its coarse correction; a pinned row gets
+        weight 0, so the smoother never writes a pinned node. The coarse
+        operator is Galerkin, P'AP, with P the bilinear `prolongation`
+        with the rows of pinned fine nodes and the columns of pinned
+        coarse nodes zeroed: a coarse node is pinned where its fine node
+        is, so every free coarse node keeps its own free fine node and
+        P'AP stays positive definite; pinned coarse nodes get identity
+        rows. The coarsest grid (at most 32 cells per side) is solved
+        exactly by banded Cholesky, its band read off the matrix's
+        diagonals and pinned (P'AP of a nine-point operator is nine-point),
+        so below level 6 the V-cycle is a direct solve. Raises SolverError
+        on a nonpositive free diagonal entry and a failed coarsest factor.
         """
-        mat, pinned, level = self.matrix, self.dirichlet_mask, self.mesh.level
-        if not np.all(mat.diagonal() > 0.0):
+        mat, pinned, level = self._csr, self.dirichlet_mask, self.mesh.level
+        if not np.all(mat.diagonal()[~pinned] > 0.0):
             raise SolverError("matrix has a nonpositive diagonal entry")
         grids = []
         while level > COARSEST_LEVEL:
@@ -421,16 +410,21 @@ class GridSystem:
             p = prolongation(level)
             rows = np.repeat(pinned, np.diff(p.indptr))
             p.data[rows | coarse[p.indices]] = 0.0
-            # every row holds its positive diagonal, so none is empty
-            l1 = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
-            weights = np.minimum(_OMEGA / mat.diagonal(), _L1_CAP / l1)
+            # l1 over the free columns; each row holds its diagonal
+            l1 = np.add.reduceat(np.where(pinned[mat.indices], 0.0,
+                                          np.abs(mat.data)), mat.indptr[:-1])
+            free, weights = ~pinned, np.zeros(pinned.shape)
+            weights[free] = np.minimum(_OMEGA / mat.diagonal()[free],
+                                       _L1_CAP / l1[free])
             grids.append((mat, weights, p))
-            mat = (p.T.tocsr() @ (mat @ p)
+            # P'AP over the free fine rows: those of P are zero and the
+            # pinned matrix's AP keeps none, so its column order is kept
+            mat = (p[free].T.tocsr() @ (mat @ p)[free]
                    + sp.diags(coarse.astype(float))).tocsr()
             pinned = coarse
             level -= 1
         try:
-            factor = (cholesky_banded(_band(mat, 2 ** level + 1),
+            factor = (cholesky_banded(_band(mat, 2 ** level + 1, pinned),
                                       overwrite_ab=True, check_finite=False),
                       False)
         except np.linalg.LinAlgError as exc:
@@ -457,14 +451,16 @@ class GridSystem:
         return vcycle
 
 
-def _band(mat: sp.csr_matrix, n1: int) -> np.ndarray:
+def _band(mat: sp.csr_matrix, n1: int, pinned: np.ndarray) -> np.ndarray:
     """LAPACK upper band storage (kd = n1 + 1) of a symmetric nine-point
-    matrix on the n1 x n1 grid nodes, read from its diagonals 0, 1,
+    matrix on the n1 x n1 grid nodes, pinned, read from its diagonals 0, 1,
     n1 - 1, n1 and n1 + 1 (at n1 = 2 the second and third coincide)."""
-    kd = n1 + 1
-    bands = np.zeros((kd + 1, mat.shape[0]))
+    kd, n = n1 + 1, mat.shape[0]
+    bands = np.zeros((kd + 1, n))
     for offset in (0, 1, n1 - 1, n1, n1 + 1):
-        bands[kd - offset, offset:] = mat.diagonal(offset)
+        cut = pinned[:n - offset] | pinned[offset:]
+        bands[kd - offset, offset:] = np.where(cut, 0.0, mat.diagonal(offset))
+    bands[kd, pinned] = 1.0
     return bands
 
 

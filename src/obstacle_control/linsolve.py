@@ -4,28 +4,28 @@
 system on a mesh's nine-point stencil is a `GridSystem` holding that mesh:
 the Dirichlet stiffness K of a control, the active-set, VI-adjoint and
 cone systems that pin more of its nodes (`K.pin`), and the Newton/adjoint
-matrices K + D (`K.plus`). Conjugate gradients solve it to
-||Ax - b|| <= 1e-12 ||b|| with a geometric multigrid V-cycle as
-preconditioner, whose coarsest grid (at most 32 cells per side) is an
-exact banded Cholesky solve, so the iteration count does not grow with
-the level and a system on at most 32 cells per side converges in one
-iteration. The V-cycle is set up once per system and kept with it: the VI
-adjoint solves the last active-set sweep's system again without a new
-factor. The consistent mass matrix of a structured mesh (`KroneckerMass`)
-is solved exactly by banded Cholesky along each grid axis, for several
-right-hand sides at once, and each result is checked against
-||Ax - b|| <= 1e-13 ||b||. Any other operator and any non-finite input
-are refused before any work.
+matrices K + D (`K.plus`), each pinned by a mask on shared stencil data.
+Conjugate gradients multiply by the system itself (`K @ v`, the masked
+product) and solve it to ||Ax - b|| <= 1e-12 ||b|| with a geometric
+multigrid V-cycle as preconditioner, whose coarsest grid (at most 32
+cells per side) is an exact banded Cholesky solve, so the iteration count
+does not grow with the level and a system on at most 32 cells per side
+converges in one iteration. The V-cycle is set up once per system and
+kept with it: the VI adjoint solves the last active-set sweep's system
+again without a new factor. The consistent mass matrix of a structured
+mesh (`KroneckerMass`) is solved exactly by banded Cholesky along each
+grid axis, for several right-hand sides at once, and each result is
+checked against ||Ax - b|| <= 1e-13 ||b||. Any other operator and any
+non-finite input are refused before any work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionError, SolverError
 from .fem import GridSystem, KroneckerMass
@@ -50,22 +50,20 @@ _MASS_TOL = 1e-13
 _CG_MAX_ITERS = 100
 
 
-def _pcg(mat: sp.csr_matrix, b: np.ndarray, x0: Optional[np.ndarray],
-         precondition: Callable[[np.ndarray], np.ndarray]
+def _pcg(A: GridSystem, b: np.ndarray, x0: Optional[np.ndarray]
          ) -> tuple[np.ndarray, int, float]:
-    """Preconditioned conjugate gradients to ||Ax-b|| <= _GRID_TOL*||b||.
-
-    `precondition` maps a residual to the preconditioned one; it must be
-    symmetric positive definite. The comparisons are written so that NaN
-    fails them.
+    """Conjugate gradients to ||Ax-b|| <= _GRID_TOL*||b||, preconditioned
+    by the system's multigrid V-cycle, set up first even for b = 0. The
+    comparisons are written so that NaN fails them.
     """
+    precondition = A.multigrid
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), 0, 0.0
     target = _GRID_TOL * b_norm
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     # from zero, b - A x is b bit for bit: no product
-    r = b.copy() if x0 is None else b - mat @ x
+    r = b.copy() if x0 is None else b - A @ x
     res = math.sqrt(r @ r)
     if res <= target:
         return x, 0, res
@@ -73,7 +71,7 @@ def _pcg(mat: sp.csr_matrix, b: np.ndarray, x0: Optional[np.ndarray],
     p = z.copy()
     rz = float(r @ z)
     for k in range(1, _CG_MAX_ITERS + 1):
-        ap = mat @ p
+        ap = A @ p
         pap = float(p @ ap)
         if not pap > 0.0:
             raise SolverError(
@@ -145,14 +143,14 @@ def solve_spd(A: Union[GridSystem, KroneckerMass], b: np.ndarray,
 
 
 def _solve_grid(A: GridSystem, rhs, x0):
-    mat, mask = A.matrix, A.dirichlet_mask
+    mask = A.dirichlet_mask
     if rhs.shape != mask.shape or (x0 is not None
                                    and np.shape(x0) != mask.shape):
         raise DimensionError("rhs and x0 must have one entry per node")
     rhs = np.where(mask, 0.0, rhs)
     if x0 is not None:
         x0 = np.where(mask, 0.0, x0)
-    x, its, res = _pcg(mat, rhs, x0, A.multigrid)
+    x, its, res = _pcg(A, rhs, x0)
     return x, LinearSolveReport(its, res)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import MatrixControlField
+from .errors import DimensionError
 from .fem import ScalarField, assemble_stiffness, same_mesh
 from .obstacle import VISolution, pdas_bound_solve
 
@@ -72,13 +73,12 @@ def cone_derivative(q: MatrixControlField, load: np.ndarray,
 
     Minimizes 1/2 v' K_q v - load' v over v = 0 on zero_nodes, v <= 0 on
     nonpositive_nodes, by the same active-set iteration as the forward
-    obstacle solve.
+    obstacle solve, which refuses a load, zero_nodes or nonpositive_nodes
+    without one entry per node of q's mesh with DimensionError.
     """
-    mesh = q.mesh
-    upper = np.full(mesh.n_nodes, np.inf)
-    upper[cone.nonpositive_nodes] = 0.0
+    upper = np.where(cone.nonpositive_nodes, 0.0, np.inf)
     v = pdas_bound_solve(q.stiffness.pin(cone.zero_nodes), load, upper)[0]
-    return ScalarField(mesh, v)
+    return ScalarField(q.mesh, v)
 
 
 def _derivative_multiplier(q: MatrixControlField, load: np.ndarray,
@@ -103,8 +103,12 @@ def derivative_complementarity_check(u_tilde: ScalarField,
     violation of the lumped multiplier (must be >= 0 on nonpositive_nodes,
     vanish on free nodes, free on zero_nodes). orthogonality: lumped
     pairing |<lam, u_tilde>|. All near zero at a converged solve.
+    DimensionError unless the load and cone masks have one entry per node.
     """
     mesh = same_mesh(u_tilde, q)
+    if any(np.shape(a) != (mesh.n_nodes,) for a in (
+            load, cone.zero_nodes, cone.nonpositive_nodes, cone.free_nodes)):
+        raise DimensionError("load and cone masks need one entry per node")
     v = u_tilde.values
     lam = _derivative_multiplier(q, load, u_tilde).values
     feas = 0.0

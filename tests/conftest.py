@@ -93,14 +93,40 @@ def full_grid_penalty(mesh, u, psi, gamma):
     return gap, vec, jac
 
 
+def entry_rows(mesh):
+    """The row of every entry of the mesh's stencil pattern."""
+    return np.repeat(np.arange(mesh.n_nodes), np.diff(mesh.indptr))
+
+
+def diagonal_entries(mesh):
+    """Position in the stencil data of every row's diagonal entry."""
+    return np.flatnonzero(entry_rows(mesh) == mesh.indices)
+
+
+def _pinned_data(mesh, data, mask):
+    """Stencil data with the rows and columns flagged by mask set to
+    identity, the pinned entries kept as zeros."""
+    rows = entry_rows(mesh)
+    out = np.where(mask[rows] | mask[mesh.indices], 0.0, data)
+    out[diagonal_entries(mesh)[mask]] = 1.0
+    return out
+
+
+def pinned_matrix(system):
+    """Reference matrix of a grid system: its stencil data with the rows
+    and columns of its mask set to identity, a copy on the mesh's shared
+    pattern whose pinned entries stay as explicit zeros."""
+    mesh = system.mesh
+    return mesh.csr(_pinned_data(mesh, system.data, system.dirichlet_mask))
+
+
 def compacted_pin(mesh, data, mask):
     """Reference pin: the CSR matrix of stencil data on the mesh with the
     rows and columns flagged by mask set to identity and every zero entry
     dropped, on a pattern of its own."""
-    out = np.where(mask[mesh.rows] | mask[mesh.indices], 0.0, data)
-    out[mesh.diagonal[mask]] = 1.0
+    out = _pinned_data(mesh, data, mask)
     keep = out != 0.0
-    counts = np.bincount(mesh.rows[keep], minlength=mesh.n_nodes)
+    counts = np.bincount(entry_rows(mesh)[keep], minlength=mesh.n_nodes)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
     return sp.csr_matrix((out[keep], mesh.indices[keep], indptr),
                          shape=(mesh.n_nodes, mesh.n_nodes))

@@ -128,7 +128,7 @@ def test_04_enumeration_oracle_five_instances():
         psi = rng.uniform(0.05, 0.5)
         sol = solve_vi(q, f, psi)
         K = assemble_stiffness(mesh, q)
-        kd = K.matrix.toarray()[np.ix_(idx, idx)]
+        kd = mesh.csr(K.data).toarray()[np.ix_(idx, idx)]
         u_ref, _ = oracle_active_set_enumeration(kd, f.values[idx], psi)
         err = np.abs(sol.u.values[idx] - u_ref).max()
         worst = max(worst, err)

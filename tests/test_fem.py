@@ -1,10 +1,12 @@
 """Mesh construction, assembly, and norms against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
-from scipy.linalg import cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from obstacle_control import (
     CapacityError,
@@ -23,8 +25,8 @@ from obstacle_control import (
 from obstacle_control import fem
 from obstacle_control.fem import COARSEST_LEVEL, prolongation
 
-from conftest import compacted_pin, random_admissible, random_direction, \
-    scatter_band, slice_add_assemble, slice_add_integrate
+from conftest import compacted_pin, pinned_matrix, random_admissible, \
+    random_direction, scatter_band, slice_add_assemble, slice_add_integrate
 
 SEED = 20260819
 
@@ -179,8 +181,8 @@ def test_stiffness_symmetric():
     mesh = build_mesh(3)
     rng = np.random.default_rng(SEED)
     q = random_admissible(mesh, rng)
-    K = assemble_stiffness(mesh, q).matrix
-    assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
+    K = dense(assemble_stiffness(mesh, q))
+    assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
 
 
 def test_stiffness_energy_matches_quadrature_oracle():
@@ -198,7 +200,7 @@ def test_stiffness_energy_matches_quadrature_oracle():
 def test_stiffness_dirichlet_rows_identity():
     mesh = build_mesh(2)
     q = MatrixControlField.constant(mesh, np.eye(2))
-    K = assemble_stiffness(mesh, q).matrix.toarray()
+    K = dense(assemble_stiffness(mesh, q))
     for i in np.nonzero(mesh.boundary_mask)[0]:
         row = np.zeros(mesh.n_nodes)
         row[i] = 1.0
@@ -264,11 +266,10 @@ def test_assembly_deterministic():
     mesh = build_mesh(3)
     rng = np.random.default_rng(SEED + 3)
     q = random_admissible(mesh, rng)
-    k1 = assemble_stiffness(mesh, q).matrix
-    k2 = assemble_stiffness(mesh, q).matrix
+    k1 = assemble_stiffness(mesh, q)
+    k2 = assemble_stiffness(mesh, q)
     assert np.array_equal(k1.data, k2.data)
-    assert np.array_equal(k1.indices, k2.indices)
-    assert np.array_equal(k1.indptr, k2.indptr)
+    assert np.array_equal(k1.dirichlet_mask, k2.dirichlet_mask)
 
 
 # ------------------------------------------------------------------ mass
@@ -441,6 +442,12 @@ def pin_reference(matrix, mask):
     return (keep @ matrix @ keep + sp.diags(mask.astype(float))).toarray()
 
 
+def dense(system):
+    """The dense matrix of a grid system, column by column from its
+    products with the unit vectors."""
+    return np.column_stack([system @ e for e in np.eye(system.mesh.n_nodes)])
+
+
 def assert_close_relative(got, want, rel=1e-14):
     assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
@@ -459,7 +466,7 @@ def test_stiffness_matches_coo_reference(level):
     raw = mesh.csr(pinned.data)
     assert_close_relative(raw.toarray(), want)
     assert_close_relative(
-        pinned.matrix.toarray(),
+        dense(pinned),
         pin_reference(sp.csr_matrix(want), mesh.boundary_mask))
 
 
@@ -550,8 +557,8 @@ def test_integrate_equals_the_slice_add_reference(level, columns):
 
 def test_operators_share_the_mesh_pattern():
     """Assembled operators hold their data on the mesh's read-only
-    pattern, and the systems derived from one keep its mesh; a pinned
-    matrix keeps its column order."""
+    pattern, and the systems derived from one keep its mesh; a system's
+    matrix view shares its data and the pattern."""
     mesh = build_mesh(3)
     q = random_admissible(mesh, np.random.default_rng(SEED + 6))
     for mat in (mesh.mass_matrix,
@@ -561,45 +568,77 @@ def test_operators_share_the_mesh_pattern():
     K = assemble_stiffness(mesh, q)
     assert K.mesh is mesh
     assert K.data.shape == (mesh.nnz,)
-    assert K.matrix.has_sorted_indices
     assert np.array_equal(
-        K.matrix.toarray(),
-        pin_reference(mesh.csr(K.data), mesh.boundary_mask))
-    for derived in (K.pin(mesh.nodes[:, 0] > 0.0),
-                    K.plus(mesh.mass_matrix.data)):
-        assert derived.mesh is mesh
-        assert np.shares_memory(derived.matrix.indices, mesh.indices)
+        dense(K), pin_reference(mesh.csr(K.data), mesh.boundary_mask))
+    for system in (K, K.pin(mesh.nodes[:, 0] > 0.0),
+                   K.plus(mesh.mass_matrix.data)):
+        assert system.mesh is mesh
+        assert np.shares_memory(system._csr.data, system.data)
+        assert np.shares_memory(system._csr.indices, mesh.indices)
     with pytest.raises(ValueError):
         mesh.mass_matrix.indices[0] = 1
 
 
 @pytest.mark.parametrize("level", [1, 3])
 def test_pin_matches_keep_product(level):
-    """StructuredMesh.pinned is keep @ A @ keep + diag(mask) on the
-    mesh's shared pattern, and its products have the bits of the
-    compacted reference's."""
+    """The matrix of a system pinned on any mask is keep @ A @ keep +
+    diag(mask), in the reference pinned matrix and in the system's own
+    products, which have the bits of the compacted reference's."""
     mesh = build_mesh(level)
     rng = np.random.default_rng(SEED + 7)
     q = random_admissible(mesh, rng)
     raw = mesh.csr(assemble_stiffness(mesh, q).data)
     for _ in range(3):
         mask = rng.random(mesh.n_nodes) < 0.3
-        pinned = mesh.pinned(raw.data, mask)
-        assert np.array_equal(pinned.toarray(), pin_reference(raw, mask))
-        assert np.shares_memory(pinned.indices, mesh.indices)
-        assert np.shares_memory(pinned.indptr, mesh.indptr)
-        v = rng.standard_normal((mesh.n_nodes, 2))
+        system = fem.GridSystem(mesh, raw.data, mask)
+        want = pin_reference(raw, mask)
+        assert np.array_equal(pinned_matrix(system).toarray(), want)
+        assert np.array_equal(dense(system), want)
+        v = rng.standard_normal(mesh.n_nodes)
         compact = compacted_pin(mesh, raw.data, mask)
-        assert np.array_equal(pinned @ v, compact @ v)
-        assert np.array_equal(pinned @ v[:, 0], compact @ v[:, 0])
-        assert pinned.has_sorted_indices
+        assert np.array_equal(system @ v, compact @ v)
 
 
-def assert_band_matches_scatter(mat, n1, reference):
+def test_grid_system_products_equal_the_pinned_matrix():
+    """K @ v of a control's stiffness, a system pinned on more nodes, a
+    summed system and the system of a sign-indefinite direction has the
+    bits of the reference pinned matrix's product, for v nonzero on the
+    pinned nodes."""
+    mesh = build_mesh(4)
+    rng = np.random.default_rng(SEED + 16)
+    K = random_admissible(mesh, rng).stiffness
+    weight = rng.random((mesh.n_cells, 4))
+    for system in (K, K.pin(rng.random(mesh.n_nodes) < 0.3),
+                   K.plus(mesh.mass_data(weight, np.arange(mesh.n_cells))),
+                   assemble_stiffness(mesh, random_direction(mesh, rng))):
+        v = rng.standard_normal(mesh.n_nodes)
+        assert np.all(v[system.dirichlet_mask] != 0.0)
+        assert np.array_equal(system @ v, pinned_matrix(system) @ v)
+
+
+def test_pinned_product_copies_no_stencil_data():
+    """The first product of a newly pinned level-6 system allocates less
+    than one array of mesh.nnz floats: the pin is a mask on the shared
+    data, not a copy of it."""
+    mesh = build_mesh(6)
+    rng = np.random.default_rng(SEED + 17)
+    system = random_admissible(mesh, rng).stiffness.pin(
+        rng.random(mesh.n_nodes) < 0.3)
+    v = rng.standard_normal(mesh.n_nodes)
+    tracemalloc.start()
+    try:
+        system @ v
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * mesh.nnz
+
+
+def assert_band_matches_scatter(mat, n1, pinned, reference):
     """The band read off the diagonals of the nine-point matrix mat on the
-    n1 x n1 grid, and its banded Cholesky factor, are bitwise those of the
-    coordinate scatter of the reference matrix."""
-    band = fem._band(mat, n1)
+    n1 x n1 grid, pinned on its mask, and its banded Cholesky factor, are
+    bitwise those of the coordinate scatter of the reference matrix."""
+    band = fem._band(mat, n1, pinned)
     want = scatter_band(reference, n1 + 1)
     assert np.array_equal(band, want)
     assert np.array_equal(cholesky_banded(band, check_finite=False),
@@ -616,30 +655,88 @@ def test_stencil_band_matches_coordinate_scatter(level):
     K = assemble_stiffness(mesh, random_admissible(mesh, rng))
     raw = mesh.csr(K.data)
     n1 = mesh.cells_per_side + 1
-    assert np.array_equal(fem._band(raw, n1), scatter_band(raw, n1 + 1))
+    free = np.zeros(mesh.n_nodes, dtype=bool)
+    assert np.array_equal(fem._band(raw, n1, free),
+                          scatter_band(raw, n1 + 1))
     for _ in range(3):
         system = K.pin(rng.random(mesh.n_nodes) < 0.3)
         assert_band_matches_scatter(
-            system.matrix, n1,
+            raw, n1, system.dirichlet_mask,
             compacted_pin(mesh, K.data, system.dirichlet_mask))
 
 
-def galerkin_reference(system):
-    """The coarsest Galerkin operator of the multigrid hierarchy, computed
-    from the compacted pinned matrix."""
-    mat = compacted_pin(system.mesh, system.data, system.dirichlet_mask)
-    pinned, level = system.dirichlet_mask, system.mesh.level
+def reference_hierarchy(mat, pinned, level):
+    """The multigrid hierarchy of a pinned matrix, set up as one whose
+    pinned rows are identity: per grid above the coarsest its matrix,
+    Jacobi weights from every row and masked prolongation, and the
+    coarsest Galerkin operator."""
+    grids = []
     while level > COARSEST_LEVEL:
         n1 = 2 ** level + 1
         coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
         p = prolongation(level)
         rows = np.repeat(pinned, np.diff(p.indptr))
         p.data[rows | coarse[p.indices]] = 0.0
+        l1 = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
+        grids.append((mat, np.minimum(fem._OMEGA / mat.diagonal(),
+                                      fem._L1_CAP / l1), p))
         mat = (p.T.tocsr() @ (mat @ p)
                + sp.diags(coarse.astype(float))).tocsr()
         pinned = coarse
         level -= 1
-    return mat
+    return grids, mat
+
+
+def galerkin_reference(system):
+    """The coarsest Galerkin operator of the multigrid hierarchy, computed
+    from the compacted pinned matrix."""
+    mat = compacted_pin(system.mesh, system.data, system.dirichlet_mask)
+    return reference_hierarchy(mat, system.dirichlet_mask,
+                               system.mesh.level)[1]
+
+
+def reference_vcycle(system, r):
+    """The V-cycle of the reference pinned matrix's hierarchy applied to
+    r, its coarsest band scattered from the Galerkin operator."""
+    grids, coarsest = reference_hierarchy(
+        pinned_matrix(system), system.dirichlet_mask, system.mesh.level)
+    n1 = 2 ** min(system.mesh.level, COARSEST_LEVEL) + 1
+    factor = cholesky_banded(scatter_band(coarsest, n1 + 1),
+                             check_finite=False)
+    down = []
+    for a, s, p in grids:
+        x = s * r
+        x += s * (r - a @ x)
+        down.append((x, r))
+        r = p.T @ (r - a @ x)
+    e = cho_solve_banded((factor, False), r, check_finite=False)
+    for (a, s, p), (x, r) in zip(reversed(grids), reversed(down)):
+        x += p @ e
+        x += s * (r - a @ x)
+        x += s * (r - a @ x)
+        e = x
+    return e
+
+
+@pytest.mark.parametrize("anisotropic", [False, True])
+@pytest.mark.parametrize("level", [4, 7])
+def test_multigrid_equals_the_pinned_matrix_vcycle(level, anisotropic):
+    """The V-cycle a pinned system sets up from its unpinned data and mask
+    has the bits of the one set up from the reference pinned matrix, on
+    residuals that vanish on the pinned nodes as CG's do. With the
+    anisotropic coefficient the l1 cap of the smoother's weights binds, so
+    the l1 norms must leave out the pinned columns."""
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(SEED + 18)
+    x, y = mesh.nodes.T
+    q = (MatrixControlField.constant(mesh, [[4.0, 1.5], [1.5, 1.0]])
+         if anisotropic else random_admissible(mesh, rng))
+    system = q.stiffness.pin((x - 0.4) ** 2 + y ** 2 < 0.1)
+    for _ in range(2):
+        r = np.where(system.dirichlet_mask, 0.0,
+                     rng.standard_normal(mesh.n_nodes))
+        assert np.array_equal(system.multigrid(r),
+                              reference_vcycle(system, r))
 
 
 def test_galerkin_band_matches_coordinate_scatter(monkeypatch):
@@ -650,9 +747,9 @@ def test_galerkin_band_matches_coordinate_scatter(monkeypatch):
     mats = []
     band = fem._band
 
-    def recorded(mat, n1):
-        mats.append((mat, n1))
-        return band(mat, n1)
+    def recorded(mat, n1, pinned):
+        mats.append((mat, n1, pinned))
+        return band(mat, n1, pinned)
 
     monkeypatch.setattr(fem, "_band", recorded)
     for level in (6, 7, 8):
@@ -663,9 +760,10 @@ def test_galerkin_band_matches_coordinate_scatter(monkeypatch):
         system = K.pin((x - 0.4) ** 2 + y ** 2 < 0.1)
         mats.clear()
         assert system.multigrid is system.multigrid
-        (mat, n1), = mats
+        (mat, n1, pinned), = mats
         assert n1 == 2 ** COARSEST_LEVEL + 1
-        assert_band_matches_scatter(mat, n1, galerkin_reference(system))
+        assert_band_matches_scatter(mat, n1, pinned,
+                                    galerkin_reference(system))
 
 
 @pytest.mark.parametrize("level", [1, 3])
@@ -681,14 +779,14 @@ def test_derived_systems_keep_the_pinned_nodes(level):
     assert pinned.data is K.data
     assert np.array_equal(pinned.dirichlet_mask,
                           mesh.boundary_mask | extra)
-    assert np.array_equal(pinned.matrix.toarray(),
+    assert np.array_equal(dense(pinned),
                           pin_reference(raw, mesh.boundary_mask | extra))
     mass = mesh.mass_matrix
     summed = pinned.plus(mass.data)
     assert summed.dirichlet_mask is pinned.dirichlet_mask
     assert np.array_equal(summed.data, K.data + mass.data)
     assert np.array_equal(
-        summed.matrix.toarray(),
+        dense(summed),
         pin_reference(raw + mass, mesh.boundary_mask | extra))
     assert np.array_equal(K.dirichlet_mask, mesh.boundary_mask)
 

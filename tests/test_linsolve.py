@@ -21,7 +21,7 @@ from obstacle_control.control import riesz_lift
 from obstacle_control.fem import GridSystem
 from obstacle_control.penalty import _contact, _penalty_jacobian
 
-from conftest import random_admissible
+from conftest import diagonal_entries, pinned_matrix, random_admissible
 
 SEED = 5150
 
@@ -55,7 +55,7 @@ def test_identity_system():
     mesh = build_mesh(2)
     n = mesh.n_nodes
     data = np.zeros(mesh.nnz)
-    data[mesh.diagonal] = 1.0
+    data[diagonal_entries(mesh)] = 1.0
     identity = GridSystem(mesh, data, np.zeros(n, dtype=bool))
     b = np.random.default_rng(SEED).standard_normal(n)
     x, report = solve_spd(identity, b)
@@ -94,7 +94,7 @@ def test_matches_dense_factorization_oracle():
     K = assemble_stiffness(mesh, random_admissible(mesh, rng))
     b = rng.standard_normal(mesh.n_nodes)
     rhs = np.where(mesh.boundary_mask, 0.0, b)
-    expected = np.linalg.solve(K.matrix.toarray(), rhs)
+    expected = np.linalg.solve(pinned_matrix(K).toarray(), rhs)
     x, _ = solve_spd(K, b)
     assert np.allclose(x, expected, atol=1e-10)
 
@@ -164,7 +164,7 @@ def test_direct_path_matches_pcg():
     K = assemble_stiffness(mesh, q)
     b = assemble_load(mesh, lambda x, y: x * y + 2.0).values
     x_it, _ = solve_spd(K, b)
-    x_dir = scipy_lu(K.matrix, np.where(mesh.boundary_mask, 0.0, b))
+    x_dir = scipy_lu(pinned_matrix(K), np.where(mesh.boundary_mask, 0.0, b))
     assert np.allclose(x_it, x_dir, atol=1e-10)
 
 
@@ -289,7 +289,7 @@ def _grid_case(kind, level, seed):
         # the way the active-set solver does it
         active = mesh.interior_mask & (rng.random(mesh.n_nodes) < 0.3)
         lifted = np.where(active, 0.5, 0.0)
-        return K.pin(active), b - K.matrix @ lifted, lifted
+        return K.pin(active), b - K @ lifted, lifted
     if kind == "vi_adjoint":
         contact = (x - 0.4) ** 2 + y ** 2 < 0.1
         return K.pin(contact), b, lifted
@@ -305,7 +305,8 @@ def _penalty_system(mesh, K):
 
 def _true_residual(system, x, b):
     rhs = np.where(system.dirichlet_mask, 0.0, b)
-    return np.linalg.norm(system.matrix @ x - rhs) / np.linalg.norm(rhs)
+    residual = pinned_matrix(system) @ x - rhs
+    return np.linalg.norm(residual) / np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("level", range(1, 9))
@@ -325,8 +326,9 @@ def test_multigrid_matches_jacobi_and_direct(kind, level):
     # Jacobi-PCG stops on its updated residual, whose drift from the true
     # one reaches 0.2% of the target at level 8, so only the solutions
     # are compared
-    x_jac = scipy_jacobi_cg(system.matrix, rhs, GRID_TOL)
-    x_dir = scipy_lu(system.matrix, rhs)
+    matrix = pinned_matrix(system)
+    x_jac = scipy_jacobi_cg(matrix, rhs, GRID_TOL)
+    x_dir = scipy_lu(matrix, rhs)
     for sol in (x, x_dir):
         assert _true_residual(system, sol, b) <= GRID_TOL
     scale = np.abs(x_dir).max()
@@ -377,7 +379,8 @@ def test_plain_matrix_is_not_taken_for_a_grid(no_multigrid):
     mesh = build_mesh(1)
     K = assemble_stiffness(mesh, initial_control(mesh))
     b = np.where(mesh.boundary_mask, 0.0, 1.0)
-    for plain in (K.matrix, K.matrix.toarray(), mesh.mass_matrix):
+    matrix = pinned_matrix(K)
+    for plain in (matrix, matrix.toarray(), mesh.mass_matrix):
         with pytest.raises(TypeError, match="GridSystem or a KroneckerMass"):
             solve_spd(plain, b)
     with pytest.raises(AssertionError, match="multigrid built"):
@@ -389,7 +392,8 @@ def test_nan_on_the_multigrid_path_raises(level, monkeypatch):
     mesh = build_mesh(level)
     K = assemble_stiffness(mesh, initial_control(mesh))
     bump = np.zeros(K.data.size)
-    off_diagonal = np.setdiff1d(np.arange(bump.size), mesh.diagonal)
+    off_diagonal = np.setdiff1d(np.arange(bump.size),
+                                diagonal_entries(mesh))
     bump[off_diagonal[bump.size // 3]] = np.nan
     system = K.plus(bump)
     b = np.where(mesh.boundary_mask, 0.0, 1.0)
@@ -413,7 +417,7 @@ def test_failed_banded_factor_raises(level):
     K = assemble_stiffness(mesh, MatrixControlField.constant(
         mesh, np.eye(2)))
     system = K.plus(-10.0 * mesh.mass_matrix.data)
-    assert np.all(system.matrix.diagonal() > 0.0)
+    assert np.all(pinned_matrix(system).diagonal() > 0.0)
     with pytest.raises(SolverError, match="banded Cholesky"):
         system.multigrid
     b = np.where(mesh.boundary_mask, 0.0, 1.0)
@@ -453,12 +457,17 @@ def test_grid_system_refuses_a_non_boolean_mask():
 def test_pin_refuses_a_mask_of_another_length():
     """A one-entry mask would broadcast and pin every node; a mask one
     node short would fail inside numpy. Both are refused as operands of
-    the wrong shape."""
+    the wrong shape, and so is data for `plus` with one entry, which would
+    broadcast onto every stencil entry, or one entry short."""
     mesh = build_mesh(3)
     K = assemble_stiffness(mesh, initial_control(mesh))
     for mask in (np.array([True]), np.zeros(mesh.n_nodes - 1, dtype=bool)):
         with pytest.raises(DimensionError, match="one entry per node"):
             K.pin(mask)
+    for data in (np.ones(1), np.ones(mesh.nnz - 1)):
+        with pytest.raises(DimensionError,
+                           match="one entry per stencil entry"):
+            K.plus(data)
 
 
 def test_solves_refuse_node_arrays_of_another_length(no_multigrid):

@@ -26,7 +26,8 @@ from obstacle_control.obstacle import (
 )
 from obstacle_control.problems import example_objective
 
-from conftest import oracle_active_set_enumeration, random_admissible
+from conftest import oracle_active_set_enumeration, pinned_matrix, \
+    random_admissible
 from test_fem import desired_state, domain_integral_oracle, manufactured_load, q_d_components
 
 SEED = 74205
@@ -34,7 +35,7 @@ SEED = 74205
 
 def _interior_dense(mesh, K):
     idx = np.nonzero(mesh.interior_mask)[0]
-    return K.matrix.toarray()[np.ix_(idx, idx)], idx
+    return pinned_matrix(K).toarray()[np.ix_(idx, idx)], idx
 
 
 @pytest.fixture

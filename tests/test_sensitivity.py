@@ -3,8 +3,10 @@ cone-constrained derivative solve against difference quotients, its
 complementarity system, and the primal first-order condition."""
 
 import numpy as np
+import pytest
 
 from obstacle_control import (
+    DimensionError,
     MatrixControlField,
     ScalarField,
     assemble_load,
@@ -26,6 +28,7 @@ from obstacle_control.sensitivity import (
     CriticalCone,
     _derivative_multiplier,
     build_critical_cone,
+    cone_derivative,
     derivative_complementarity_check,
     direction_load,
     directional_derivative,
@@ -281,6 +284,34 @@ def test_hand_multiplier_single_interior_node():
     feas, polar, comp = derivative_complementarity_check(
         ut, cone, q, load)
     assert feas == 0.0 and polar == 0.0 and comp == 0.0
+
+
+@pytest.mark.parametrize("entries", [1, 80])
+def test_derivative_refuses_a_load_of_another_length(entries):
+    """At level 3 (81 nodes) a one-entry load would broadcast onto every
+    node and an 80-entry one fail inside numpy: the cone derivative and
+    its check both refuse them as operands of the wrong shape."""
+    mesh, f, q, sol = example_setup()
+    cone = build_critical_cone(sol)
+    load = np.ones(entries)
+    with pytest.raises(DimensionError, match="one entry per node"):
+        cone_derivative(q, load, cone)
+    with pytest.raises(DimensionError, match="one entry per node"):
+        derivative_complementarity_check(
+            ScalarField(mesh, np.zeros(mesh.n_nodes)), cone, q, load)
+
+
+def test_derivative_refuses_a_cone_of_another_mesh():
+    """A critical cone built on a level-4 solution would index the
+    level-3 arrays out of bounds: both functions refuse it."""
+    mesh, f, q, sol = example_setup()
+    fine_cone = build_critical_cone(example_setup(level=4)[3])
+    load = np.zeros(mesh.n_nodes)
+    with pytest.raises(DimensionError, match="one entry per node"):
+        cone_derivative(q, load, fine_cone)
+    with pytest.raises(DimensionError, match="one entry per node"):
+        derivative_complementarity_check(
+            ScalarField(mesh, np.zeros(mesh.n_nodes)), fine_cone, q, load)
 
 
 def test_primal_check_zero_at_self():

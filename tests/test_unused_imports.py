@@ -221,14 +221,15 @@ def unread_parameters(source: str) -> list:
 
 # the modules that build an operator's assembled matrix and solve with it
 _MATRIX_OWNERS = ("fem.py", "linsolve.py")
-# a grid system's matrix, and the mesh's CSR builders of stencil data
-_MATRIX_ATTRS = ("matrix", "csr", "pinned")
+# an operator's assembled matrix, and the mesh's CSR builder of stencil
+# data, whose product ignores a grid system's pins
+_MATRIX_ATTRS = ("matrix", "csr")
 
 
 def matrix_reads(sources: dict) -> list:
     """(file, line) of every load of an attribute named `matrix`, or of
-    the mesh's CSR builders `csr` and `pinned`, in a file of the set other
-    than fem.py and linsolve.py."""
+    the mesh's CSR builder `csr`, in a file of the set other than fem.py
+    and linsolve.py."""
     return sorted((path, node.lineno) for path, source in sources.items()
                   if Path(path).name not in _MATRIX_OWNERS
                   for node in ast.walk(ast.parse(source))
@@ -484,12 +485,11 @@ def test_matrix_scanner_finds_reads_outside_the_owners():
                          "    return getattr(q, 'data'), q.stiffness.matrix\n"),
         "pkg/penalty.py": ("def g(mesh, K, csr):\n"
                            "    a = mesh.csr(K.data)\n"
-                           "    return a, mesh.pinned(K.data, K.mask), csr\n"),
+                           "    return a, K.data, csr\n"),
     }
     assert matrix_reads(sources) == [("pkg/obstacle.py", 2),
                                      ("pkg/other.py", 3),
-                                     ("pkg/penalty.py", 2),
-                                     ("pkg/penalty.py", 3)]
+                                     ("pkg/penalty.py", 2)]
 
 
 def test_only_fem_and_linsolve_read_a_matrix():
