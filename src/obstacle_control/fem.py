@@ -12,9 +12,12 @@ data, never a copy of it), so all operators stay usable by symmetric
 solvers. A pinned operator is a `GridSystem`: its mesh, unpinned stencil
 data and the mask of its pinned nodes. It derives the systems that pin
 more nodes or add data on the same mesh, and builds once the geometric
-multigrid preconditioner its solves use, whose coarsest grid is factored
-from a masked band read off the diagonals of its matrix. The consistent
-mass matrix is a Kronecker product of 1-D masses, solved exactly.
+multigrid preconditioner its solves use: its coarse operators are formed
+on slot grids of stencil data, one axis at a time, with no sparse matrix
+product, on the chain of coarser meshes each mesh builds once, and its
+coarsest grid is factored from a band read off five slots. The bilinear
+grid transfers are separable too. The consistent mass matrix is a
+Kronecker product of 1-D masses, solved exactly.
 """
 
 from __future__ import annotations
@@ -81,7 +84,10 @@ class StructuredMesh:
     (n+1, n+1, 9) slot grid that `assemble` writes. Gathering the slots
     whose neighbour exists (`valid`), in row-major order, gives the CSR
     data (`nnz` entries) with sorted column indices. `csr` wraps data on
-    it as a matrix, so sums act on data.
+    it as a matrix, so sums act on data. The mesh one level down is
+    `coarse`, built once and shared by the multigrid hierarchy and the
+    nested obstacle solve; `prolong` and `restrict` transfer nodal values
+    between the two.
 
     Attributes
     ----------
@@ -208,11 +214,14 @@ class StructuredMesh:
         local = (scale * weight) @ _outer(shape, shape)
         return self.assemble(local.reshape(-1, 4, 4), cells)
 
+    def _mass(self) -> sp.csr_matrix:
+        shape, _, scale = self._reference
+        return self.csr(self.assemble(scale * (shape.T @ shape)))
+
     @cached_property
     def mass_matrix(self) -> sp.csr_matrix:
         """Consistent mass matrix, no boundary elimination."""
-        shape, _, scale = self._reference
-        return self.csr(self.assemble(scale * (shape.T @ shape)))
+        return self._mass()
 
     @cached_property
     def mass_operator(self) -> "KroneckerMass":
@@ -221,8 +230,48 @@ class StructuredMesh:
 
     @cached_property
     def lumped_mass(self) -> np.ndarray:
-        """Row sums of the consistent mass matrix (all positive for Q1)."""
-        return np.asarray(self.mass_matrix.sum(axis=1)).ravel()
+        """Row sums of the consistent mass matrix (all positive for Q1),
+        of a copy that is not kept: an obstacle solve needs only these, and
+        the coarse meshes it solves on live as long as their fine mesh."""
+        return np.asarray(self._mass().sum(axis=1)).ravel()
+
+    @cached_property
+    def coarse(self) -> "StructuredMesh":
+        """The mesh one level down, built once: its nodes are this mesh's
+        even-even nodes, and `prolong` and `restrict` map between them."""
+        return StructuredMesh(self.level - 1)
+
+    def prolong(self, values: np.ndarray) -> np.ndarray:
+        """Bilinear interpolation P v onto this mesh of nodal values on
+        `coarse`, one axis at a time: an even fine node copies its coarse
+        node, an odd one takes half of each of its two."""
+        n1 = self.cells_per_side + 1
+        c = values.reshape(n1 // 2 + 1, -1)
+        rows = np.empty((c.shape[0], n1))
+        rows[:, ::2] = c
+        rows[:, 1::2] = 0.5 * (c[:, :-1] + c[:, 1:])
+        out = np.empty((n1, n1))
+        out[::2] = rows
+        out[1::2] = 0.5 * (rows[:-1] + rows[1:])
+        return out.ravel()
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The transpose P' v on `coarse` of nodal values on this mesh, one
+        axis at a time: a coarse node takes its even fine node and half of
+        each odd neighbour. P' maps a load vector to the coarse load vector
+        of the same density, since every coarse basis function is the
+        P-combination of fine ones."""
+        n1 = self.cells_per_side + 1
+        fine = values.reshape(n1, n1)
+        odd = 0.5 * fine[:, 1::2]
+        rows = fine[:, ::2].copy()
+        rows[:, 1:] += odd
+        rows[:, :-1] += odd
+        odd = 0.5 * rows[1::2]
+        out = rows[::2].copy()
+        out[1:] += odd
+        out[:-1] += odd
+        return out.ravel()
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """CSR matrix with the given data on this mesh's pattern."""
@@ -325,6 +374,21 @@ COARSEST_LEVEL = 5
 # Jacobi damping of the smoother, capped per row below 2 / (row l1-norm)
 _OMEGA = 0.8
 _L1_CAP = 1.8
+# The Galerkin product P'AP of a nine-point operator, along one axis: the
+# entry of coarse node I at coarse offset D sums w(a) w(b) times the entry
+# of fine node 2I + a at stencil offset d, with b = a + d - 2D the offset
+# of the fine column from the coarse column's fine node and w the weights
+# of the 1-D prolongation (Trottenberg, Oosterlee & Schueller, Multigrid,
+# 2001, A.3), w(0) = 1 and w(+-1) = 1/2. Each term is (slot d, fine nodes
+# 2I + a as a slice of the fine axis, slot D, the coarse nodes I that have
+# one, weight):
+_FINE_OF = {-1: slice(1, None, 2), 0: slice(0, None, 2), 1: slice(1, None, 2)}
+_COARSE_OF = {-1: slice(1, None), 0: slice(None), 1: slice(None, -1)}
+_GALERKIN_TERMS = tuple(
+    (d + 1, _FINE_OF[a], D + 1, _COARSE_OF[a],
+     (2 - abs(a)) * (2 - abs(a + d - 2 * D)) / 4)
+    for a in (-1, 0, 1) for d in (-1, 0, 1) for D in (-1, 0, 1)
+    if abs(a + d - 2 * D) <= 1)
 
 
 @dataclass(frozen=True)
@@ -388,45 +452,50 @@ class GridSystem:
 
         Each grid above the coarsest is smoothed by two damped-Jacobi
         sweeps before and after its coarse correction; a pinned row gets
-        weight 0, so the smoother never writes a pinned node. The coarse
-        operator is Galerkin, P'AP, with P the bilinear `prolongation`
-        with the rows of pinned fine nodes and the columns of pinned
-        coarse nodes zeroed: a coarse node is pinned where its fine node
-        is, so every free coarse node keeps its own free fine node and
-        P'AP stays positive definite; pinned coarse nodes get identity
-        rows. The coarsest grid (at most 32 cells per side) is solved
-        exactly by banded Cholesky, its band read off the matrix's
-        diagonals and pinned (P'AP of a nine-point operator is nine-point),
-        so below level 6 the V-cycle is a direct solve. Raises SolverError
-        on a nonpositive free diagonal entry and a failed coarsest factor.
+        weight 0, so the smoother never writes a pinned node. With D the
+        diagonal 0/1 matrix of a grid's free nodes and P the bilinear
+        transfer of `StructuredMesh.prolong`, the coarse operator is
+        Galerkin, D_c P' (D_f A D_f) P D_c, and the transfers are the
+        restriction D_c P' D_f and the prolongation D_f P. A coarse node is
+        pinned where its fine node is, so every free coarse node keeps its
+        own free fine node and the coarse operator stays positive definite
+        on the free nodes. Every operator is set up as slot-major stencil
+        data (`_slot_grid`) with its pinned rows and columns zeroed, and
+        coarsened one axis at a time (`_galerkin`), without a sparse
+        matrix product; the V-cycle multiplies by the system's own data on
+        the finest grid and by the coarse stencils on the mesh's coarser
+        meshes. The coarsest grid (at most 32 cells per side) is solved
+        exactly by banded Cholesky, its band read off five slots of its
+        grid (`_band`), so below level 6 the V-cycle is a direct solve.
+        Raises SolverError on a nonpositive free diagonal entry of any
+        grid and on a failed coarsest factor.
         """
-        mat, pinned, level = self._csr, self.dirichlet_mask, self.mesh.level
-        if not np.all(mat.diagonal()[~pinned] > 0.0):
-            raise SolverError("matrix has a nonpositive diagonal entry")
+        mesh, pinned = self.mesh, self.dirichlet_mask
+        mat, grid = self._csr, _slot_grid(mesh, self.data, pinned)
         grids = []
-        while level > COARSEST_LEVEL:
-            n1 = 2 ** level + 1
-            coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
-            p = prolongation(level)
-            rows = np.repeat(pinned, np.diff(p.indptr))
-            p.data[rows | coarse[p.indices]] = 0.0
-            # l1 over the free columns; each row holds its diagonal
-            l1 = np.add.reduceat(np.where(pinned[mat.indices], 0.0,
-                                          np.abs(mat.data)), mat.indptr[:-1])
-            free, weights = ~pinned, np.zeros(pinned.shape)
-            weights[free] = np.minimum(_OMEGA / mat.diagonal()[free],
+        while True:
+            diag, free = grid[1, 1].ravel(), ~pinned
+            if not np.all(diag[free] > 0.0):
+                raise SolverError("matrix has a nonpositive diagonal entry")
+            if mesh.level <= COARSEST_LEVEL:
+                break
+            # l1 over the free columns, which are all the grid keeps
+            l1 = sum(np.abs(slot) for slot in grid.reshape(9, -1))
+            weights = np.zeros(pinned.shape)
+            weights[free] = np.minimum(_OMEGA / diag[free],
                                        _L1_CAP / l1[free])
-            grids.append((mat, weights, p))
-            # P'AP over the free fine rows: those of P are zero and the
-            # pinned matrix's AP keeps none, so its column order is kept
-            mat = (p[free].T.tocsr() @ (mat @ p)[free]
-                   + sp.diags(coarse.astype(float))).tocsr()
-            pinned = coarse
-            level -= 1
+            n1 = mesh.cells_per_side + 1
+            coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
+            grids.append((mesh, mat, weights, pinned, coarse))
+            grid = _galerkin(grid, coarse)
+            mesh, pinned = mesh.coarse, coarse
+            if mesh.level > COARSEST_LEVEL:
+                # the gather that undoes _slot_grid's scatter
+                mat = mesh.csr(
+                    grid.reshape(9, -1).T[mesh.valid.reshape(-1, 9)])
         try:
-            factor = (cholesky_banded(_band(mat, 2 ** level + 1, pinned),
-                                      overwrite_ab=True, check_finite=False),
-                      False)
+            factor = (cholesky_banded(_band(grid, pinned), overwrite_ab=True,
+                                      check_finite=False), False)
         except np.linalg.LinAlgError as exc:
             raise SolverError("banded Cholesky factorization of the coarsest "
                               f"grid failed: {exc}") from exc
@@ -435,14 +504,16 @@ class GridSystem:
             # down: smooth from zero, restrict the residual; up: correct
             # from the coarser grid, smooth again
             down = []
-            for a, s, p in grids:
+            for mesh, a, s, fine, coarse in grids:
                 x = s * r
                 x += s * (r - a @ x)
                 down.append((x, r))
-                r = p.T @ (r - a @ x)
+                r = np.where(coarse, 0.0, mesh.restrict(
+                    np.where(fine, 0.0, r - a @ x)))
             e = cho_solve_banded(factor, r, check_finite=False)
-            for (a, s, p), (x, r) in zip(reversed(grids), reversed(down)):
-                x += p @ e
+            for (mesh, a, s, fine, _), (x, r) in zip(reversed(grids),
+                                                     reversed(down)):
+                x += np.where(fine, 0.0, mesh.prolong(e))
                 x += s * (r - a @ x)
                 x += s * (r - a @ x)
                 e = x
@@ -451,39 +522,65 @@ class GridSystem:
         return vcycle
 
 
-def _band(mat: sp.csr_matrix, n1: int, pinned: np.ndarray) -> np.ndarray:
-    """LAPACK upper band storage (kd = n1 + 1) of a symmetric nine-point
-    matrix on the n1 x n1 grid nodes, pinned, read from its diagonals 0, 1,
-    n1 - 1, n1 and n1 + 1 (at n1 = 2 the second and third coincide)."""
-    kd, n = n1 + 1, mat.shape[0]
+def _slot_grid(mesh: StructuredMesh, data: np.ndarray,
+               pinned: np.ndarray) -> np.ndarray:
+    """Stencil data on the mesh's pattern as the slot-major (3, 3, n1, n1)
+    grid: [dj + 1, di + 1, j, i] holds the entry of node (i, j) at its
+    neighbour (i + di, j + dj), zero where either node is pinned."""
+    n1 = mesh.cells_per_side + 1
+    grid = np.zeros((3, 3, n1, n1))
+    grid.reshape(9, -1).T[mesh.valid.reshape(-1, 9)] = data
+    _mask(grid, pinned)
+    return grid
+
+
+def _mask(grid: np.ndarray, pinned: np.ndarray) -> None:
+    """Zero in place the rows and columns of the pinned nodes on a
+    slot-major grid, and every slot whose neighbour is off the grid."""
+    n1 = grid.shape[-1]
+    pinned = pinned.reshape(n1, n1)
+    cut = np.ones((n1 + 2, n1 + 2), dtype=bool)
+    cut[1:-1, 1:-1] = pinned
+    for dj in range(3):
+        for di in range(3):
+            np.copyto(grid[dj, di], 0.0,
+                      where=pinned | cut[dj:dj + n1, di:di + n1])
+
+
+def _galerkin(grid: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """The coarse slot grid D_c P' A P D_c of a fine slot grid A, coarse
+    nodes pinned by the mask pinned: P = P1 x P1, so P'AP is one pass of
+    _GALERKIN_TERMS along i and one along j."""
+    for axis in (1, 0):
+        shape = list(grid.shape)
+        shape[axis + 2] = shape[axis + 2] // 2 + 1
+        out = np.zeros(shape)
+        src, dst = [slice(None)] * 4, [slice(None)] * 4
+        for d, fine, D, coarse, w in _GALERKIN_TERMS:
+            src[axis], src[axis + 2] = d, fine
+            dst[axis], dst[axis + 2] = D, coarse
+            out[tuple(dst)] += w * grid[tuple(src)]
+        grid = out
+    _mask(grid, pinned)
+    return grid
+
+
+def _band(grid: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """LAPACK upper band storage (kd = n1 + 1) of the symmetric nine-point
+    matrix of a masked slot grid on n1 x n1 nodes, with identity rows on
+    the pinned nodes: the diagonal and the slots (di, dj) = (1, 0),
+    (-1, 1), (0, 1) and (1, 1) at offsets 1, n1 - 1, n1 and n1 + 1. Each
+    entry is one slot's value added to zero, so copied: at n1 = 2, where
+    the second and third slots share a diagonal, no node has both."""
+    n1 = grid.shape[-1]
+    kd, n = n1 + 1, n1 * n1
     bands = np.zeros((kd + 1, n))
-    for offset in (0, 1, n1 - 1, n1, n1 + 1):
-        cut = pinned[:n - offset] | pinned[offset:]
-        bands[kd - offset, offset:] = np.where(cut, 0.0, mat.diagonal(offset))
+    for dj, di in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        offset = dj * n1 + di
+        bands[kd - offset, offset:] += \
+            grid[dj + 1, di + 1].ravel()[:n - offset]
     bands[kd, pinned] = 1.0
     return bands
-
-
-def prolongation(level: int) -> sp.csr_matrix:
-    """Bilinear prolongation P = kron(P1, P1) from level - 1 to level.
-
-    The one grid transfer of the package: the multigrid hierarchy zeroes
-    its pinned rows and columns, the nested cold start of the obstacle
-    solve applies it as it is, and its transpose maps a load vector to the
-    coarse load vector of the same density, since every coarse basis
-    function is the P-combination of fine ones. Built on every call: a
-    cached copy would outlive the solve, and at level 8 it kept 10 MB more
-    of the heap resident.
-    """
-    n = 2 ** level
-    fine = np.arange(n + 1)
-    odd = fine[1::2]
-    # an even fine node is a coarse node; an odd one averages two
-    p1 = sp.csr_matrix(
-        (np.r_[np.where(fine % 2, 0.5, 1.0), np.full(odd.size, 0.5)],
-         (np.r_[fine, odd], np.r_[fine // 2, odd // 2 + 1])),
-        shape=(n + 1, n // 2 + 1))
-    return sp.kron(p1, p1, format="csr")
 
 
 def assemble_stiffness(mesh: StructuredMesh,

@@ -28,9 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .control import MatrixControlField
-from .errors import DimensionError, NonconvergenceError
-from .fem import COARSEST_LEVEL, GridSystem, ScalarField, build_mesh, \
-    prolongation, same_mesh
+from .errors import DimensionError, NonconvergenceError, NonFiniteError
+from .fem import COARSEST_LEVEL, GridSystem, ScalarField, same_mesh
 from .linsolve import solve_spd
 
 # an active node is strongly active when its multiplier exceeds this
@@ -68,7 +67,8 @@ def pdas_bound_solve(K: GridSystem, rhs: np.ndarray, upper: np.ndarray,
     The nodes K pins are held at zero throughout (Dirichlet nodes and,
     for cone problems, strongly-active nodes); each sweep solves K pinned
     at its active nodes too. The upper bound applies wherever `upper` is
-    finite; +inf entries are unconstrained. rhs, upper and active0 have
+    finite; +inf entries are unconstrained, and a NaN or -inf entry raises
+    NonFiniteError before any solve. rhs, upper and active0 have
     one entry per node of K's mesh, else DimensionError; the multiplier
     is lumped with that mesh's mass. The loop starts from the active set
     `active0` (default empty) and the first sweep's CG from `u0` (default
@@ -80,6 +80,9 @@ def pdas_bound_solve(K: GridSystem, rhs: np.ndarray, upper: np.ndarray,
     n = K.mesh.n_nodes
     if np.shape(rhs) != (n,) or np.shape(upper) != (n,):
         raise DimensionError("rhs and upper must have one entry per node")
+    # written so that NaN fails it
+    if not np.all(np.asarray(upper) > -np.inf):
+        raise NonFiniteError("upper bound has a NaN or -inf entry")
     constrained = np.isfinite(upper) & ~K.dirichlet_mask
     active = np.zeros(n, dtype=bool)
     if active0 is not None:
@@ -125,25 +128,26 @@ def _nested_start(q: MatrixControlField, f_load: ScalarField,
                   psi: float) -> tuple[np.ndarray, np.ndarray]:
     """Cold-start active set and state from the same problem one level down.
 
-    The coarse coefficient is q at the even nodes (injection) and the
-    coarse load is P' f, the coarse load vector of the same density, with
-    P = fem.prolongation. A fine node starts active when P maps the 0/1
-    vector of the coarse active set to exactly 1 there, that is when every
-    coarse node its interpolant draws on is active; the weights 1, 1/2 and
-    1/4 sum to 1 exactly in floating point. (Prolonging lambda would
-    spread it past the contact edge and start nodes active that are not.)
-    A boundary node draws on a coarse boundary node, which is never
-    active. The start state is P u_c, zero on the boundary because u_c
-    is. P goes out of scope on return, before the fine-level loop.
+    The coarse problem lives on the mesh's `coarse` mesh, which the
+    multigrid hierarchy shares: its coefficient is q at the even nodes
+    (injection) and its load is P' f (`mesh.restrict`), the coarse load
+    vector of the same density. A fine node starts active when P
+    (`mesh.prolong`) maps the 0/1 vector of the coarse active set to
+    exactly 1 there, that is when every coarse node its interpolant draws
+    on is active; the weights 1, 1/2 and 1/4 sum to 1 exactly in floating
+    point. (Prolonging lambda would spread it past the contact edge and
+    start nodes active that are not.) A boundary node draws on a coarse
+    boundary node, which is never active. The start state is P u_c, zero
+    on the boundary because u_c is.
     """
     mesh = f_load.mesh
     n1 = mesh.cells_per_side + 1
-    coarse = build_mesh(mesh.level - 1)
-    p = prolongation(mesh.level)
     q_c = MatrixControlField(
-        coarse, q.comps.reshape(n1, n1, 3)[::2, ::2].reshape(-1, 3))
-    sol = solve_vi(q_c, ScalarField(coarse, p.T @ f_load.values), psi)
-    return p @ sol.active_set.astype(float) == 1.0, p @ sol.u.values
+        mesh.coarse, q.comps.reshape(n1, n1, 3)[::2, ::2].reshape(-1, 3))
+    sol = solve_vi(q_c, ScalarField(mesh.coarse, mesh.restrict(f_load.values)),
+                   psi)
+    return (mesh.prolong(sol.active_set.astype(float)) == 1.0,
+            mesh.prolong(sol.u.values))
 
 
 def solve_vi(q: MatrixControlField, f_load: ScalarField, psi: float,

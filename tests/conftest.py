@@ -147,6 +147,73 @@ def scatter_band(mat, bandwidth):
     return bands
 
 
+def kron_prolongation(level):
+    """Reference bilinear prolongation from level - 1 to level: the CSR
+    matrix kron(P1, P1) of the 1-D transfer, whose even fine nodes copy
+    their coarse node and odd ones average two."""
+    n = 2 ** level
+    fine = np.arange(n + 1)
+    odd = fine[1::2]
+    p1 = sp.csr_matrix(
+        (np.r_[np.where(fine % 2, 0.5, 1.0), np.full(odd.size, 0.5)],
+         (np.r_[fine, odd], np.r_[fine // 2, odd // 2 + 1])),
+        shape=(n + 1, n // 2 + 1))
+    return sp.kron(p1, p1, format="csr")
+
+
+def masked_prolongation(level, pinned):
+    """D_f P D_c: the reference prolongation with the rows of the pinned
+    fine nodes and the columns of the pinned coarse nodes zeroed, a coarse
+    node pinned where its fine node is. Returns (P, coarse mask)."""
+    n1 = 2 ** level + 1
+    coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
+    p = kron_prolongation(level)
+    rows = np.repeat(pinned, np.diff(p.indptr))
+    p.data[rows | coarse[p.indices]] = 0.0
+    return p, coarse
+
+
+def reference_hierarchy(mat, pinned, level):
+    """The multigrid hierarchy of a pinned matrix by sparse matrix
+    products, set up as one whose pinned rows are identity: per grid above
+    the coarsest its matrix, Jacobi weights from every row and masked
+    prolongation, and the coarsest Galerkin operator P'AP, with identity
+    rows on its pinned nodes."""
+    grids = []
+    while level > fem.COARSEST_LEVEL:
+        p, coarse = masked_prolongation(level, pinned)
+        l1 = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
+        grids.append((mat, np.minimum(fem._OMEGA / mat.diagonal(),
+                                      fem._L1_CAP / l1), p))
+        mat = (p.T.tocsr() @ (mat @ p)
+               + sp.diags(coarse.astype(float))).tocsr()
+        pinned = coarse
+        level -= 1
+    return grids, mat
+
+
+def galerkin_reference(system):
+    """The coarsest operator of the reference hierarchy, computed from the
+    compacted pinned matrix of a grid system."""
+    mat = compacted_pin(system.mesh, system.data, system.dirichlet_mask)
+    return reference_hierarchy(mat, system.dirichlet_mask,
+                               system.mesh.level)[1]
+
+
+def stencil_slots(mat, n1):
+    """Reference slot-major (3, 3, n1, n1) grid of a nine-point matrix on
+    the n1 x n1 grid nodes, scattered through its coordinates: entry (row,
+    col) goes to slot (dj + 1, di + 1) of its row's node."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    dj = mat.indices // n1 - rows // n1
+    di = mat.indices % n1 - rows % n1
+    assert np.abs(dj).max() <= 1 and np.abs(di).max() <= 1, \
+        "matrix entries lie outside the nine-point stencil"
+    grid = np.zeros((3, 3, n1 * n1))
+    grid[dj + 1, di + 1, rows] = mat.data
+    return grid.reshape(3, 3, n1, n1)
+
+
 def oracle_active_set_enumeration(K, f, psi, tol=1e-11):
     """Brute-force reference solution of the dense obstacle problem.
 

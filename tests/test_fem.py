@@ -23,10 +23,12 @@ from obstacle_control import (
 )
 
 from obstacle_control import fem
-from obstacle_control.fem import COARSEST_LEVEL, prolongation
+from obstacle_control.fem import COARSEST_LEVEL
 
-from conftest import compacted_pin, pinned_matrix, random_admissible, \
-    random_direction, scatter_band, slice_add_assemble, slice_add_integrate
+from conftest import compacted_pin, entry_rows, galerkin_reference, \
+    kron_prolongation, masked_prolongation, pinned_matrix, \
+    random_admissible, random_direction, reference_hierarchy, scatter_band, \
+    slice_add_assemble, slice_add_integrate, stencil_slots
 
 SEED = 20260819
 
@@ -280,10 +282,14 @@ def test_mass_total_is_domain_area():
 
 
 def test_lumped_mass_total_is_domain_area():
+    """The lumped mass has the bits of the mass matrix's row sums, without
+    keeping the matrix on the mesh."""
     mesh = build_mesh(2)
     m = mesh.lumped_mass
+    assert "mass_matrix" not in vars(mesh)
     assert m.sum() == pytest.approx(4.0, abs=1e-12)
     assert np.all(m > 0.0)
+    assert np.array_equal(m, np.asarray(mesh.mass_matrix.sum(axis=1)).ravel())
 
 
 def test_constant_function_norm():
@@ -385,20 +391,55 @@ def bilinear(x, y):
 @pytest.mark.parametrize("level", [1, 2, 4])
 def test_prolongation_reproduces_bilinear_functions(level):
     """P maps the interpolant of a bilinear function one level down to
-    its interpolant on the fine mesh."""
-    p = prolongation(level)
-    assert sp.isspmatrix_csr(p)
-    coarse = interpolate(build_mesh(level - 1), bilinear).values
-    fine = interpolate(build_mesh(level), bilinear).values
-    assert np.abs(p @ coarse - fine).max() <= 1e-15
+    its interpolant on the fine mesh, as the reference kron(P1, P1) does."""
+    mesh = build_mesh(level)
+    coarse = interpolate(mesh.coarse, bilinear).values
+    fine = interpolate(mesh, bilinear).values
+    assert np.abs(mesh.prolong(coarse) - fine).max() <= 1e-15
+    assert np.abs(kron_prolongation(level) @ coarse - fine).max() <= 1e-15
 
 
 def test_restricted_load_is_the_coarse_load():
     """2x2 Gauss integrates a bilinear density times a basis function
     exactly, so P' maps the fine load to the coarse one."""
-    fine = assemble_load(build_mesh(4), bilinear).values
-    coarse = assemble_load(build_mesh(3), bilinear).values
-    assert np.abs(prolongation(4).T @ fine - coarse).max() <= 1e-15
+    mesh = build_mesh(4)
+    fine = assemble_load(mesh, bilinear).values
+    coarse = assemble_load(mesh.coarse, bilinear).values
+    assert np.abs(mesh.restrict(fine) - coarse).max() <= 1e-15
+
+
+def test_coarse_mesh_is_built_once():
+    """Each mesh builds the mesh one level down once; the multigrid
+    hierarchy descends that chain."""
+    mesh = build_mesh(3)
+    assert mesh.coarse is mesh.coarse
+    assert mesh.coarse.level == 2
+    assert np.array_equal(
+        mesh.coarse.nodes,
+        mesh.nodes.reshape(9, 9, 2)[::2, ::2].reshape(-1, 2))
+
+
+@pytest.mark.parametrize("level", [1, 2, 5, 8])
+def test_transfers_equal_the_kron_oracle_on_integers(level):
+    """On integer-valued vectors every product and sum of the transfers
+    is exact, so the separable prolongation and restriction have the bits
+    of the kron(P1, P1) oracle's products, unmasked and with the V-cycle's
+    masks: restriction D_c P' D_f r and prolongation D_f P e."""
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(SEED + 19 + level)
+    p = kron_prolongation(level)
+    e = rng.integers(-50, 50, mesh.coarse.n_nodes).astype(float)
+    r = rng.integers(-50, 50, mesh.n_nodes).astype(float)
+    assert np.array_equal(mesh.prolong(e), p @ e)
+    assert np.array_equal(mesh.restrict(r), p.T @ r)
+    pinned = rng.random(mesh.n_nodes) < 0.3
+    pm, coarse = masked_prolongation(level, pinned)
+    assert np.array_equal(
+        np.where(coarse, 0.0, mesh.restrict(np.where(pinned, 0.0, r))),
+        pm.T @ r)
+    assert np.array_equal(
+        np.where(pinned, 0.0, mesh.prolong(np.where(coarse, 0.0, e))),
+        pm @ e)
 
 
 def test_stiffness_rejects_non_finite_coefficient():
@@ -634,12 +675,12 @@ def test_pinned_product_copies_no_stencil_data():
     assert peak < 8 * mesh.nnz
 
 
-def assert_band_matches_scatter(mat, n1, pinned, reference):
-    """The band read off the diagonals of the nine-point matrix mat on the
-    n1 x n1 grid, pinned on its mask, and its banded Cholesky factor, are
-    bitwise those of the coordinate scatter of the reference matrix."""
-    band = fem._band(mat, n1, pinned)
-    want = scatter_band(reference, n1 + 1)
+def assert_band_matches_scatter(grid, pinned, reference):
+    """The band read off the masked slot grid of a nine-point matrix,
+    pinned on its mask, and its banded Cholesky factor, are bitwise those
+    of the coordinate scatter of the reference matrix."""
+    band = fem._band(grid, pinned)
+    want = scatter_band(reference, grid.shape[-1] + 1)
     assert np.array_equal(band, want)
     assert np.array_equal(cholesky_banded(band, check_finite=False),
                           cholesky_banded(want, check_finite=False))
@@ -654,45 +695,109 @@ def test_stencil_band_matches_coordinate_scatter(level):
     rng = np.random.default_rng(SEED + 9 + level)
     K = assemble_stiffness(mesh, random_admissible(mesh, rng))
     raw = mesh.csr(K.data)
-    n1 = mesh.cells_per_side + 1
     free = np.zeros(mesh.n_nodes, dtype=bool)
-    assert np.array_equal(fem._band(raw, n1, free),
-                          scatter_band(raw, n1 + 1))
+    assert np.array_equal(fem._band(fem._slot_grid(mesh, K.data, free), free),
+                          scatter_band(raw, mesh.cells_per_side + 2))
     for _ in range(3):
-        system = K.pin(rng.random(mesh.n_nodes) < 0.3)
-        assert_band_matches_scatter(
-            raw, n1, system.dirichlet_mask,
-            compacted_pin(mesh, K.data, system.dirichlet_mask))
+        mask = K.pin(rng.random(mesh.n_nodes) < 0.3).dirichlet_mask
+        assert_band_matches_scatter(fem._slot_grid(mesh, K.data, mask), mask,
+                                    compacted_pin(mesh, K.data, mask))
 
 
-def reference_hierarchy(mat, pinned, level):
-    """The multigrid hierarchy of a pinned matrix, set up as one whose
-    pinned rows are identity: per grid above the coarsest its matrix,
-    Jacobi weights from every row and masked prolongation, and the
-    coarsest Galerkin operator."""
+def test_slot_grid_is_the_masked_coordinate_scatter():
+    """The slot grid of stencil data holds D A D, the data with the rows
+    and columns of the pinned nodes zeroed, slot by slot."""
+    mesh = build_mesh(3)
+    rng = np.random.default_rng(SEED + 20)
+    data = rng.standard_normal(mesh.nnz)
+    mask = rng.random(mesh.n_nodes) < 0.3
+    cut = mask[entry_rows(mesh)] | mask[mesh.indices]
+    want = stencil_slots(mesh.csr(np.where(cut, 0.0, data)), 9)
+    assert np.array_equal(fem._slot_grid(mesh, data, mask), want)
+
+
+def coarse_operators(system, monkeypatch):
+    """The masked coarse slot grids of a system's multigrid set-up, finest
+    first, recorded as the hierarchy forms them."""
     grids = []
-    while level > COARSEST_LEVEL:
-        n1 = 2 ** level + 1
-        coarse = pinned.reshape(n1, n1)[::2, ::2].ravel()
-        p = prolongation(level)
-        rows = np.repeat(pinned, np.diff(p.indptr))
-        p.data[rows | coarse[p.indices]] = 0.0
-        l1 = np.add.reduceat(np.abs(mat.data), mat.indptr[:-1])
-        grids.append((mat, np.minimum(fem._OMEGA / mat.diagonal(),
-                                      fem._L1_CAP / l1), p))
-        mat = (p.T.tocsr() @ (mat @ p)
-               + sp.diags(coarse.astype(float))).tocsr()
-        pinned = coarse
-        level -= 1
-    return grids, mat
+    galerkin = fem._galerkin
+
+    def recorded(grid, pinned):
+        grids.append((galerkin(grid, pinned), pinned))
+        return grids[-1][0]
+
+    monkeypatch.setattr(fem, "_galerkin", recorded)
+    system.multigrid
+    monkeypatch.undo()
+    return grids
 
 
-def galerkin_reference(system):
-    """The coarsest Galerkin operator of the multigrid hierarchy, computed
-    from the compacted pinned matrix."""
-    mat = compacted_pin(system.mesh, system.data, system.dirichlet_mask)
-    return reference_hierarchy(mat, system.dirichlet_mask,
-                               system.mesh.level)[1]
+def reference_operators(system):
+    """The coarse operators of the sparse-product oracle, D_c P' A P D_c
+    from the data with the pinned rows and columns zeroed, as slot grids,
+    finest first."""
+    mesh, pinned = system.mesh, system.dirichlet_mask
+    cut = pinned[entry_rows(mesh)] | pinned[mesh.indices]
+    mat = mesh.csr(np.where(cut, 0.0, system.data))
+    grids = []
+    for level in range(mesh.level, COARSEST_LEVEL, -1):
+        p, pinned = masked_prolongation(level, pinned)
+        mat = (p.T.tocsr() @ (mat @ p)).tocsr()
+        grids.append(stencil_slots(mat, 2 ** (level - 1) + 1))
+    return grids
+
+
+def contact_disc(mesh):
+    x, y = mesh.nodes.T
+    return (x - 0.4) ** 2 + y ** 2 < 0.1
+
+
+@pytest.mark.parametrize("level", [6, 7, 8])
+def test_galerkin_operator_equals_the_oracle_on_integers(level, monkeypatch):
+    """On integer-valued stencil data every product and sum of P'AP is
+    exact, so each coarse operator of the stencil set-up, on random pin
+    masks and on a contact disc, has the bits of the sparse-product
+    oracle's."""
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(SEED + 21 + level)
+    # symmetric and diagonally dominant, so the coarsest factor exists
+    local = rng.integers(-2, 3, (mesh.n_cells, 4, 4))
+    local = (local + local.transpose(0, 2, 1)).astype(float)
+    local[:, range(4), range(4)] = 20.0
+    data = mesh.assemble(local)
+    for mask in (rng.random(mesh.n_nodes) < 0.3,
+                 rng.random(mesh.n_nodes) < 0.05, contact_disc(mesh)):
+        system = fem.GridSystem(mesh, data, mesh.boundary_mask | mask)
+        got = coarse_operators(system, monkeypatch)
+        want = reference_operators(system)
+        assert len(got) == len(want) == level - COARSEST_LEVEL
+        for (grid, _), ref in zip(got, want):
+            assert np.array_equal(grid, ref)
+
+
+# relative tolerance, against the largest entry, of the stencil Galerkin
+# operators on float data: the sums run in another order than the sparse
+# products'
+GALERKIN_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("kind", ["admissible", "anisotropic", "penalized"])
+@pytest.mark.parametrize("level", [6, 8])
+def test_galerkin_operator_matches_the_oracle(level, kind, monkeypatch):
+    """Each coarse operator of a random admissible, an anisotropic (the
+    l1 cap binds) and a penalized K.plus(D) system, pinned on a contact
+    disc, matches the sparse-product oracle within GALERKIN_RTOL."""
+    mesh = build_mesh(level)
+    rng = np.random.default_rng(SEED + 22)
+    q = (MatrixControlField.constant(mesh, [[4.0, 1.5], [1.5, 1.0]])
+         if kind == "anisotropic" else random_admissible(mesh, rng))
+    system = q.stiffness.pin(contact_disc(mesh))
+    if kind == "penalized":
+        weight = 1e6 * rng.random((mesh.n_cells, 4))
+        system = system.plus(mesh.mass_data(weight, np.arange(mesh.n_cells)))
+    for (grid, _), ref in zip(coarse_operators(system, monkeypatch),
+                              reference_operators(system)):
+        assert np.abs(grid - ref).max() <= GALERKIN_RTOL * np.abs(ref).max()
 
 
 def reference_vcycle(system, r):
@@ -718,52 +823,88 @@ def reference_vcycle(system, r):
     return e
 
 
+# relative tolerance, against the largest entry, of a V-cycle set up on
+# stencils against the reference hierarchy's above level 5
+VCYCLE_RTOL = 1e-12
+
+
 @pytest.mark.parametrize("anisotropic", [False, True])
 @pytest.mark.parametrize("level", [4, 7])
 def test_multigrid_equals_the_pinned_matrix_vcycle(level, anisotropic):
     """The V-cycle a pinned system sets up from its unpinned data and mask
-    has the bits of the one set up from the reference pinned matrix, on
-    residuals that vanish on the pinned nodes as CG's do. With the
-    anisotropic coefficient the l1 cap of the smoother's weights binds, so
-    the l1 norms must leave out the pinned columns."""
+    matches the one set up from the reference pinned matrix by sparse
+    products, on residuals that vanish on the pinned nodes as CG's do:
+    bitwise at level 4, a direct solve on the system's own band, and
+    within VCYCLE_RTOL at level 7, where the stencil Galerkin product and
+    the separable transfers sum in another order. With the anisotropic
+    coefficient the l1 cap of the smoother's weights binds, so the l1
+    norms must leave out the pinned columns."""
     mesh = build_mesh(level)
     rng = np.random.default_rng(SEED + 18)
-    x, y = mesh.nodes.T
     q = (MatrixControlField.constant(mesh, [[4.0, 1.5], [1.5, 1.0]])
          if anisotropic else random_admissible(mesh, rng))
-    system = q.stiffness.pin((x - 0.4) ** 2 + y ** 2 < 0.1)
+    system = q.stiffness.pin(contact_disc(mesh))
     for _ in range(2):
         r = np.where(system.dirichlet_mask, 0.0,
                      rng.standard_normal(mesh.n_nodes))
-        assert np.array_equal(system.multigrid(r),
-                              reference_vcycle(system, r))
+        got, want = system.multigrid(r), reference_vcycle(system, r)
+        if level <= COARSEST_LEVEL:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= \
+                VCYCLE_RTOL * np.abs(want).max()
 
 
 def test_galerkin_band_matches_coordinate_scatter(monkeypatch):
     """Systems at levels 6-8 pinned on a contact disc: the band read off
     each coarsest Galerkin operator, on the level-5 grid, and the band's
-    factor are those of the coordinate scatter of the reference
-    hierarchy's."""
-    mats = []
+    factor are bitwise those of the coordinate scatter of that operator,
+    and the band is within GALERKIN_RTOL of the reference hierarchy's."""
+    grids = []
     band = fem._band
 
-    def recorded(mat, n1, pinned):
-        mats.append((mat, n1, pinned))
-        return band(mat, n1, pinned)
+    def recorded(grid, pinned):
+        grids.append((grid.copy(), pinned))
+        return band(grid, pinned)
 
     monkeypatch.setattr(fem, "_band", recorded)
     for level in (6, 7, 8):
         mesh = build_mesh(level)
-        x, y = mesh.nodes.T
         K = assemble_stiffness(
             mesh, random_admissible(mesh, np.random.default_rng(SEED + 15)))
-        system = K.pin((x - 0.4) ** 2 + y ** 2 < 0.1)
-        mats.clear()
+        system = K.pin(contact_disc(mesh))
+        grids.clear()
         assert system.multigrid is system.multigrid
-        (mat, n1, pinned), = mats
-        assert n1 == 2 ** COARSEST_LEVEL + 1
-        assert_band_matches_scatter(mat, n1, pinned,
-                                    galerkin_reference(system))
+        (grid, pinned), = grids
+        coarsest = build_mesh(COARSEST_LEVEL)
+        assert grid.shape == (3, 3, 33, 33)
+        own = coarsest.csr(grid.reshape(9, -1).T[coarsest.valid.reshape(-1, 9)]
+                           ) + sp.diags(pinned.astype(float))
+        assert_band_matches_scatter(grid, pinned, own)
+        reference = scatter_band(galerkin_reference(system), 34)
+        assert np.abs(band(grid, pinned) - reference).max() <= \
+            GALERKIN_RTOL * np.abs(reference).max()
+
+
+def test_set_up_keeps_less_than_the_sparse_product_hierarchy():
+    """A level-8 set-up on warm coarse meshes keeps less than 3 MB and
+    peaks below 12 MB of allocations (the sparse-product hierarchy kept
+    5.8 MB and peaked at 15.5 MB on the same system): the temporary slot
+    grids are dropped level by level."""
+    mesh = build_mesh(8)
+    K = MatrixControlField.constant(mesh, np.eye(2)).stiffness.pin(
+        contact_disc(mesh))
+    K.multigrid
+    system = fem.GridSystem(mesh, K.data, K.dirichlet_mask)
+    tracemalloc.start()
+    try:
+        vcycle = system.multigrid
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert callable(vcycle)
+    assert kept < 3e6
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("level", [1, 3])

@@ -18,7 +18,7 @@ from obstacle_control import (
 )
 from obstacle_control import linsolve
 from obstacle_control.control import riesz_lift
-from obstacle_control.fem import GridSystem
+from obstacle_control.fem import COARSEST_LEVEL, GridSystem
 from obstacle_control.penalty import _contact, _penalty_jacobian
 
 from conftest import diagonal_entries, pinned_matrix, random_admissible
@@ -423,6 +423,28 @@ def test_failed_banded_factor_raises(level):
     b = np.where(mesh.boundary_mask, 0.0, 1.0)
     with pytest.raises(SolverError, match="banded Cholesky"):
         solve_spd(system, b)
+
+
+@pytest.mark.parametrize("level", [4, 7])
+def test_nonpositive_diagonal_raises_on_any_grid(level):
+    """A free row with a zero diagonal fails the set-up on the system's
+    own grid. Above level 5 so does a coarse grid whose fine diagonals
+    are all positive: with cell matrices 2I - J the off-diagonal entries
+    outweigh the diagonal, and the coarse diagonal (P e)'A(P e) of a
+    coarse node is negative."""
+    mesh = build_mesh(level)
+    K = assemble_stiffness(mesh, MatrixControlField.constant(
+        mesh, np.eye(2)))
+    data = K.data.copy()
+    data[diagonal_entries(mesh)[mesh.n_nodes // 2]] = 0.0
+    with pytest.raises(SolverError, match="nonpositive diagonal"):
+        GridSystem(mesh, data, K.dirichlet_mask).multigrid
+    if level > COARSEST_LEVEL:
+        system = GridSystem(mesh, mesh.assemble(2.0 * np.eye(4) - 1.0),
+                            K.dirichlet_mask)
+        assert np.all(system.data[diagonal_entries(mesh)] > 0.0)
+        with pytest.raises(SolverError, match="nonpositive diagonal"):
+            system.multigrid
 
 
 def test_grid_system_checks_its_level():

@@ -8,6 +8,7 @@ from obstacle_control import (
     DimensionError,
     MatrixControlField,
     NonconvergenceError,
+    NonFiniteError,
     ScalarField,
     assemble_load,
     assemble_stiffness,
@@ -16,7 +17,6 @@ from obstacle_control import (
     l2_norm,
 )
 from obstacle_control import obstacle
-from obstacle_control.fem import prolongation
 from obstacle_control.obstacle import (
     _ACTIVE_TOL,
     VISolution,
@@ -26,8 +26,8 @@ from obstacle_control.obstacle import (
 )
 from obstacle_control.problems import example_objective
 
-from conftest import oracle_active_set_enumeration, pinned_matrix, \
-    random_admissible
+from conftest import kron_prolongation, oracle_active_set_enumeration, \
+    pinned_matrix, random_admissible
 from test_fem import desired_state, domain_integral_oracle, manufactured_load, q_d_components
 
 SEED = 74205
@@ -248,6 +248,30 @@ def test_bound_solve_refuses_a_bound_or_load_of_another_length():
             pdas_bound_solve(K, rhs, upper)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_bound_solve_refuses_a_nan_or_minus_inf_bound(bad, monkeypatch):
+    """A NaN bound fails every comparison, so the loop would read it as
+    unconstrained and return a state above no bound; -inf admits no
+    state. Both are refused before any solve, while +inf stays the
+    unconstrained marker."""
+    mesh = build_mesh(3)
+    K = MatrixControlField.constant(mesh, np.eye(2)).stiffness
+    f = assemble_load(mesh, manufactured_load).values
+    upper = np.full(mesh.n_nodes, 0.01)
+    upper[40] = bad
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(obstacle, "solve_spd", refuse)
+    with pytest.raises(NonFiniteError, match="NaN or -inf"):
+        pdas_bound_solve(K, f, upper)
+    monkeypatch.undo()
+    upper[40] = np.inf
+    u, _, active, _, _ = pdas_bound_solve(K, f, upper)
+    assert not active[40] and u[40] > 0.01
+
+
 def test_iteration_budget_error(monkeypatch):
     """The cap holds on every level of a nested start too: at level 7 the
     cold solve at level 5, which starts the nest, hits it first."""
@@ -349,10 +373,11 @@ def test_nested_start_is_the_prolonged_coarse_solution(
     q, f, psi = _convergence_problem(mesh)
     start, u0 = obstacle._nested_start(q, f, psi)
     coarse = vi_solutions[level - 1]
-    p = prolongation(level)
-    assert np.array_equal(u0, p @ coarse.u.values)
+    assert coarse.u.mesh is mesh.coarse
+    assert np.array_equal(u0, mesh.prolong(coarse.u.values))
     assert not u0[mesh.boundary_mask].any()
-    inactive_parent = abs(p) @ (~coarse.active_set).astype(float) > 0.0
+    inactive_parent = kron_prolongation(level) @ (
+        ~coarse.active_set).astype(float) > 0.0
     assert start.any()
     assert not (start & inactive_parent).any()
     assert not (start & mesh.boundary_mask).any()
